@@ -14,7 +14,6 @@ from biopt.algorithms import (
     RunStats,
     SharedBounds,
     SplitPlan,
-    check_two_sided_cover,
     meeting_boip,
     sequential_boip,
     split_range,
@@ -47,8 +46,6 @@ from biopt.ipsolve import (
     LexResult,
     SolverBackend,
     solve_lex,
-    solve_lp_relaxation,
-    solve_single,
 )
 from biopt.model import (
     LinearConstraint,
@@ -88,7 +85,6 @@ __all__ = [
     "RunStats",
     "SharedBounds",
     "SplitPlan",
-    "check_two_sided_cover",
     "meeting_boip",
     "sequential_boip",
     "split_range",
@@ -120,8 +116,6 @@ __all__ = [
     "make_solution",
     "pareto_filter",
     "solve_lex",
-    "solve_lp_relaxation",
-    "solve_single",
     "user_outcome",
     "__version__",
 ]

@@ -41,8 +41,8 @@ import random
 import threading
 import time
 import traceback
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Sequence
 
 from biopt.errors import BioptError, BoundRegression
 from biopt.ipsolve import BranchAndBoundBackend, ExtraConstraint, SolverBackend
@@ -139,13 +139,19 @@ class DelaySpec:
 
 @dataclass(frozen=True)
 class RunStats:
-    """Work accounting for one enumeration run."""
+    """Work accounting for one enumeration run.
+
+    ``nodes`` and ``lps`` are the branch-and-bound nodes and LP solves of
+    every IP solve of the run, summed over its workers.
+    """
 
     ip_solves: int
     feasible_solves: int
     infeasible_solves: int
     worker_elapsed: tuple[float, ...]
     pareto_size: int
+    nodes: int = 0
+    lps: int = 0
 
     def __post_init__(self) -> None:
         if self.ip_solves != self.feasible_solves + self.infeasible_solves:
@@ -160,6 +166,8 @@ class _SweepOutcome:
     feasible: int
     infeasible: int
     elapsed: float
+    nodes: int
+    lps: int
 
 
 def _default_backends(n: int) -> tuple[SolverBackend, ...]:
@@ -183,6 +191,8 @@ def sequential_boip(
         infeasible_solves=sweep.infeasible,
         worker_elapsed=(sweep.elapsed,),
         pareto_size=len(front),
+        nodes=sweep.nodes,
+        lps=sweep.lps,
     )
     return front, stats
 
@@ -199,10 +209,12 @@ def _epsilon_sweep(
     start = time.perf_counter()
     found: list[Solution] = []
     cap: Optional[int] = None
-    feasible = infeasible = 0
+    feasible = infeasible = nodes = lps = 0
     while True:
         extras = fence if cap is None else fence + (ExtraConstraint(2, cap),)
         res = backend.solve_lex(problem, ObjectiveOrder.F1_FIRST, extras)
+        nodes += res.node_count
+        lps += res.lp_count
         if not res.is_optimal:
             infeasible += 1
             break
@@ -210,7 +222,8 @@ def _epsilon_sweep(
         feasible += 1
         found.append(res.solution)
         cap = res.solution.outcome.f2
-    return _SweepOutcome(tuple(found), feasible, infeasible, time.perf_counter() - start)
+    elapsed = time.perf_counter() - start
+    return _SweepOutcome(tuple(found), feasible, infeasible, elapsed, nodes, lps)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +238,14 @@ class SplitPlan:
     empty slice (possible when the f1 range has fewer values than workers).
     ``endpoints`` holds the two lexicographic endpoint solutions, or is
     empty when the problem is infeasible (then ``intervals`` is empty too).
+    ``nodes`` and ``lps`` count the work of the endpoint solves; they take
+    no part in comparisons.
     """
 
     intervals: tuple[tuple[int, int], ...]
     endpoints: tuple[Solution, ...]
+    nodes: int = field(default=0, compare=False)
+    lps: int = field(default=0, compare=False)
 
 
 def split_range(
@@ -246,7 +263,7 @@ def split_range(
     engine = backend if backend is not None else BranchAndBoundBackend()
     west = engine.solve_lex(problem, ObjectiveOrder.F1_FIRST)
     if not west.is_optimal:
-        return SplitPlan((), ())
+        return SplitPlan((), (), west.node_count, west.lp_count)
     east = engine.solve_lex(problem, ObjectiveOrder.F2_FIRST)
     assert west.solution is not None and east.solution is not None
     f1_min = west.solution.outcome.f1
@@ -255,7 +272,12 @@ def split_range(
     intervals = tuple(
         (f1_min + i * width, f1_min + (i + 1) * width - 1) for i in range(t - 1)
     ) + ((f1_min + (t - 1) * width, f1_max),)
-    return SplitPlan(intervals, (west.solution, east.solution))
+    return SplitPlan(
+        intervals,
+        (west.solution, east.solution),
+        west.node_count + east.node_count,
+        west.lp_count + east.lp_count,
+    )
 
 
 def _slice_problem(problem: Problem, lo: int) -> Problem:
@@ -281,7 +303,7 @@ def splitting_boip(
         raise ValueError(f"expected {t} backends, got {len(engines)}")
     plan = split_range(problem, engines[0], t)
     if not plan.endpoints:
-        return ParetoSet(()), RunStats(1, 0, 1, (), 0)
+        return ParetoSet(()), RunStats(1, 0, 1, (), 0, plan.nodes, plan.lps)
 
     f1_min = plan.endpoints[0].outcome.f1
     jobs = []
@@ -312,6 +334,8 @@ def splitting_boip(
         infeasible_solves=infeasible,
         worker_elapsed=elapsed,
         pareto_size=len(front),
+        nodes=plan.nodes + sum(s.nodes for s in sweeps),
+        lps=plan.lps + sum(s.lps for s in sweeps),
     )
     return front, stats
 
@@ -340,7 +364,7 @@ def _meeting_sweep(
     start = time.perf_counter()
     found: list[Solution] = []
     own_cap: Optional[int] = None
-    feasible = infeasible = 0
+    feasible = infeasible = nodes = lps = 0
     while True:
         if nap is not None:
             nap()
@@ -351,6 +375,8 @@ def _meeting_sweep(
         if other_cap is not None:
             extras.append(ExtraConstraint(other, other_cap))
         res = backend.solve_lex(problem, order, extras)
+        nodes += res.node_count
+        lps += res.lp_count
         if not res.is_optimal:
             infeasible += 1
             break
@@ -361,7 +387,8 @@ def _meeting_sweep(
         if nap is not None:
             nap()
         store.publish(own, own_cap)
-    return _SweepOutcome(tuple(found), feasible, infeasible, time.perf_counter() - start)
+    elapsed = time.perf_counter() - start
+    return _SweepOutcome(tuple(found), feasible, infeasible, elapsed, nodes, lps)
 
 
 def meeting_boip(
@@ -407,28 +434,36 @@ def meeting_boip(
         infeasible_solves=infeasible,
         worker_elapsed=(sweep1.elapsed, sweep2.elapsed),
         pareto_size=len(front),
+        nodes=sweep1.nodes + sweep2.nodes,
+        lps=sweep1.lps + sweep2.lps,
     )
     return front, stats
 
 
-def check_two_sided_cover(
-    low_sweep: Iterable[Solution],
-    high_sweep: Iterable[Solution],
-    meeting_point: Optional[OutcomeVector],
-    reference: ParetoSet,
-) -> bool:
-    """Do two opposed partial sweeps plus their meeting point cover a front?
+# ---------------------------------------------------------------------------
+# dispatch
+# ---------------------------------------------------------------------------
 
-    The caller vouches for provenance: ``low_sweep`` collected from the
-    f2-first end, ``high_sweep`` from the f1-first end, ``meeting_point``
-    (if any) non-dominated.  True iff the union of their outcomes, dedup-
-    licated, equals the reference front's outcomes exactly.
-    """
-    outcomes = {sol.outcome for sol in low_sweep}
-    outcomes.update(sol.outcome for sol in high_sweep)
-    if meeting_point is not None:
-        outcomes.add(meeting_point)
-    return outcomes == set(reference.outcomes())
+def _run_sequential(problem: Problem, executor: str = "process"):
+    return sequential_boip(problem)
+
+
+def _run_splitting(problem: Problem, executor: str = "process"):
+    return splitting_boip(problem, t=2, executor=executor)
+
+
+def _run_meeting(problem: Problem, executor: str = "process"):
+    return meeting_boip(problem, executor=executor)
+
+
+# Every enumeration algorithm by name, called as ``run(problem, executor)``.
+# The parallel ones run two workers on processes or threads as ``executor``
+# says; the sequential sweep ignores it.
+RUNNERS: dict[str, Callable[..., tuple[ParetoSet, RunStats]]] = {
+    "sequential": _run_sequential,
+    "splitting": _run_splitting,
+    "meeting": _run_meeting,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +480,12 @@ def _pipe_runner(conn, fn, args) -> None:
 
 
 def _run_parallel(jobs: Sequence[tuple], executor: str) -> list:
-    """Run (fn, args) jobs on two-or-so workers; propagate failures."""
+    """Run (fn, args) jobs on two-or-so workers; propagate failures.
+
+    With processes, the first failure to arrive is raised at once: the
+    other workers are terminated and joined first, so none outlives the
+    call, whichever way it ends.
+    """
     if executor == "thread":
         slots: list = [None] * len(jobs)
 
@@ -463,33 +503,47 @@ def _run_parallel(jobs: Sequence[tuple], executor: str) -> list:
             th.start()
         for th in threads:
             th.join()
-    elif executor == "process":
-        ctx = multiprocessing.get_context("fork")
-        procs = []
-        parents = []
-        for fn, args in jobs:
+        for tag, payload in slots:
+            if tag == "error":
+                raise BioptError(f"worker failed:\n{payload}")
+        return [payload for _, payload in slots]
+    if executor != "process":
+        raise ValueError(f"unknown executor {executor!r} (use 'process' or 'thread')")
+
+    # imported on first use, as ctx.Pipe does, to keep `import biopt` cheap
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    procs = []
+    pending = {}  # result pipe -> job index
+    results: list = [None] * len(jobs)
+    finished = False
+    try:
+        for i, (fn, args) in enumerate(jobs):
             parent, child = ctx.Pipe(duplex=False)
+            pending[parent] = i
             proc = ctx.Process(target=_pipe_runner, args=(child, fn, args))
             proc.start()
             child.close()
-            parents.append(parent)
             procs.append(proc)
-        slots = []
-        for parent, proc in zip(parents, procs):
-            try:
-                slots.append(parent.recv())
-            except EOFError:
-                slots.append(("error", "worker exited without reporting"))
-            finally:
-                parent.close()
+        while pending:
+            for conn in wait(list(pending)):
+                i = pending.pop(conn)
+                try:
+                    tag, payload = conn.recv()
+                except EOFError:
+                    tag, payload = "error", "worker exited without reporting"
+                finally:
+                    conn.close()
+                if tag == "error":
+                    raise BioptError(f"worker failed:\n{payload}")
+                results[i] = payload
+        finished = True
+    finally:
+        for conn in pending:
+            conn.close()
         for proc in procs:
+            if not finished:
+                proc.terminate()
             proc.join()
-    else:
-        raise ValueError(f"unknown executor {executor!r} (use 'process' or 'thread')")
-
-    results = []
-    for tag, payload in slots:
-        if tag == "error":
-            raise BioptError(f"worker failed:\n{payload}")
-        results.append(payload)
     return results

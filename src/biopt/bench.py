@@ -29,13 +29,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from biopt.algorithms import meeting_boip, sequential_boip, splitting_boip
+from biopt.algorithms import RUNNERS
 from biopt.errors import BioptError
 from biopt.instances import FAMILIES, GeneratorSpec, generate
 from biopt.model import ParetoSet, Problem
 from biopt.oracle import EnumerationBudget, brute_force_pareto
 
-ALGORITHMS = ("sequential", "splitting", "meeting", "brute")
+ALGORITHMS = (*RUNNERS, "brute")
 _THREADS = {"sequential": 1, "brute": 1, "splitting": 2, "meeting": 2}
 
 
@@ -95,18 +95,12 @@ def _run_algorithm(
     algorithm: str, problem: Problem, executor: str, oracle_budget: int
 ) -> tuple[ParetoSet, int]:
     """Run one algorithm; return its front and total subproblem count."""
-    if algorithm == "sequential":
-        front, stats = sequential_boip(problem)
-        return front, stats.ip_solves
-    if algorithm == "splitting":
-        front, stats = splitting_boip(problem, t=2, executor=executor)
-        return front, stats.ip_solves
-    if algorithm == "meeting":
-        front, stats = meeting_boip(problem, executor=executor)
-        return front, stats.ip_solves
     if algorithm == "brute":
         return brute_force_pareto(problem, EnumerationBudget(oracle_budget)), 0
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm not in RUNNERS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    front, stats = RUNNERS[algorithm](problem, executor)
+    return front, stats.ip_solves
 
 
 def run_bench(config: BenchConfig) -> list[BenchRecord]:

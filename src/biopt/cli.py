@@ -16,7 +16,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from biopt.algorithms import meeting_boip, sequential_boip, splitting_boip
+from biopt.algorithms import RUNNERS, RunStats
 from biopt.bench import ALGORITHMS, BenchConfig, render_summary, run_bench, summarize, write_csv
 from biopt.errors import BioptError, BudgetExceeded, ParseError
 from biopt.instances import (
@@ -103,18 +103,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     start = time.perf_counter()
     try:
-        if algorithm == "sequential":
-            front, stats = sequential_boip(problem)
-            ip_solves = stats.ip_solves
-        elif algorithm == "splitting":
-            front, stats = splitting_boip(problem, t=2)
-            ip_solves = stats.ip_solves
-        elif algorithm == "meeting":
-            front, stats = meeting_boip(problem)
-            ip_solves = stats.ip_solves
-        else:
+        if algorithm == "brute":
             front = brute_force_pareto(problem)
-            ip_solves = 0
+            stats = RunStats(0, 0, 0, (), len(front))
+        else:
+            front, stats = RUNNERS[algorithm](problem)
     except BudgetExceeded as bad:
         return _usage_error(str(bad))
     except BioptError as bad:
@@ -124,7 +117,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     sys.stdout.write(format_result(problem, front))
     print(
         f"algorithm={algorithm} points={len(front)} "
-        f"ip_solves={ip_solves} elapsed_ms={elapsed_ms:.3f}",
+        f"ip_solves={stats.ip_solves} elapsed_ms={elapsed_ms:.3f} "
+        f"nodes={stats.nodes} lps={stats.lps}",
         file=sys.stderr,
     )
     return EXIT_OK if len(front) > 0 else EXIT_EMPTY_FRONT
@@ -142,11 +136,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     try:
         oracle = brute_force_pareto(problem, budget)
-        fronts = {
-            "sequential": sequential_boip(problem)[0],
-            "splitting": splitting_boip(problem, t=2)[0],
-            "meeting": meeting_boip(problem)[0],
-        }
+        fronts = {name: run(problem)[0] for name, run in RUNNERS.items()}
     except BioptError as bad:
         return _runtime_error(str(bad))
 

@@ -4,6 +4,10 @@ This is the subproblem engine the enumeration algorithms lean on.  The
 primary backend is an exact branch and bound:
 
 * depth-first node exploration, the rounded-down child first;
+* a cold two-phase LP at the root only: both children of a node carry a
+  reference to its optimal LP and re-optimize from its basis by bounded
+  dual simplex, since a child differs from its parent in one variable
+  bound (see ``biopt.simplex``);
 * branching on the most fractional variable, ties to the lowest index;
 * pruning with ``ceil(lp_bound) >= incumbent`` (sound because objectives
   take integer values on integer points), re-checking the inherited parent
@@ -161,14 +165,17 @@ def _branch_and_bound(
     costs = tuple(costs)
     rows = tuple(rows)
     root = tuple((int(lo), int(hi)) for lo, hi in bounds)
-    # stack entries: (variable bounds, integer bound inherited from the parent)
-    stack: list[tuple[tuple[tuple[int, int], ...], Optional[int]]] = [(root, None)]
+    # stack entries: (variable bounds, integer bound inherited from the
+    # parent, the parent's LP to re-optimize from; both children share it)
+    stack: list[
+        tuple[tuple[tuple[int, int], ...], Optional[int], Optional[LpResult]]
+    ] = [(root, None, None)]
     best_value: Optional[int] = cutoff
     best_x: Optional[tuple[int, ...]] = None
     nodes = 0
     lps = 0
     while stack:
-        node_bounds, parent_bound = stack.pop()
+        node_bounds, parent_bound, parent = stack.pop()
         nodes += 1
         if nodes > limit:
             raise NodeLimitExceeded(limit)
@@ -179,7 +186,7 @@ def _branch_and_bound(
         ):
             continue
         lps += 1
-        lp = solve_lp(costs, rows, node_bounds)
+        lp = solve_lp(costs, rows, node_bounds, start=parent)
         if lp.status is SolveStatus.UNBOUNDED:
             raise BioptError("unbounded relaxation inside a finite box")
         if not lp.is_optimal:
@@ -199,8 +206,8 @@ def _branch_and_bound(
         lo_j, hi_j = node_bounds[j]
         down = node_bounds[:j] + ((lo_j, split),) + node_bounds[j + 1:]
         up = node_bounds[:j] + ((split + 1, hi_j),) + node_bounds[j + 1:]
-        stack.append((up, lower))
-        stack.append((down, lower))  # popped first: floor child leads
+        stack.append((up, lower, lp))
+        stack.append((down, lower, lp))  # popped first: floor child leads
     if best_x is None:
         return _Minimized(None, None, nodes, lps)
     return _Minimized(best_value, best_x, nodes, lps)
@@ -210,61 +217,6 @@ def _extras_to_rows(
     problem: Problem, extras: Sequence[ExtraConstraint]
 ) -> tuple[LinearConstraint, ...]:
     return tuple(e.as_row(problem) for e in extras)
-
-
-def _merged_bounds(
-    problem: Problem, branch_bounds: Optional[Sequence[tuple[int, int]]]
-) -> tuple[tuple[int, int], ...]:
-    if branch_bounds is None:
-        return problem.var_bounds
-    merged = tuple((int(lo), int(hi)) for lo, hi in branch_bounds)
-    if len(merged) != problem.num_vars:
-        raise ValueError("branch_bounds length must equal num_vars")
-    for (lo, hi), (plo, phi) in zip(merged, problem.var_bounds):
-        if lo < plo or hi > phi:
-            raise ValueError("branch_bounds must lie within the problem bounds")
-    return merged
-
-
-def solve_lp_relaxation(
-    problem: Problem,
-    objective: Sequence[int],
-    extras: Sequence[ExtraConstraint] = (),
-    branch_bounds: Optional[Sequence[tuple[int, int]]] = None,
-) -> LpResult:
-    """Exact LP relaxation of an integer objective vector over the box."""
-    if len(objective) != problem.num_vars:
-        raise ValueError("objective length must equal num_vars")
-    return solve_lp(
-        objective,
-        problem.constraints + _extras_to_rows(problem, extras),
-        _merged_bounds(problem, branch_bounds),
-    )
-
-
-def solve_single(
-    problem: Problem,
-    objective_index: int,
-    extras: Sequence[ExtraConstraint] = (),
-    branch_bounds: Optional[Sequence[tuple[int, int]]] = None,
-    node_limit: Optional[int] = None,
-) -> LexResult:
-    """Minimize one objective by branch and bound; counters are populated."""
-    res = _branch_and_bound(
-        problem.objective(objective_index),
-        problem.constraints + _extras_to_rows(problem, extras),
-        _merged_bounds(problem, branch_bounds),
-        node_limit,
-    )
-    if res.value is None:
-        return LexResult(SolveStatus.INFEASIBLE, None, res.nodes, res.lps)
-    assert res.assignment is not None
-    return LexResult(
-        SolveStatus.OPTIMAL,
-        Solution(res.assignment, evaluate(problem, res.assignment)),
-        res.nodes,
-        res.lps,
-    )
 
 
 def solve_lex(

@@ -1,4 +1,5 @@
-"""Exact two-phase primal simplex for LPs with bounded integer data.
+"""Exact simplex for LPs with bounded integer data: cold two-phase primal
+simplex, and bounded dual simplex re-optimizing from an earlier basis.
 
 The solver is the workhorse under the branch-and-bound backend, so it must be
 exact: every quantity is a rational number, never a float.  Storing a dense
@@ -20,10 +21,25 @@ Formulation notes:
   artificial, and phase 1 minimizes the artificial sum.  Leftover basic
   artificials at value zero are driven out; rows that cannot pivot them out
   are redundant and dropped.  Artificial columns are barred in phase 2.
-* Anti-cycling is Bland's rule throughout: the entering column is the
-  lowest-index eligible one, and ratio-test ties are broken by the lowest
-  blocker variable index, with the entering variable's own opposite bound
-  competing under its own index (a tie won there is a bound flip).
+* Anti-cycling in the primal simplex is Bland's rule: the entering column is
+  the lowest-index eligible one, and ratio-test ties are broken by the
+  lowest blocker variable index, with the entering variable's own opposite
+  bound competing under its own index (a tie won there is a bound flip).
+
+A cold solve (no ``start``) runs both phases; branch and bound uses it at
+the root.  Every optimal result keeps its final tableau, so a child node
+whose bounds differ from its parent's re-optimizes from the parent's basis
+instead (``solve_lp(..., start=parent)``).  Changing bounds leaves every
+reduced cost as it was, so after each nonbasic column is moved to the
+bound its reduced cost prefers the basis is still dual feasible; only basic
+values may now lie outside their bounds.  The bounded dual simplex then
+pivots with the dual Bland rule: the leaving row is that of the
+lowest-index basic column outside its bounds, and the entering column is
+the eligible one with the smallest ``|d_j / a_rj|``, ties to the lowest
+index.  A leaving row with no eligible column proves the LP infeasible.
+The dual objective never decreases, and the rule is Bland's rule applied
+to the dual LP, so no basis repeats even on dual degenerate pivots, and
+there are finitely many bases.
 
 Termination is therefore guaranteed, and with a bounded variable box the
 LP can never be unbounded; an unbounded ray indicates a bug and raises.
@@ -31,11 +47,11 @@ LP can never be unbounded; an unbounded ray indicates a bug and raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from biopt.errors import BioptError
 from biopt.model import LinearConstraint, Relation
@@ -60,11 +76,17 @@ class _UnboundedRay(Exception):
 
 @dataclass(frozen=True)
 class LpResult:
-    """Exact LP outcome: rational optimum and argmin in original coordinates."""
+    """Exact LP outcome: rational optimum and argmin in original coordinates.
+
+    An optimal result also carries ``restart``, an opaque record of its
+    final basis; passing the result back as ``solve_lp(..., start=result)``
+    re-optimizes from that basis.  It takes no part in comparisons.
+    """
 
     status: SolveStatus
     x: tuple[Fraction, ...] | None = None
     objective: Fraction | None = None
+    restart: _Restart | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_optimal(self) -> bool:
@@ -122,6 +144,54 @@ class _Tableau:
         self.basis.append(basic_col)
         self.state[basic_col] = _VarState.BASIC
 
+    def copy(self) -> _Tableau:
+        twin = _Tableau.__new__(_Tableau)
+        twin.ncols = self.ncols
+        twin.upper = self.upper[:]
+        twin.rows = [row[:] for row in self.rows]
+        twin.dens = self.dens[:]
+        twin.basis = self.basis[:]
+        twin.state = self.state[:]
+        twin.onums = self.onums[:]
+        twin.oden = self.oden
+        return twin
+
+    def rebound(
+        self,
+        old_bounds: Sequence[tuple[int, int]],
+        bounds: Sequence[tuple[int, int]],
+    ) -> bool:
+        """Move the structural columns from ``old_bounds`` to ``bounds``.
+
+        Columns are re-shifted to the new lower bounds.  A basic column's
+        value stays where it is, so only its row's last entry changes and
+        it may end up outside its new bounds.  A nonbasic column whose box
+        changed goes to the bound its reduced cost makes dual feasible
+        (keeping its side when that cost is zero), so the basis stays dual
+        feasible under any change of bounds.  Returns False, leaving the
+        tableau half moved, when a new box is empty.
+        """
+        for j, (new, old) in enumerate(zip(bounds, old_bounds)):
+            if new == old:
+                continue
+            lo, hi = new
+            if hi < lo:
+                return False
+            old_lo, old_hi = old
+            self.upper[j] = hi - lo
+            state = self.state[j]
+            if state is _VarState.BASIC:
+                i = self.basis.index(j)
+                self.rows[i][-1] += (old_lo - lo) * self.dens[i]
+                continue
+            was = old_lo if state is _VarState.AT_LOWER else old_hi
+            d = self.onums[j]
+            if d:
+                state = _VarState.AT_LOWER if d > 0 else _VarState.AT_UPPER
+            self.state[j] = state
+            self._shift(j, (lo if state is _VarState.AT_LOWER else hi) - was)
+        return True
+
     def set_objective(self, costs: dict[int, int]) -> None:
         """Install a cost vector and cancel it on the current basic columns."""
         self.onums = [costs.get(j, 0) for j in range(self.ncols)] + [0]
@@ -139,18 +209,31 @@ class _Tableau:
 
     # -- inspection ----------------------------------------------------
 
-    def point(self, lows: Sequence[int]) -> list[Fraction]:
-        """Current values of the structural columns in original coordinates."""
-        n = len(lows)
-        out = [
-            Fraction(lo + self.upper[j]) if self.state[j] is _VarState.AT_UPPER
-            else Fraction(lo)
-            for j, lo in enumerate(lows)
+    def point(
+        self, bounds: Sequence[tuple[int, int]], costs: Sequence[int]
+    ) -> tuple[tuple[Fraction, ...], Fraction]:
+        """Values of the structural columns in original coordinates, and
+        their cost.
+
+        Only basic columns can be fractional, so the nonbasic part of the
+        cost is summed in integers, and each distinct integral value is
+        made a ``Fraction`` once.
+        """
+        n = len(bounds)
+        basic = _VarState.BASIC
+        ints = [
+            hi if s is _VarState.AT_UPPER else lo
+            for (lo, hi), s in zip(bounds, self.state)
         ]
+        whole = sum(c * v for c, v, s in zip(costs, ints, self.state) if s is not basic)
+        as_fraction = {v: Fraction(v) for v in set(ints)}
+        out = [as_fraction[v] for v in ints]
+        objective = Fraction(whole)
         for row, den, b in zip(self.rows, self.dens, self.basis):
             if b < n:
-                out[b] = Fraction(lows[b] * den + row[-1], den)
-        return out
+                out[b] = v = Fraction(bounds[b][0] * den + row[-1], den)
+                objective += costs[b] * v
+        return tuple(out), objective
 
     # -- pivoting ------------------------------------------------------
 
@@ -296,21 +379,126 @@ class _Tableau:
             row, landing = hit
             self.step(j, direction, row, landing)
 
+    # -- dual simplex iterations ----------------------------------------
+
+    def choose_leaving(self) -> int:
+        """Dual Bland: the row of the lowest-index basic column outside its
+        bounds, or -1 when the basis is primal feasible."""
+        upper, dens = self.upper, self.dens
+        best_r, best_b = -1, self.ncols
+        for i, (row, b) in enumerate(zip(self.rows, self.basis)):
+            if b >= best_b:
+                continue
+            v = row[-1]
+            if v < 0 or (upper[b] is not None and v > upper[b] * dens[i]):
+                best_r, best_b = i, b
+        return best_r
+
+    def dual_ratio_test(self, r: int, below: bool, barred: frozenset[int]) -> Optional[int]:
+        """Entering column for leaving row ``r``, or None if the LP is infeasible.
+
+        Eligible columns can move off their bound in the direction that
+        pushes row ``r``'s basic value back toward the violated bound
+        (up when ``below``).  Among them the smallest ``|d_j / a_rj|``
+        wins, compared by cross-multiplication, ties to the lowest index;
+        that keeps every reduced cost on its dual feasible side.
+        """
+        upper, onums = self.upper, self.onums
+        basic, at_lower = _VarState.BASIC, _VarState.AT_LOWER
+        best_j: Optional[int] = None
+        best_d, best_a = 0, 1
+        for j, (a, s) in enumerate(zip(self.rows[r], self.state)):
+            if not a or s is basic:
+                continue
+            # raising an at-lower column moves the basic value by -a / den
+            if (a < 0) != (below == (s is at_lower)):
+                continue
+            if j in barred or upper[j] == 0:
+                continue
+            d = onums[j]
+            if d < 0:
+                d = -d
+            if a < 0:
+                a = -a
+            if best_j is None or d * best_a < best_d * a:
+                best_j, best_d, best_a = j, d, a
+        return best_j
+
+    def run_dual(self, barred: frozenset[int]) -> bool:
+        """Bounded dual simplex from a dual feasible basis.
+
+        Returns False when a row proves the LP infeasible.  Every pivot
+        lands the leaving column exactly on the bound it violated.
+        """
+        while True:
+            r = self.choose_leaving()
+            if r < 0:
+                return True
+            below = self.rows[r][-1] < 0
+            j = self.dual_ratio_test(r, below, barred)
+            if j is None:
+                return False
+            self.enter(r, j, _VarState.AT_LOWER if below else _VarState.AT_UPPER)
+
+
+class _Restart(NamedTuple):
+    """An optimal basis and the LP it solves, for ``solve_lp(start=...)``."""
+
+    tableau: _Tableau
+    bounds: tuple[tuple[int, int], ...]  # columns are shifted by their lows
+    barred: frozenset[int]  # artificial columns, fixed at zero
+    costs: tuple[int, ...]
+    rows: tuple[LinearConstraint, ...]
+
+
+def _optimal(restart: _Restart) -> LpResult:
+    x, objective = restart.tableau.point(restart.bounds, restart.costs)
+    return LpResult(SolveStatus.OPTIMAL, x, objective, restart)
+
+
+def _reoptimize(
+    start: LpResult,
+    costs: tuple[int, ...],
+    rows: tuple[LinearConstraint, ...],
+    bounds: tuple[tuple[int, int], ...],
+) -> LpResult:
+    """Re-solve ``start``'s LP under new variable bounds from its basis."""
+    base = start.restart
+    if base is None:
+        raise ValueError("start must be an optimal LpResult")
+    if costs != base.costs or rows != base.rows:
+        raise ValueError("start was solved for other costs or rows")
+    tab = base.tableau.copy()  # the parent's basis may serve several children
+    if not tab.rebound(base.bounds, bounds) or not tab.run_dual(base.barred):
+        return LpResult(SolveStatus.INFEASIBLE)
+    return _optimal(_Restart(tab, bounds, base.barred, costs, rows))
+
 
 def solve_lp(
     costs: Sequence[int],
     rows: Sequence[LinearConstraint],
     bounds: Sequence[tuple[int, int]],
+    *,
+    start: LpResult | None = None,
 ) -> LpResult:
     """Minimize ``costs . x`` over integer-data rows and finite variable bounds.
 
     Data must be integers; the answer is exact.  Returns the rational
     optimum and one optimal point, or an infeasible status.
+
+    Without ``start`` the LP is solved cold by two-phase primal simplex.
+    With an optimal ``start`` solved for the same costs and rows, only the
+    bounds may differ: the solve re-optimizes from ``start``'s basis by
+    bounded dual simplex and leaves ``start`` untouched.  A ``start`` for
+    other costs or rows raises ``ValueError``.
     """
     n = len(bounds)
     if len(costs) != n:
         raise ValueError("costs length must match bounds length")
-    lows = [lo for lo, _ in bounds]
+    costs, rows, bounds = tuple(costs), tuple(rows), tuple(bounds)
+    if start is not None:
+        return _reoptimize(start, costs, rows, bounds)
+    lows = tuple(lo for lo, _ in bounds)
     shifted_upper: list[Optional[int]] = []
     for lo, hi in bounds:
         if hi < lo:
@@ -364,28 +552,20 @@ def solve_lp(
             basic = slack_col  # a <= row with nonnegative rhs
         tab.add_row(full, b, basic)
 
-    no_bar: frozenset[int] = frozenset()
+    barred = frozenset(art_cols)
     try:
         if art_cols:
             tab.set_objective({c: 1 for c in art_cols})
-            tab.run(no_bar)
-            arts = frozenset(art_cols)
-            if any(row[-1] for row, b in zip(tab.rows, tab.basis) if b in arts):
+            tab.run(frozenset())
+            if any(row[-1] for row, b in zip(tab.rows, tab.basis) if b in barred):
                 return LpResult(SolveStatus.INFEASIBLE)  # an artificial stays positive
-            _drive_out_artificials(tab, arts)
+            _drive_out_artificials(tab, barred)
 
         tab.set_objective({j: int(c) for j, c in enumerate(costs)})
-        tab.run(frozenset(art_cols))
+        tab.run(barred)
     except _UnboundedRay:
         return LpResult(SolveStatus.UNBOUNDED)
-
-    x = tab.point(lows)
-    # only basic columns can be fractional: sum the integral terms as ints
-    whole = sum(c * v.numerator for c, v in zip(costs, x) if v.denominator == 1)
-    objective = sum(
-        (c * v for c, v in zip(costs, x) if v.denominator != 1), start=Fraction(whole)
-    )
-    return LpResult(SolveStatus.OPTIMAL, tuple(x), objective)
+    return _optimal(_Restart(tab, bounds, barred, costs, rows))
 
 
 def _drive_out_artificials(tab: _Tableau, art_cols: frozenset[int]) -> None:

@@ -1,6 +1,7 @@
 """Shared fixtures: small hand-analyzed problems and a tiny-instance sampler."""
 
 import random
+from math import floor
 
 import pytest
 
@@ -88,3 +89,27 @@ def random_tiny_problem(rng: random.Random) -> Problem:
         [rng.randint(-6, 6) for _ in range(n)],
     ]
     return build_problem(n, objectives, constraints, bounds)
+
+
+def tightened(x, bounds, pick):
+    """Bounds with one variable's box cut to exclude its value in ``x``.
+
+    A fractional value is branched on, down or up as ``pick`` says;
+    otherwise the integral value of a variable with room to move is cut
+    off.  Returns None when every variable is fixed.
+    """
+    fractional = [j for j, v in enumerate(x) if v.denominator != 1]
+    if fractional:
+        j = fractional[pick // 2 % len(fractional)]
+        lo, hi = bounds[j]
+        split = floor(x[j])
+        box = (lo, split) if pick % 2 == 0 else (split + 1, hi)
+    else:
+        movable = [j for j, (lo, hi) in enumerate(bounds) if lo < hi]
+        if not movable:
+            return None
+        j = movable[pick % len(movable)]
+        lo, hi = bounds[j]
+        v = int(x[j])
+        box = (lo, v - 1) if v > lo else (v + 1, hi)
+    return tuple(bounds[:j]) + (box,) + tuple(bounds[j + 1:])

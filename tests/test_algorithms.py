@@ -1,27 +1,36 @@
 """Tests for the sequential sweep, range splitting, and the meeting run."""
 
+import multiprocessing
 import pickle
 import random
+import time
 
 import pytest
 
 from conftest import random_tiny_problem
 from biopt.algorithms import (
+    RUNNERS,
     DelaySpec,
     RunStats,
     SharedBounds,
     SplitPlan,
     _meeting_sweep,
-    check_two_sided_cover,
+    _run_parallel,
     meeting_boip,
     sequential_boip,
     split_range,
     splitting_boip,
 )
 from biopt.errors import BioptError, BoundRegression
-from biopt.ipsolve import BranchAndBoundBackend, EnumerationBackend, SolverBackend
+from biopt.ipsolve import (
+    BranchAndBoundBackend,
+    EnumerationBackend,
+    ExtraConstraint,
+    SolverBackend,
+)
 from biopt.model import (
     LinearConstraint,
+    ObjectiveOrder,
     OutcomeVector,
     ParetoSet,
     Relation,
@@ -29,6 +38,19 @@ from biopt.model import (
     make_solution,
 )
 from biopt.oracle import brute_force_pareto
+
+
+def check_two_sided_cover(low_sweep, high_sweep, meeting_point, reference):
+    """Do two opposed partial sweeps plus their meeting point cover a front?
+
+    True iff the union of their outcomes, deduplicated, equals the
+    reference front's outcomes exactly.
+    """
+    outcomes = {sol.outcome for sol in low_sweep}
+    outcomes.update(sol.outcome for sol in high_sweep)
+    if meeting_point is not None:
+        outcomes.add(meeting_point)
+    return outcomes == set(reference.outcomes())
 
 
 def infeasible_problem():
@@ -104,6 +126,25 @@ class TestRunStats:
         stats = RunStats(5, 4, 1, (0.1,), 4)
         assert stats.ip_solves == 5
         assert stats.pareto_size == 4
+        assert (stats.nodes, stats.lps) == (0, 0)
+
+    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    def test_work_counters_cover_every_solve(self, name, knapsack):
+        # every IP solve runs at least one node, and every node at most one LP
+        _, stats = RUNNERS[name](knapsack, "thread")
+        assert stats.nodes >= stats.lps >= stats.ip_solves > 0
+
+    def test_counters_sum_the_solves(self, knapsack):
+        backend = BranchAndBoundBackend()
+        _, stats = sequential_boip(knapsack, backend)
+        nodes = lps = 0
+        cap = None
+        for _ in range(stats.ip_solves):
+            extras = () if cap is None else (ExtraConstraint(2, cap),)
+            res = backend.solve_lex(knapsack, ObjectiveOrder.F1_FIRST, extras)
+            nodes, lps = nodes + res.node_count, lps + res.lp_count
+            cap = res.solution.outcome.f2 if res.is_optimal else None
+        assert (stats.nodes, stats.lps) == (nodes, lps)
 
 
 class TestDelaySpec:
@@ -370,6 +411,29 @@ class TestWorkerFailure:
     def test_process_worker_failure_propagates(self, cover):
         with pytest.raises(BioptError, match="boom"):
             meeting_boip(cover, backends=(_Boom(), _Boom()), executor="process")
+
+
+def _sleep(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _fail_at_once():
+    raise RuntimeError("early failure")
+
+
+class TestFailFast:
+    def test_first_failure_ends_the_run(self):
+        start = time.perf_counter()
+        with pytest.raises(BioptError, match="early failure"):
+            _run_parallel([(_sleep, (3.0,)), (_fail_at_once, ())], "process")
+        assert time.perf_counter() - start < 1.5  # not after the 3 s sleep
+        assert multiprocessing.active_children() == []
+
+    def test_results_keep_job_order(self):
+        jobs = [(_sleep, (0.2,)), (_sleep, (0.0,))]
+        assert _run_parallel(jobs, "process") == [0.2, 0.0]
+        assert multiprocessing.active_children() == []
 
 
 class TestTwoSidedCover:

@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line frontend and its exit codes."""
 
 import csv
+import re
 from pathlib import Path
 
 import pytest
 
-import biopt.cli as cli_module
+from biopt.algorithms import RUNNERS
 from biopt.cli import (
     EXIT_EMPTY_FRONT,
     EXIT_MISMATCH,
@@ -112,6 +113,8 @@ class TestSolve:
         assert captured.out == T1_RESULT
         assert "ip_solves=5" in captured.err
         assert "elapsed_ms=" in captured.err
+        nodes, lps = re.search(r" nodes=(\d+) lps=(\d+)\n\Z", captured.err).groups()
+        assert int(nodes) >= int(lps) >= 5
 
     def test_meeting_same_lines(self, cover_file, capsys):
         code = main(["solve", "--alg", "meet", "--threads", "2", cover_file])
@@ -195,10 +198,10 @@ class TestVerify:
         assert str(2**30) in capsys.readouterr().err
 
     def test_corrupted_algorithm_detected(self, cover_file, capsys, monkeypatch):
-        def broken(problem, **kwargs):
+        def broken(problem, executor="process"):
             return ParetoSet(()), None
 
-        monkeypatch.setattr(cli_module, "sequential_boip", broken)
+        monkeypatch.setitem(RUNNERS, "sequential", broken)
         code = main(["verify", cover_file])
         assert code == EXIT_MISMATCH
         out = capsys.readouterr().out

@@ -22,6 +22,8 @@ from biopt.model import (
     pareto_filter,
 )
 from biopt.oracle import iter_feasible
+from biopt.simplex import SolveStatus, solve_lp
+from tests.conftest import tightened
 
 RELATIONS = (Relation.LE, Relation.GE, Relation.EQ)
 
@@ -191,6 +193,70 @@ class TestCutoffAgreement:
         result = _assert_backends_agree(problem, order, [cutoff, *extras])
         if offset <= 0:
             assert not result.is_optimal
+
+
+@st.composite
+def random_lps(draw):
+    """A small LP with LE, GE and EQ rows and boxes reaching below zero."""
+    n = draw(st.integers(1, 4))
+    bounds = []
+    for _ in range(n):
+        lo = draw(st.integers(-4, 3))
+        bounds.append((lo, lo + draw(st.integers(0, 5))))
+    rows = tuple(
+        LinearConstraint(
+            tuple(draw(st.integers(-6, 6)) for _ in range(n)),
+            draw(st.sampled_from(RELATIONS)),
+            draw(st.integers(-12, 12)),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    costs = tuple(draw(st.integers(-7, 7)) for _ in range(n))
+    return costs, rows, tuple(bounds)
+
+
+class TestWarmStart:
+    """Re-optimizing from a parent's basis must match a cold solve exactly."""
+
+    @given(random_lps(), st.lists(st.integers(0, 7), min_size=1, max_size=3))
+    @settings(deadline=None, max_examples=300)
+    def test_warm_child_equals_cold_child(self, lp, picks):
+        costs, rows, bounds = lp
+        parent = solve_lp(costs, rows, bounds)
+        assume(parent.is_optimal)
+        for pick in picks:
+            child_bounds = tightened(parent.x, bounds, pick)
+            if child_bounds is None:
+                return
+            warm = solve_lp(costs, rows, child_bounds, start=parent)
+            cold = solve_lp(costs, rows, child_bounds)
+            assert warm.status is cold.status
+            if not warm.is_optimal:
+                return
+            assert warm.objective == cold.objective
+            for con in rows:
+                assert con.satisfied_by(warm.x)
+            for v, (lo, hi) in zip(warm.x, child_bounds):
+                assert lo <= v <= hi
+            assert sum(c * v for c, v in zip(costs, warm.x)) == warm.objective
+            parent, bounds = warm, child_bounds
+
+    @given(random_lps(), st.integers(0, 7))
+    @settings(deadline=None, max_examples=100)
+    def test_siblings_share_a_parent(self, lp, pick):
+        # both children start from one parent; solving one must not move it
+        costs, rows, bounds = lp
+        parent = solve_lp(costs, rows, bounds)
+        assume(parent.is_optimal)
+        down = tightened(parent.x, bounds, 2 * pick)
+        up = tightened(parent.x, bounds, 2 * pick + 1)
+        assume(down is not None)
+        for child_bounds in (down, up, down):
+            warm = solve_lp(costs, rows, child_bounds, start=parent)
+            cold = solve_lp(costs, rows, child_bounds)
+            assert (warm.status, warm.objective) == (cold.status, cold.objective)
+        again = solve_lp(costs, rows, bounds, start=parent)
+        assert (again.x, again.objective) == (parent.x, parent.objective)
 
 
 class TestSequentialShape:

@@ -7,6 +7,7 @@ import pytest
 from biopt.errors import BioptError
 from biopt.model import LinearConstraint, Relation
 from biopt.simplex import LpResult, SolveStatus, solve_lp
+from tests.conftest import tightened
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -84,6 +85,9 @@ class TestHandChecked:
 
     def test_empty_bound_interval(self):
         assert solve_lp([1], [], [(2, 1)]).status is SolveStatus.INFEASIBLE
+        parent = solve_lp([1], [], [(1, 2)])
+        warm = solve_lp([1], [], [(2, 1)], start=parent)
+        assert warm.status is SolveStatus.INFEASIBLE
 
     def test_fixed_variables(self):
         res = solve_lp([5, 1], [ge([1, 1], 4)], [(2, 2), (0, 9)])
@@ -126,13 +130,31 @@ class TestScipyAgreement:
             method="highs",
         )
 
+    def _check_against_scipy(self, trial, mine, costs, rows, bounds):
+        ref = self._scipy_solve(costs, rows, bounds)
+        if mine.status is SolveStatus.INFEASIBLE:
+            assert ref.status == 2, f"trial {trial}: scipy found it feasible"
+            return False
+        assert ref.status == 0, f"trial {trial}: scipy status {ref.status}"
+        assert abs(float(mine.objective) - ref.fun) <= 1e-7 * (
+            1 + abs(ref.fun)
+        ), f"trial {trial}: {mine.objective} vs {ref.fun}"
+        # exactness: the returned point satisfies every row exactly
+        for con in rows:
+            assert con.satisfied_by(mine.x)
+        for xi, (lo, hi) in zip(mine.x, bounds):
+            assert lo <= xi <= hi
+        return True
+
     def test_random_lps_match_scipy(self):
         import random
 
         rng = random.Random(20260822)
+        picks = random.Random(7)  # apart from rng, so the trial LPs do not depend on it
         relations = [Relation.LE, Relation.GE, Relation.EQ]
         checked_optimal = 0
         checked_infeasible = 0
+        warm_optimal = warm_infeasible = 0
         for trial in range(300):
             n = rng.randint(1, 5)
             m = rng.randint(0, 4)
@@ -147,23 +169,23 @@ class TestScipyAgreement:
                 rel = relations[rng.randrange(3)]
                 rows.append(LinearConstraint(coeffs, rel, rng.randint(-12, 12)))
             mine = solve_lp(costs, rows, bounds)
-            ref = self._scipy_solve(costs, rows, bounds)
-            if mine.status is SolveStatus.INFEASIBLE:
-                assert ref.status == 2, f"trial {trial}: scipy found it feasible"
+            if not self._check_against_scipy(trial, mine, costs, rows, bounds):
                 checked_infeasible += 1
+                continue
+            checked_optimal += 1
+            # re-optimize a child with one bound tightened from this basis
+            child_bounds = tightened(mine.x, bounds, picks.randrange(4))
+            if child_bounds is None:
+                continue
+            child = solve_lp(costs, rows, child_bounds, start=mine)
+            if self._check_against_scipy(trial, child, costs, rows, child_bounds):
+                warm_optimal += 1
             else:
-                assert ref.status == 0, f"trial {trial}: scipy status {ref.status}"
-                assert abs(float(mine.objective) - ref.fun) <= 1e-7 * (
-                    1 + abs(ref.fun)
-                ), f"trial {trial}: {mine.objective} vs {ref.fun}"
-                # exactness: the returned point satisfies every row exactly
-                for con in rows:
-                    assert con.satisfied_by(mine.x)
-                for xi, (lo, hi) in zip(mine.x, bounds):
-                    assert lo <= xi <= hi
-                checked_optimal += 1
+                warm_infeasible += 1
         assert checked_optimal >= 100
         assert checked_infeasible >= 20
+        assert warm_optimal >= 100
+        assert warm_infeasible >= 10
 
 
 class TestDefensive:
@@ -174,6 +196,21 @@ class TestDefensive:
     def test_cost_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             solve_lp([1], [], [(0, 1), (0, 1)])
+
+    def test_start_for_other_costs_or_rows_raises(self):
+        rows = [ge([1, 1], 3)]
+        parent = solve_lp([1, 2], rows, [(0, 3), (0, 3)])
+        with pytest.raises(ValueError, match="other costs or rows"):
+            solve_lp([2, 1], rows, [(0, 3), (0, 2)], start=parent)
+        with pytest.raises(ValueError, match="other costs or rows"):
+            solve_lp([1, 2], [ge([1, 1], 4)], [(0, 3), (0, 2)], start=parent)
+        with pytest.raises(ValueError, match="other costs or rows"):
+            solve_lp([1, 2], [], [(0, 3), (0, 2)], start=parent)
+
+    def test_start_must_be_optimal(self):
+        infeasible = solve_lp([1], [ge([1], 5)], [(0, 3)])
+        with pytest.raises(ValueError, match="optimal"):
+            solve_lp([1], [ge([1], 5)], [(0, 2)], start=infeasible)
 
     def test_result_type(self):
         res = solve_lp([0], [], [(0, 0)])
