@@ -1,32 +1,35 @@
 """Pareto-set enumeration: sequential sweep and two parallel variants.
 
-All three algorithms walk the non-dominated staircase by repeatedly solving
-constrained lexicographic subproblems:
+All three algorithms walk the non-dominated staircase with one sweep,
+``_sweep``: it repeatedly lexicographically minimizes under a strict cap on
+one objective and tightens the cap to the value just found.
 
-* ``sequential_boip`` — one worker sweeps left to right: lexicographically
-  minimize (f1, f2) under a strict bound f2 < l2, tighten l2 to the f2 just
-  found, repeat until infeasible.  Exactly one subproblem per front point
-  plus the terminating infeasible solve.
+* ``sequential_boip`` — one worker sweeps west to east: minimize (f1, f2)
+  under f2 < l2, tighten l2 to the f2 just found, repeat until infeasible.
+  Exactly one subproblem per front point plus the terminating infeasible
+  solve.
 * ``splitting_boip`` — the f1 range [f1min, f1max] (obtained from the two
-  endpoint lexicographic solves) is split into near-equal integer slices;
-  each worker runs the sequential sweep restricted to its slice ``[lo, hi]``.
-  The lower fence ``f1 >= lo`` is an LP row (the first slice, which starts
-  at f1min, needs none).  The upper fence ``f1 <= hi`` bounds the objective
-  each solve minimizes first, so it is passed as the epsilon bound
-  ``f1 < hi + 1`` and acts as a branch-and-bound cutoff.  Slice borders let
-  locally efficient points be dominated from outside the slice, so the
-  merge applies a full dominance filter over the union plus the two
-  endpoints.
-* ``meeting_boip`` — two workers sweep from opposite ends under opposite
-  lexicographic orders, each bounding its own trailing objective, and
-  additionally pruning with the *other* worker's latest published bound
-  (read fresh before every solve, published right after every find).  The
-  workers stop where the sweeps meet.  Bounds only ever tighten, so stale
-  reads cost duplicated work near the meeting point but never correctness:
-  the union of the two prefixes is the complete front under every
-  interleaving, and it is returned deduplicated by outcome without any
-  dominance filtering — a violation would crash the staircase validation
-  and is treated as a solver bug.
+  endpoint lexicographic solves) is split into near-equal integer slices.
+  Each worker sweeps its slice ``[lo, hi]`` east to west: minimize
+  (f2, f1) under f1 < cap, starting from ``cap = hi + 1`` (``f1max`` for
+  the last slice, whose east end is already known), and stops right after
+  the first find with f1 < lo.  Any point dominating a find would satisfy
+  the same cap and win the solve, so every find is a global front point;
+  the last find of each slice is the first of its western neighbour.  The
+  first slice stops when it re-finds the west endpoint, so no slice ends
+  on an infeasible solve.  The merge deduplicates by outcome and applies
+  no dominance filter.
+* ``meeting_boip`` — two workers sweep from opposite ends, each bounding
+  its own trailing objective, and additionally pruning with the *other*
+  worker's latest published bound (read fresh before every solve,
+  published right after every find).  The workers stop where the sweeps
+  meet.  Bounds only ever tighten, so stale reads cost duplicated work
+  near the meeting point but never correctness: the union of the two
+  prefixes is the complete front under every interleaving.
+
+Both parallel merges return the union deduplicated by outcome without any
+dominance filtering — a dominated point would crash the staircase
+validation and is treated as a solver bug.
 
 ``SharedBounds`` is the only mutable state the meeting workers share.  It
 lives in shared memory so the workers can be OS processes (giving true
@@ -41,21 +44,12 @@ import random
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from biopt.errors import BioptError, BoundRegression
 from biopt.ipsolve import BranchAndBoundBackend, ExtraConstraint, SolverBackend
-from biopt.model import (
-    LinearConstraint,
-    ObjectiveOrder,
-    OutcomeVector,
-    ParetoSet,
-    Problem,
-    Relation,
-    Solution,
-    pareto_filter,
-)
+from biopt.model import ObjectiveOrder, OutcomeVector, ParetoSet, Problem, Solution
 
 # int64 sentinel for "no bound yet"; published bounds must stay well below it
 _NO_BOUND = 2**62
@@ -183,7 +177,7 @@ def sequential_boip(
 ) -> tuple[ParetoSet, RunStats]:
     """Enumerate the complete front with the single-worker epsilon sweep."""
     engine = backend if backend is not None else BranchAndBoundBackend()
-    sweep = _epsilon_sweep(problem, engine)
+    sweep = _sweep(problem, engine, own=2)
     front = ParetoSet(sweep.solutions)  # found in staircase order already
     stats = RunStats(
         ip_solves=sweep.feasible + sweep.infeasible,
@@ -197,22 +191,41 @@ def sequential_boip(
     return front, stats
 
 
-def _epsilon_sweep(
+def _sweep(
     problem: Problem,
     backend: SolverBackend,
-    fence: tuple[ExtraConstraint, ...] = (),
+    own: int,
+    cap: Optional[int] = None,
+    stop: Optional[int] = None,
+    store: Optional[SharedBounds] = None,
+    delays: Optional[DelaySpec] = None,
 ) -> _SweepOutcome:
-    """The core recursion: lex-minimize (f1, f2) under a tightening f2 cap.
+    """The core recursion: lex-minimize under a tightening strict cap on f_own.
 
-    ``fence`` holds fixed bounds that every solve carries besides the cap.
+    ``own=2`` runs order (f1, f2) capping f2, walking the front west to
+    east; ``own=1`` runs (f2, f1) capping f1, walking it east to west.
+    Every find tightens ``cap`` to its own objective value.  The sweep ends
+    on an infeasible solve, or once ``cap`` is below ``stop``: right after
+    the first find below it, or at once if it starts there.  With a
+    ``store`` it re-reads the other objective's cap before every solve and
+    publishes its own after every find, napping from
+    ``delays.sleeper(own)`` before each store access.
     """
+    order = ObjectiveOrder.F1_FIRST if own == 2 else ObjectiveOrder.F2_FIRST
+    other = 3 - own
+    nap = delays.sleeper(own) if delays is not None else None
     start = time.perf_counter()
     found: list[Solution] = []
-    cap: Optional[int] = None
     feasible = infeasible = nodes = lps = 0
-    while True:
-        extras = fence if cap is None else fence + (ExtraConstraint(2, cap),)
-        res = backend.solve_lex(problem, ObjectiveOrder.F1_FIRST, extras)
+    while cap is None or stop is None or cap >= stop:
+        extras = [] if cap is None else [ExtraConstraint(own, cap)]
+        if store is not None:
+            if nap is not None:
+                nap()
+            other_cap = store.read(other)
+            if other_cap is not None:
+                extras.append(ExtraConstraint(other, other_cap))
+        res = backend.solve_lex(problem, order, extras)
         nodes += res.node_count
         lps += res.lp_count
         if not res.is_optimal:
@@ -221,9 +234,28 @@ def _epsilon_sweep(
         assert res.solution is not None
         feasible += 1
         found.append(res.solution)
-        cap = res.solution.outcome.f2
+        cap = res.solution.outcome.component(own)
+        if store is not None:
+            if nap is not None:
+                nap()
+            store.publish(own, cap)
     elapsed = time.perf_counter() - start
     return _SweepOutcome(tuple(found), feasible, infeasible, elapsed, nodes, lps)
+
+
+def _union(*groups: Sequence[Solution]) -> ParetoSet:
+    """The found solutions deduplicated by outcome, in staircase order.
+
+    A later group's representative wins a collision.  No dominance filter
+    is applied: every solution must already be a front point, and the
+    staircase validation in ParetoSet is a hard check of that.
+    """
+    by_outcome: dict[OutcomeVector, Solution] = {}
+    for group in groups:
+        for sol in group:
+            by_outcome[sol.outcome] = sol
+    ordered = sorted(by_outcome.values(), key=lambda s: s.outcome.as_tuple())
+    return ParetoSet(tuple(ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +312,6 @@ def split_range(
     )
 
 
-def _slice_problem(problem: Problem, lo: int) -> Problem:
-    """Add the lower slice fence ``f1 >= lo`` as a row over the objective."""
-    fence = LinearConstraint(problem.objective(1), Relation.GE, lo)
-    return replace(problem, constraints=problem.constraints + (fence,))
-
-
 def splitting_boip(
     problem: Problem,
     backends: Optional[Sequence[SolverBackend]] = None,
@@ -294,9 +320,9 @@ def splitting_boip(
 ) -> tuple[ParetoSet, RunStats]:
     """Enumerate the front by splitting the f1 range across ``t`` workers.
 
-    Slice-local sweeps can return points dominated from outside their
-    slice, so the union (plus the two endpoint solutions) goes through a
-    full dominance filter.
+    Each slice ``[lo, hi]`` is swept east to west under a strict f1 cap,
+    so every find is a global front point; the union with the two endpoint
+    solutions needs no dominance filter.
     """
     engines = tuple(backends) if backends is not None else _default_backends(t)
     if len(engines) != t:
@@ -305,7 +331,8 @@ def splitting_boip(
     if not plan.endpoints:
         return ParetoSet(()), RunStats(1, 0, 1, (), 0, plan.nodes, plan.lps)
 
-    f1_min = plan.endpoints[0].outcome.f1
+    west, east = plan.endpoints
+    f1_min, f1_max = west.outcome.f1, east.outcome.f1
     jobs = []
     lanes: list[Optional[int]] = []  # job index per interval, None if empty
     for (lo, hi), engine in zip(plan.intervals, engines):
@@ -313,15 +340,13 @@ def splitting_boip(
             lanes.append(None)
             continue
         lanes.append(len(jobs))
-        # no feasible point has f1 below f1_min: the first slice needs no fence row
-        sliced = problem if lo == f1_min else _slice_problem(problem, lo)
-        jobs.append((_epsilon_sweep, (sliced, engine, (ExtraConstraint(1, hi + 1),))))
+        # the east endpoint is known, so the last slice starts west of it;
+        # the first slice stops as soon as it re-finds the west endpoint
+        cap = f1_max if hi == f1_max else hi + 1
+        stop = max(lo, f1_min + 1)
+        jobs.append((_sweep, (problem, engine, 1, cap, stop)))
     sweeps = _run_parallel(jobs, executor)
-
-    pool: list[Solution] = list(plan.endpoints)
-    for sweep in sweeps:
-        pool.extend(sweep.solutions)
-    front = pareto_filter(pool)
+    front = _union(plan.endpoints, *(s.solutions for s in sweeps))
 
     feasible = 2 + sum(s.feasible for s in sweeps)
     infeasible = sum(s.infeasible for s in sweeps)
@@ -343,53 +368,6 @@ def splitting_boip(
 # ---------------------------------------------------------------------------
 # meeting
 # ---------------------------------------------------------------------------
-
-def _meeting_sweep(
-    problem: Problem,
-    worker: int,
-    store: SharedBounds,
-    backend: SolverBackend,
-    delays: Optional[DelaySpec],
-) -> _SweepOutcome:
-    """One meeting worker: sweep under its own cap plus the other's bound.
-
-    Worker 1 runs order (f2, f1) with its own cap l1; worker 2 runs
-    (f1, f2) with its own cap l2.  Before every solve the other worker's
-    cap is re-read from the store; after every find the worker's own new
-    cap is published before the next feasibility test.
-    """
-    order = ObjectiveOrder.F2_FIRST if worker == 1 else ObjectiveOrder.F1_FIRST
-    own, other = worker, 3 - worker
-    nap = delays.sleeper(worker) if delays is not None else None
-    start = time.perf_counter()
-    found: list[Solution] = []
-    own_cap: Optional[int] = None
-    feasible = infeasible = nodes = lps = 0
-    while True:
-        if nap is not None:
-            nap()
-        other_cap = store.read(other)
-        extras = []
-        if own_cap is not None:
-            extras.append(ExtraConstraint(own, own_cap))
-        if other_cap is not None:
-            extras.append(ExtraConstraint(other, other_cap))
-        res = backend.solve_lex(problem, order, extras)
-        nodes += res.node_count
-        lps += res.lp_count
-        if not res.is_optimal:
-            infeasible += 1
-            break
-        assert res.solution is not None
-        feasible += 1
-        found.append(res.solution)
-        own_cap = res.solution.outcome.component(own)
-        if nap is not None:
-            nap()
-        store.publish(own, own_cap)
-    elapsed = time.perf_counter() - start
-    return _SweepOutcome(tuple(found), feasible, infeasible, elapsed, nodes, lps)
-
 
 def meeting_boip(
     problem: Problem,
@@ -413,18 +391,11 @@ def meeting_boip(
     if store.l1 is not None or store.l2 is not None:
         raise ValueError("meeting needs a fresh SharedBounds store")
     jobs = [
-        (_meeting_sweep, (problem, 1, store, engines[0], delays)),
-        (_meeting_sweep, (problem, 2, store, engines[1], delays)),
+        (_sweep, (problem, engines[0], 1, None, None, store, delays)),
+        (_sweep, (problem, engines[1], 2, None, None, store, delays)),
     ]
     sweep1, sweep2 = _run_parallel(jobs, executor)
-
-    by_outcome: dict[OutcomeVector, Solution] = {}
-    for sol in sweep1.solutions:
-        by_outcome[sol.outcome] = sol
-    for sol in sweep2.solutions:  # worker 2 wins representative collisions
-        by_outcome[sol.outcome] = sol
-    ordered = sorted(by_outcome.values(), key=lambda s: s.outcome.as_tuple())
-    front = ParetoSet(tuple(ordered))
+    front = _union(sweep1.solutions, sweep2.solutions)
 
     feasible = sweep1.feasible + sweep2.feasible
     infeasible = sweep1.infeasible + sweep2.infeasible

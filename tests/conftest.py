@@ -56,8 +56,9 @@ def three_outcomes() -> Problem:
     """Pick exactly one of three items; outcomes (1,5), (10,7), (12,1).
 
     (10,7) is dominated by (1,5), so the front is {(1,5), (12,1)} while the
-    dominated outcome sits strictly between them in f1 — useful for showing
-    that slice-local optima of a split f1 range need a global merge filter.
+    dominated outcome sits strictly between them in f1.  Splitting [1, 12]
+    in two puts (10,7) alone in the slice [7, 12]: the slice's sweep must
+    not return it, since only a point outside the slice dominates it.
     """
     return build_problem(
         num_vars=3,

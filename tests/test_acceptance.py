@@ -4,9 +4,8 @@ Each test prints exactly one PASS/FAIL line (replayed in the terminal
 summary).  Criteria 3 and 4 compare wall-clock means of the two-worker
 algorithms against the sequential baseline, so they need two free CPU
 cores; with fewer the workers timeshare and elapsed time cannot drop.  On a
-2-core host criterion 3 passes and criterion 4 still fails: slice-local
-sweeps do work that the neighbouring slice dominates (see the "Release
-gates" section of README.md).  The printed lines carry the measured ratios.
+2-core host both pass (see the "Release gates" section of README.md).  The
+printed lines carry the measured ratios.
 """
 
 import random

@@ -14,8 +14,8 @@ from biopt.algorithms import (
     RunStats,
     SharedBounds,
     SplitPlan,
-    _meeting_sweep,
     _run_parallel,
+    _sweep,
     meeting_boip,
     sequential_boip,
     split_range,
@@ -261,16 +261,21 @@ class TestSplitting:
             OutcomeVector(3, 0),
         }
 
-    def test_slice_local_optimum_is_filtered(self, three_outcomes):
-        # f1 range [1, 12] splits into [1, 6] and [7, 12]; the second slice's
-        # sweep finds (10, 7), which only (1, 5) from the other slice
-        # dominates, so the global merge filter must drop it.
-        front, stats = splitting_boip(three_outcomes, t=2, executor="thread")
+    def test_every_sweep_find_is_on_the_front(self, three_outcomes):
+        # f1 range [1, 12] splits into [1, 6] and [7, 12].  The second
+        # slice sweeps west under f1 < 12, where (1, 5) beats (10, 7) on
+        # f2, so the dominated outcome is never found.
+        backends = (_Recording(), _Recording())
+        front, stats = splitting_boip(
+            three_outcomes, backends=backends, t=2, executor="thread"
+        )
+        finds = [o for b in backends for o in b.outcomes if o is not None]
+        assert set(finds) <= {OutcomeVector(1, 5), OutcomeVector(12, 1)}
         assert outcomes_of(front) == {OutcomeVector(1, 5), OutcomeVector(12, 1)}
         assert stats.pareto_size == 2
-        # endpoints (2) + slice one (1 find + 1 close) + slice two (2 + 1)
-        assert stats.feasible_solves == 5
-        assert stats.infeasible_solves == 2
+        # endpoints (2) + one find per slice, each ending below its slice
+        assert stats.feasible_solves == 4
+        assert stats.infeasible_solves == 0
 
     def test_infeasible(self):
         front, stats = splitting_boip(infeasible_problem(), executor="thread")
@@ -299,9 +304,16 @@ class TestSplitting:
         for seed in range(25):
             problem = random_tiny_problem(random.Random(5100 + seed))
             oracle = brute_force_pareto(problem)
-            front, stats = splitting_boip(problem, t=2, executor="thread")
-            assert outcomes_of(front) == set(oracle.outcomes())
-            assert stats.pareto_size == len(oracle)
+            for t in (1, 2, 3, 4):
+                backends = tuple(BranchAndBoundBackend() for _ in range(t))
+                front, stats = splitting_boip(
+                    problem, backends=backends, t=t, executor="thread"
+                )
+                assert outcomes_of(front) == set(oracle.outcomes())
+                assert stats.pareto_size == len(oracle)
+                # each slice's closing find repeats a point found elsewhere
+                assert stats.ip_solves <= stats.pareto_size + t
+                assert stats.infeasible_solves == (0 if len(oracle) else 1)
 
 
 class TestMeeting:
@@ -362,8 +374,8 @@ class TestMeeting:
         # union must still be the whole front.
         backend = BranchAndBoundBackend()
         store = SharedBounds()
-        first = _meeting_sweep(cover, 1, store, backend, None)
-        second = _meeting_sweep(cover, 2, store, backend, None)
+        first = _sweep(cover, backend, 1, store=store)
+        second = _sweep(cover, backend, 2, store=store)
         assert {s.outcome for s in first.solutions} == {
             OutcomeVector(3, 0),
             OutcomeVector(2, 1),
@@ -376,8 +388,8 @@ class TestMeeting:
     def test_other_one_sided_interleaving(self, cover):
         backend = BranchAndBoundBackend()
         store = SharedBounds()
-        second = _meeting_sweep(cover, 2, store, backend, None)
-        first = _meeting_sweep(cover, 1, store, backend, None)
+        second = _sweep(cover, backend, 2, store=store)
+        first = _sweep(cover, backend, 1, store=store)
         assert {s.outcome for s in second.solutions} == {
             OutcomeVector(0, 3),
             OutcomeVector(1, 2),
@@ -389,13 +401,36 @@ class TestMeeting:
     def test_worker_sweep_directions(self, cover):
         # A fresh store and a lone worker reproduce plain sweeps: worker 1
         # walks f2 ascending (f1 descending), worker 2 the reverse.
-        sweep = _meeting_sweep(cover, 1, SharedBounds(), BranchAndBoundBackend(), None)
+        sweep = _sweep(cover, BranchAndBoundBackend(), 1, store=SharedBounds())
         assert [s.outcome.as_tuple() for s in sweep.solutions] == [
             (3, 0),
             (2, 1),
             (1, 2),
             (0, 3),
         ]
+
+    def test_stop_ends_the_sweep_after_the_first_find_below_it(self, cover):
+        sweep = _sweep(cover, BranchAndBoundBackend(), 1, stop=2)
+        assert [s.outcome.as_tuple() for s in sweep.solutions] == [
+            (3, 0),
+            (2, 1),
+            (1, 2),
+        ]
+        assert sweep.feasible == 3
+        assert sweep.infeasible == 0  # halted with no closing probe
+
+
+class _Recording(SolverBackend):
+    """Branch and bound that records every solve's outcome, None if infeasible."""
+
+    def __init__(self):
+        self.inner = BranchAndBoundBackend()
+        self.outcomes = []
+
+    def solve_lex(self, problem, order, extras=()):
+        res = self.inner.solve_lex(problem, order, extras)
+        self.outcomes.append(res.solution.outcome if res.is_optimal else None)
+        return res
 
 
 class _Boom(SolverBackend):
