@@ -14,10 +14,13 @@ questionable number.
 
 CSV schema (header mandatory, one row per run)::
 
-    family,size,seed,algorithm,threads,elapsed_ms,ip_solves,pareto_size,verified
+    family,size,seed,algorithm,threads,elapsed_ms,ip_solves,pareto_size,nodes,lps,verified
 
-``verified`` is ``true`` when the oracle cross-check ran (a mismatch never
-reaches the file), empty when the instance was too large to check.
+``nodes`` and ``lps`` are the run's branch-and-bound nodes and LP solves
+(``RunStats.nodes`` and ``RunStats.lps``); ``brute`` writes 0 for them and
+for ``ip_solves``.  ``verified`` is ``true`` when the oracle cross-check
+ran (a mismatch never reaches the file), empty when the instance was too
+large to check.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from biopt.algorithms import RUNNERS
+from biopt.algorithms import RUNNERS, RunStats
 from biopt.errors import BioptError
 from biopt.instances import FAMILIES, GeneratorSpec, generate
 from biopt.model import ParetoSet, Problem
@@ -85,6 +88,8 @@ class BenchRecord:
     pareto_size: int
     verified: Optional[bool] = None
     timed_out: bool = False
+    nodes: int = 0
+    lps: int = 0
 
     def __post_init__(self) -> None:
         if self.elapsed_ms < 0:
@@ -93,14 +98,15 @@ class BenchRecord:
 
 def _run_algorithm(
     algorithm: str, problem: Problem, executor: str, oracle_budget: int
-) -> tuple[ParetoSet, int]:
-    """Run one algorithm; return its front and total subproblem count."""
+) -> tuple[ParetoSet, RunStats]:
+    """Run one algorithm; return its front and work accounting (all zero
+    for brute force, which makes no IP solves)."""
     if algorithm == "brute":
-        return brute_force_pareto(problem, EnumerationBudget(oracle_budget)), 0
+        front = brute_force_pareto(problem, EnumerationBudget(oracle_budget))
+        return front, RunStats(0, 0, 0, (), len(front))
     if algorithm not in RUNNERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    front, stats = RUNNERS[algorithm](problem, executor)
-    return front, stats.ip_solves
+    return RUNNERS[algorithm](problem, executor)
 
 
 def run_bench(config: BenchConfig) -> list[BenchRecord]:
@@ -122,7 +128,7 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
                     )
                 for algorithm in config.algorithms:
                     start = time.perf_counter()
-                    front, ip_solves = _run_algorithm(
+                    front, stats = _run_algorithm(
                         algorithm, problem, config.executor, config.oracle_max_box
                     )
                     # round to the CSV's precision here so summaries computed
@@ -148,10 +154,12 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
                             algorithm=algorithm,
                             threads=_THREADS[algorithm],
                             elapsed_ms=elapsed_ms,
-                            ip_solves=ip_solves,
+                            ip_solves=stats.ip_solves,
                             pareto_size=len(front),
                             verified=verified,
                             timed_out=timed_out,
+                            nodes=stats.nodes,
+                            lps=stats.lps,
                         )
                     )
     return records
@@ -166,6 +174,8 @@ CSV_COLUMNS = (
     "elapsed_ms",
     "ip_solves",
     "pareto_size",
+    "nodes",
+    "lps",
     "verified",
 )
 
@@ -186,6 +196,8 @@ def write_csv(records: Sequence[BenchRecord], destination) -> None:
                     f"{rec.elapsed_ms:.3f}",
                     rec.ip_solves,
                     rec.pareto_size,
+                    rec.nodes,
+                    rec.lps,
                     verified,
                 )
             )

@@ -4,10 +4,11 @@ This is the subproblem engine the enumeration algorithms lean on.  The
 primary backend is an exact branch and bound:
 
 * depth-first node exploration, the rounded-down child first;
-* a cold two-phase LP at the root only: both children of a node carry a
-  reference to its optimal LP and re-optimize from its basis by bounded
+* a cold two-phase LP at most at the root: both children of a node carry
+  a reference to its optimal LP and re-optimize from its basis by bounded
   dual simplex, since a child differs from its parent in one variable
-  bound (see ``biopt.simplex``);
+  bound (see ``biopt.simplex``).  The root itself restarts from a given
+  optimal LP whose rows differ from its own only in right-hand sides;
 * branching on the most fractional variable, ties to the lowest index;
 * pruning with ``ceil(lp_bound) >= incumbent`` (sound because objectives
   take integer values on integer points), re-checking the inherited parent
@@ -19,26 +20,41 @@ primary backend is an exact branch and bound:
   environment variable) that raises instead of ever returning an unproven
   answer.
 
-``solve_lex`` runs two stages: minimize the leading objective, pin it to
-its optimal value with an equality row, then minimize the trailing one.
-``EnumerationBackend`` answers the same lexicographic question by scanning
-the feasible lattice directly, giving an independent cross-check; both
-backends must agree on outcome vectors because the lexicographic optimum
-is unique in outcome space.
+``solve_lex`` is one branch and bound on ``W * f_lead + f_last``.  Over
+the variable box, ``f_last = c . x`` lies in ``[L, L + W - 1]`` with
+
+    L = sum_j min(c_j * lo_j, c_j * hi_j),
+    W = sum_j |c_j| * (hi_j - lo_j) + 1,
+
+so on integer points a smaller ``f_lead`` always wins, whatever
+``f_last`` does, and among points with equal ``f_lead`` the smaller
+``f_last`` wins: the minimum is the lexicographic one.  This is the
+exact-integer form of the augmented epsilon-constraint method (Mavrotas,
+AUGMECON, 2009).  ``EnumerationBackend`` answers the same lexicographic
+question by scanning the feasible lattice directly, giving an independent
+cross-check; both backends must agree on outcome vectors because the
+lexicographic optimum is unique in outcome space.
 
 Epsilon bounds are expressed as ``ExtraConstraint(objective_index,
 strict_upper)`` meaning ``f_index < strict_upper``.  In ``solve_lex`` a
-bound on the leading objective never becomes an LP row: the tightest such
-bound is the first stage's cutoff, and the pin row of the second stage
-already implies it.  Every other bound is realized exactly as the row
-``f_index <= strict_upper - 1``, since all data is integer.
+bound ``f_lead < c`` on the leading objective never becomes an LP row: the
+tightest one becomes the cutoff ``W * c + L``, since ``f_lead <= c - 1``
+puts the combined objective at most at ``W * (c - 1) + L + W - 1``, and
+``f_lead >= c`` at least at ``W * c + L``.  Every other bound is realized
+exactly as the row ``f_index <= strict_upper - 1``, since all data is
+integer.
+
+``BranchAndBoundBackend`` keeps, per objective order, the optimal root LP
+of its last solve.  Consecutive solves of a sweep differ only in the
+right-hand side of their cap row, so the next solve's root restarts from
+it instead of running phase 1 again.
 """
 
 from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, floor
 from typing import NamedTuple, Optional, Sequence
@@ -78,7 +94,7 @@ class ExtraConstraint:
 
     With integer data the bound is enforced exactly: as the row
     ``f_index <= strict_upper - 1``, or as a branch-and-bound cutoff when
-    ``solve_lex`` minimizes that objective first.
+    ``solve_lex`` ranks that objective first.
     """
 
     objective_index: int
@@ -100,12 +116,18 @@ class ExtraConstraint:
 
 @dataclass(frozen=True)
 class LexResult:
-    """Outcome of a (possibly lexicographic) integer solve, with counters."""
+    """Outcome of a (possibly lexicographic) integer solve, with counters.
+
+    ``root`` is the optimal LP relaxation at the root of the search, if it
+    had one, for restarting the next solve's root; it takes no part in
+    comparisons.
+    """
 
     status: SolveStatus
     solution: Solution | None = None
     node_count: int = 0
     lp_count: int = 0
+    root: LpResult | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_optimal(self) -> bool:
@@ -132,6 +154,7 @@ class _Minimized(NamedTuple):
     assignment: Optional[tuple[int, ...]]
     nodes: int
     lps: int
+    root: LpResult  # the root node's LP
 
 
 def _most_fractional(x: Sequence[Fraction]) -> Optional[int]:
@@ -155,11 +178,13 @@ def _branch_and_bound(
     bounds: Sequence[tuple[int, int]],
     node_limit: Optional[int],
     cutoff: Optional[int] = None,
+    start: Optional[LpResult] = None,
 ) -> _Minimized:
     """Minimize ``costs . x`` over the integer points of ``rows`` and ``bounds``.
 
     With a ``cutoff`` only points with objective strictly below it count:
-    it stands in for an incumbent that has no point.
+    it stands in for an incumbent that has no point.  The root LP restarts
+    from ``start`` when one is given.
     """
     limit = node_limit if node_limit is not None else _node_limit_from_env()
     costs = tuple(costs)
@@ -169,7 +194,7 @@ def _branch_and_bound(
     # parent, the parent's LP to re-optimize from; both children share it)
     stack: list[
         tuple[tuple[tuple[int, int], ...], Optional[int], Optional[LpResult]]
-    ] = [(root, None, None)]
+    ] = [(root, None, start)]
     best_value: Optional[int] = cutoff
     best_x: Optional[tuple[int, ...]] = None
     nodes = 0
@@ -187,6 +212,8 @@ def _branch_and_bound(
             continue
         lps += 1
         lp = solve_lp(costs, rows, node_bounds, start=parent)
+        if nodes == 1:
+            root_lp = lp
         if lp.status is SolveStatus.UNBOUNDED:
             raise BioptError("unbounded relaxation inside a finite box")
         if not lp.is_optimal:
@@ -209,8 +236,8 @@ def _branch_and_bound(
         stack.append((up, lower, lp))
         stack.append((down, lower, lp))  # popped first: floor child leads
     if best_x is None:
-        return _Minimized(None, None, nodes, lps)
-    return _Minimized(best_value, best_x, nodes, lps)
+        return _Minimized(None, None, nodes, lps, root_lp)
+    return _Minimized(best_value, best_x, nodes, lps, root_lp)
 
 
 def _extras_to_rows(
@@ -224,38 +251,41 @@ def solve_lex(
     order: ObjectiveOrder,
     extras: Sequence[ExtraConstraint] = (),
     node_limit: Optional[int] = None,
+    start: Optional[LpResult] = None,
 ) -> LexResult:
-    """Two-stage lexicographic minimization via branch and bound.
+    """Lexicographic minimization by one branch and bound on
+    ``W * f_lead + f_last``.
 
-    Stage one minimizes the leading objective, cut off at the tightest
-    bound ``extras`` put on it; stage two fixes it at its optimum with an
-    equality row and minimizes the trailing objective.
+    The tightest bound ``extras`` put on the leading objective becomes the
+    cutoff.  The root LP restarts from ``start`` when its costs and rows
+    fit this solve's (see ``LpResult.fits``), and runs cold otherwise.
     """
-    cutoff = min(
+    box = problem.var_bounds
+    last = problem.objective(order.last)
+    low = sum(min(c * lo, c * hi) for c, (lo, hi) in zip(last, box))
+    weight = sum(abs(c) * (hi - lo) for c, (lo, hi) in zip(last, box)) + 1
+    costs = tuple(
+        weight * a + b for a, b in zip(problem.objective(order.first), last)
+    )
+    cap = min(
         (e.strict_upper for e in extras if e.objective_index == order.first),
         default=None,
     )
+    cutoff = None if cap is None else weight * cap + low
     trailing = [e for e in extras if e.objective_index != order.first]
     rows = problem.constraints + _extras_to_rows(problem, trailing)
-    leading = problem.objective(order.first)
-    first = _branch_and_bound(leading, rows, problem.var_bounds, node_limit, cutoff)
-    if first.value is None:
-        return LexResult(SolveStatus.INFEASIBLE, None, first.nodes, first.lps)
-    pin = LinearConstraint(leading, Relation.EQ, first.value)
-    second = _branch_and_bound(
-        problem.objective(order.last),
-        rows + (pin,),
-        problem.var_bounds,
-        node_limit,
-    )
-    if second.value is None:  # cannot happen: stage one's argmin is feasible
-        raise BioptError("lexicographic second stage lost feasibility")
-    assert second.assignment is not None
+    if start is not None and not start.fits(costs, rows):
+        start = None
+    found = _branch_and_bound(costs, rows, box, node_limit, cutoff, start)
+    root = found.root if found.root.is_optimal else None
+    if found.assignment is None:
+        return LexResult(SolveStatus.INFEASIBLE, None, found.nodes, found.lps, root)
     return LexResult(
         SolveStatus.OPTIMAL,
-        Solution(second.assignment, evaluate(problem, second.assignment)),
-        first.nodes + second.nodes,
-        first.lps + second.lps,
+        Solution(found.assignment, evaluate(problem, found.assignment)),
+        found.nodes,
+        found.lps,
+        root,
     )
 
 
@@ -263,11 +293,14 @@ class BranchAndBoundBackend(SolverBackend):
     """Branch-and-bound lexicographic engine (the default backend).
 
     ``node_limit=None`` defers to ``BIOPT_NODE_LIMIT`` or the built-in
-    default at solve time.
+    default at solve time.  The backend keeps the last optimal root LP of
+    each objective order and restarts the next solve of that order from
+    it, so it belongs to one worker.
     """
 
     def __init__(self, node_limit: Optional[int] = None) -> None:
         self.node_limit = node_limit
+        self._roots: dict[ObjectiveOrder, LpResult] = {}
 
     def solve_lex(
         self,
@@ -275,7 +308,16 @@ class BranchAndBoundBackend(SolverBackend):
         order: ObjectiveOrder,
         extras: Sequence[ExtraConstraint] = (),
     ) -> LexResult:
-        return solve_lex(problem, order, extras, node_limit=self.node_limit)
+        result = solve_lex(
+            problem,
+            order,
+            extras,
+            node_limit=self.node_limit,
+            start=self._roots.get(order),
+        )
+        if result.root is not None:
+            self._roots[order] = result.root
+        return result
 
 
 class EnumerationBackend(SolverBackend):

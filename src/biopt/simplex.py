@@ -41,6 +41,21 @@ The dual objective never decreases, and the rule is Bland's rule applied
 to the dual LP, so no basis repeats even on dual degenerate pivots, and
 there are finitely many bases.
 
+A ``start`` may also differ in the right-hand sides of its rows, as
+consecutive epsilon-constraint solves do.  Each row's column that was the
+unit vector ``e_i`` when the tableau was built (its slack, or its
+artificial if it has one) is ``B^-1 e_i`` in the current tableau, so a
+change of ``delta`` in the row's normalized rhs adds that column times
+``delta`` to the basic values: ``row[-1] += row[unit] * sign * delta``,
+where ``sign`` is the sign phase 1's normalization gave the row.  Reduced
+costs do not depend on the rhs, so the basis stays dual feasible and the
+same bounded dual simplex finishes the solve.  The rows phase 1 dropped as
+redundant are kept as certificate rows: each is a combination of the rows
+whose left-hand side vanishes, so it has zero entries outside the
+artificial columns and no pivot moves it.  It is shifted the same way,
+and if its value leaves zero the combined rows read ``0 = nonzero`` and
+the LP is infeasible.
+
 Termination is therefore guaranteed, and with a bounded variable box the
 LP can never be unbounded; an unbounded ray indicates a bug and raises.
 """
@@ -92,6 +107,21 @@ class LpResult:
     def is_optimal(self) -> bool:
         return self.status is SolveStatus.OPTIMAL
 
+    def fits(self, costs: Sequence[int], rows: Sequence[LinearConstraint]) -> bool:
+        """Can ``solve_lp(costs, rows, bounds, start=self)`` restart from here?
+
+        It can when this result is optimal and was solved for the same
+        costs and for rows that differ from ``rows`` only in right-hand
+        sides.
+        """
+        base = self.restart
+        if base is None or tuple(costs) != base.costs or len(rows) != len(base.rows):
+            return False
+        return all(
+            new is old or (new.coeffs == old.coeffs and new.relation is old.relation)
+            for new, old in zip(rows, base.rows)
+        )
+
 
 class _VarState(Enum):
     BASIC = 0
@@ -122,6 +152,11 @@ class _Tableau:
     ``state`` names.  Moving a nonbasic column ``j`` from 0 to its upper
     bound ``u`` therefore subtracts ``rows[i][j] * u`` from every last
     entry, all in integers.
+
+    ``certs`` holds the rows phase 1 dropped as redundant.  Each has zero
+    entries outside the artificial columns, so no pivot or bound move
+    changes it, and its last entry must stay zero for the LP to be
+    feasible.
     """
 
     def __init__(self, ncols: int, upper: list[Optional[int]]) -> None:
@@ -129,6 +164,7 @@ class _Tableau:
         self.upper = upper
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
+        self.certs: list[list[int]] = []
         self.basis: list[int] = []
         self.state: list[_VarState] = [_VarState.AT_LOWER] * ncols
         self.onums: list[int] = [0] * (ncols + 1)
@@ -150,6 +186,7 @@ class _Tableau:
         twin.upper = self.upper[:]
         twin.rows = [row[:] for row in self.rows]
         twin.dens = self.dens[:]
+        twin.certs = [row[:] for row in self.certs]
         twin.basis = self.basis[:]
         twin.state = self.state[:]
         twin.onums = self.onums[:]
@@ -191,6 +228,18 @@ class _Tableau:
             self.state[j] = state
             self._shift(j, (lo if state is _VarState.AT_LOWER else hi) - was)
         return True
+
+    def move_rhs(self, unit: int, delta: int) -> None:
+        """Add ``delta`` to the right-hand side of the row whose unit column
+        is ``unit``.
+
+        That column is ``B^-1 e_i`` for the row's ``e_i``, so each basic
+        value moves by its entry times ``delta``, and so does the last
+        entry of each certificate row.
+        """
+        self._shift(unit, -delta)
+        for row in self.certs:
+            row[-1] += row[unit] * delta
 
     def set_objective(self, costs: dict[int, int]) -> None:
         """Install a cost vector and cancel it on the current basic columns."""
@@ -449,6 +498,8 @@ class _Restart(NamedTuple):
     barred: frozenset[int]  # artificial columns, fixed at zero
     costs: tuple[int, ...]
     rows: tuple[LinearConstraint, ...]
+    # per row: its unit column, and the sign that normalized its rhs
+    units: tuple[tuple[int, int], ...]
 
 
 def _optimal(restart: _Restart) -> LpResult:
@@ -462,16 +513,22 @@ def _reoptimize(
     rows: tuple[LinearConstraint, ...],
     bounds: tuple[tuple[int, int], ...],
 ) -> LpResult:
-    """Re-solve ``start``'s LP under new variable bounds from its basis."""
+    """Re-solve ``start``'s LP under new variable bounds and right-hand
+    sides from its basis."""
     base = start.restart
     if base is None:
         raise ValueError("start must be an optimal LpResult")
-    if costs != base.costs or rows != base.rows:
+    if not start.fits(costs, rows):
         raise ValueError("start was solved for other costs or rows")
     tab = base.tableau.copy()  # the parent's basis may serve several children
-    if not tab.rebound(base.bounds, bounds) or not tab.run_dual(base.barred):
+    if not tab.rebound(base.bounds, bounds):
         return LpResult(SolveStatus.INFEASIBLE)
-    return _optimal(_Restart(tab, bounds, base.barred, costs, rows))
+    for new, old, (unit, sign) in zip(rows, base.rows, base.units):
+        if new.rhs != old.rhs:
+            tab.move_rhs(unit, sign * (new.rhs - old.rhs))
+    if any(row[-1] for row in tab.certs) or not tab.run_dual(base.barred):
+        return LpResult(SolveStatus.INFEASIBLE)
+    return _optimal(_Restart(tab, bounds, base.barred, costs, rows, base.units))
 
 
 def solve_lp(
@@ -487,10 +544,12 @@ def solve_lp(
     optimum and one optimal point, or an infeasible status.
 
     Without ``start`` the LP is solved cold by two-phase primal simplex.
-    With an optimal ``start`` solved for the same costs and rows, only the
-    bounds may differ: the solve re-optimizes from ``start``'s basis by
-    bounded dual simplex and leaves ``start`` untouched.  A ``start`` for
-    other costs or rows raises ``ValueError``.
+    With an optimal ``start`` solved for the same costs, and for rows that
+    differ at most in their right-hand sides (see ``LpResult.fits``), the
+    solve re-optimizes from ``start``'s basis by bounded dual simplex and
+    leaves ``start`` untouched; the bounds may differ too.  A ``start``
+    for other costs, another row count, or other coefficients or relations
+    raises ``ValueError``.
     """
     n = len(bounds)
     if len(costs) != n:
@@ -506,38 +565,39 @@ def solve_lp(
         shifted_upper.append(hi - lo)
 
     # Normalize each row to nonnegative rhs in shifted coordinates and
-    # decide its slack sign and whether it needs an artificial.
-    prepared: list[tuple[list[int], int, int, bool]] = []  # coeffs, rhs, slack, art?
+    # decide its slack sign, whether it needs an artificial, and the sign
+    # by which the normalization multiplied it.
+    prepared: list[tuple[list[int], int, int, bool, int]] = []
     for con in rows:
         coeffs = list(con.coeffs)
         if len(coeffs) != n:
             raise ValueError("constraint arity mismatch")
         b = con.rhs - sum(c * lo for c, lo in zip(coeffs, lows))
-        rel = con.relation
+        rel, sign = con.relation, 1
         if rel is Relation.GE:
-            coeffs, b, rel = [-c for c in coeffs], -b, Relation.LE
+            coeffs, b, rel, sign = [-c for c in coeffs], -b, Relation.LE, -1
         if rel is Relation.LE:
             if b >= 0:
-                prepared.append((coeffs, b, 1, False))
+                prepared.append((coeffs, b, 1, False, sign))
             else:
                 # flip to a >=-style row with positive rhs: slack -1 + artificial
-                prepared.append(([-c for c in coeffs], -b, -1, True))
+                prepared.append(([-c for c in coeffs], -b, -1, True, -sign))
         else:  # EQ: always carried by an artificial, even at rhs 0
             if b < 0:
-                coeffs, b = [-c for c in coeffs], -b
-            prepared.append((coeffs, b, 0, True))
+                coeffs, b, sign = [-c for c in coeffs], -b, -1
+            prepared.append((coeffs, b, 0, True, sign))
 
-    m = len(prepared)
-    n_slacks = sum(1 for _, _, s, _ in prepared if s != 0)
-    n_arts = sum(1 for _, _, _, a in prepared if a)
+    n_slacks = sum(1 for _, _, s, _, _ in prepared if s != 0)
+    n_arts = sum(1 for _, _, _, a, _ in prepared if a)
     ncols = n + n_slacks + n_arts
     upper: list[Optional[int]] = shifted_upper + [None] * (n_slacks + n_arts)
     tab = _Tableau(ncols, upper)
 
     art_cols: list[int] = []
+    units: list[tuple[int, int]] = []
     slack_at = n
     art_at = n + n_slacks
-    for coeffs, b, slack_sign, needs_art in prepared:
+    for coeffs, b, slack_sign, needs_art, sign in prepared:
         full = coeffs + [0] * (n_slacks + n_arts)
         if slack_sign != 0:
             full[slack_at] = slack_sign
@@ -551,6 +611,7 @@ def solve_lp(
         else:
             basic = slack_col  # a <= row with nonnegative rhs
         tab.add_row(full, b, basic)
+        units.append((basic, sign))  # the row's +1 column: its e_i
 
     barred = frozenset(art_cols)
     try:
@@ -565,7 +626,7 @@ def solve_lp(
         tab.run(barred)
     except _UnboundedRay:
         return LpResult(SolveStatus.UNBOUNDED)
-    return _optimal(_Restart(tab, bounds, barred, costs, rows))
+    return _optimal(_Restart(tab, bounds, barred, costs, rows, tuple(units)))
 
 
 def _drive_out_artificials(tab: _Tableau, art_cols: frozenset[int]) -> None:
@@ -584,8 +645,10 @@ def _drive_out_artificials(tab: _Tableau, art_cols: frozenset[int]) -> None:
                 pivot_col = j
                 break
         if pivot_col is None:
-            # row is a linear combination of the others: delete it
+            # row is a linear combination of the others: keep it only as
+            # a certificate that the combination's rhs stays zero
             tab.state[b] = _VarState.AT_LOWER
+            tab.certs.append(tab.rows[r])
             del tab.rows[r], tab.dens[r], tab.basis[r]
             continue
         tab.enter(r, pivot_col, _VarState.AT_LOWER)  # at value zero: nothing moves

@@ -3,6 +3,7 @@
 import multiprocessing
 import pickle
 import random
+import threading
 import time
 
 import pytest
@@ -21,7 +22,9 @@ from biopt.algorithms import (
     split_range,
     splitting_boip,
 )
+import biopt.ipsolve
 from biopt.errors import BioptError, BoundRegression
+from biopt.instances import GeneratorSpec, generate
 from biopt.ipsolve import (
     BranchAndBoundBackend,
     EnumerationBackend,
@@ -145,6 +148,80 @@ class TestRunStats:
             nodes, lps = nodes + res.node_count, lps + res.lp_count
             cap = res.solution.outcome.f2 if res.is_optimal else None
         assert (stats.nodes, stats.lps) == (nodes, lps)
+
+
+@pytest.fixture
+def cold_lps(monkeypatch):
+    """Count the LPs each thread solves with no ``start``, by spying on the
+    ``solve_lp`` that branch and bound calls."""
+    counts: dict[threading.Thread, int] = {}
+    real = biopt.ipsolve.solve_lp
+
+    def spy(costs, rows, bounds, *, start=None):
+        if start is None:
+            # the thread object, not its ident, which a later thread may reuse
+            me = threading.current_thread()
+            counts[me] = counts.get(me, 0) + 1
+        return real(costs, rows, bounds, start=start)
+
+    monkeypatch.setattr(biopt.ipsolve, "solve_lp", spy)
+    return counts
+
+
+def sweep_instances(cover, knapsack, three_outcomes):
+    named = {"cover": cover, "knapsack": knapsack, "three": three_outcomes}
+    for family, size in (("knapsack", 10), ("assignment", 4)):
+        for seed in (1, 2):
+            named[f"{family}-{size}-{seed}"] = generate(GeneratorSpec(family, size, seed))
+    return named
+
+
+class TestRootRestart:
+    """Each sweep's root LPs restart from the previous solve's root."""
+
+    def test_sequential_sweep_makes_at_most_two_cold_lps(
+        self, cover, knapsack, three_outcomes, cold_lps
+    ):
+        for name, problem in sweep_instances(cover, knapsack, three_outcomes).items():
+            cold_lps.clear()
+            _, stats = sequential_boip(problem)
+            assert sum(cold_lps.values()) <= 2, name
+            assert stats.lps > 2, name
+
+    def test_each_meeting_worker_makes_at_most_two_cold_lps(
+        self, cover, knapsack, three_outcomes, cold_lps
+    ):
+        for name, problem in sweep_instances(cover, knapsack, three_outcomes).items():
+            cold_lps.clear()
+            meeting_boip(problem, executor="thread")
+            assert len(cold_lps) == 2, name  # one entry per worker thread
+            assert max(cold_lps.values()) <= 2, name
+
+    def test_backends_share_no_root(self, cover, cold_lps):
+        first, second = BranchAndBoundBackend(), BranchAndBoundBackend()
+        first.solve_lex(cover, ObjectiveOrder.F1_FIRST, [ExtraConstraint(2, 3)])
+        assert sum(cold_lps.values()) == 1
+        first.solve_lex(cover, ObjectiveOrder.F1_FIRST, [ExtraConstraint(2, 2)])
+        assert sum(cold_lps.values()) == 1  # restarted from its own root
+        second.solve_lex(cover, ObjectiveOrder.F1_FIRST, [ExtraConstraint(2, 2)])
+        assert sum(cold_lps.values()) == 2  # nothing cached for this backend
+
+    def test_ip_solve_counts_unchanged(self, cover, knapsack, three_outcomes):
+        # (sequential, splitting) IP solves per instance: restarting the
+        # root LP must not change how many solves a sweep makes
+        expected = {
+            "cover": (5, 6),
+            "knapsack": (3, 4),
+            "three": (3, 4),
+            "knapsack-10-1": (7, 8),
+            "knapsack-10-2": (5, 6),
+            "assignment-4-1": (5, 6),
+            "assignment-4-2": (6, 7),
+        }
+        for name, problem in sweep_instances(cover, knapsack, three_outcomes).items():
+            seq = sequential_boip(problem)[1].ip_solves
+            split = splitting_boip(problem, executor="thread")[1].ip_solves
+            assert (seq, split) == expected[name], name
 
 
 class TestDelaySpec:

@@ -129,12 +129,24 @@ class TestCsv:
         with target.open(newline="", encoding="utf-8") as source:
             rows = list(csv.reader(source))
         assert rows[0] == list(CSV_COLUMNS)
+        assert CSV_COLUMNS[-3:] == ("nodes", "lps", "verified")
         assert len(rows) == 1 + len(records)
-        for row in rows[1:]:
-            assert row[0] == "knapsack"
-            assert row[3] in ("sequential", "meeting")
-            assert float(row[5]) >= 0.0
-            assert row[8] == "true"
+        for row, rec in zip(rows[1:], records):
+            cell = dict(zip(CSV_COLUMNS, row))
+            assert cell["family"] == "knapsack"
+            assert cell["algorithm"] in ("sequential", "meeting")
+            assert float(cell["elapsed_ms"]) >= 0.0
+            assert cell["verified"] == "true"
+            assert (int(cell["nodes"]), int(cell["lps"])) == (rec.nodes, rec.lps)
+            assert rec.nodes >= rec.lps >= rec.ip_solves > 0
+
+    def test_brute_writes_zero_counters(self, tmp_path):
+        records = run_bench(tiny_config(reps=1, algorithms=("brute",)))
+        target = tmp_path / "bench.csv"
+        write_csv(records, target)
+        with target.open(newline="", encoding="utf-8") as source:
+            (row,) = list(csv.DictReader(source))
+        assert (row["ip_solves"], row["nodes"], row["lps"]) == ("0", "0", "0")
 
     def test_unverified_cell_is_empty(self, tmp_path):
         records = run_bench(

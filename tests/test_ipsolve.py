@@ -158,10 +158,59 @@ class TestModuleLevelLex:
         b = BranchAndBoundBackend().solve_lex(cover, ObjectiveOrder.F1_FIRST)
         assert a.solution.outcome == b.solution.outcome
 
-    def test_counters_sum_both_stages(self, cover):
+    def test_counters_of_one_stage(self, cover):
         res = solve_lex(cover, ObjectiveOrder.F1_FIRST)
-        assert res.node_count >= 2  # at least one node per stage
-        assert res.lp_count >= 2
+        assert res.node_count >= res.lp_count >= 1
+        ref = EnumerationBackend().solve_lex(cover, ObjectiveOrder.F1_FIRST)
+        assert res.solution.outcome == ref.solution.outcome
+
+
+def extremes_problem():
+    """Exactly one of x, y; f1 = x, f2 = y - x on the box [0, 1]^2.
+
+    f2 ranges over [L, L + W - 1] = [-1, 1] on the box, so W = 3.  The
+    lexicographic optimum (0, 1) puts f2 at its top and the runner-up
+    (1, -1) at its bottom: with W = 2 both would score 1.
+    """
+    return build_problem(
+        2,
+        [(1, 0), (-1, 1)],
+        [LinearConstraint((1, 1), Relation.EQ, 1)],
+        [(0, 1), (0, 1)],
+    )
+
+
+class TestWeight:
+    """The one-stage weight ``W`` and the cutoff ``W * c + L`` are exact."""
+
+    def test_optimum_with_trailing_objective_at_its_top(self):
+        res = solve_lex(extremes_problem(), ObjectiveOrder.F1_FIRST)
+        assert res.solution.outcome == OutcomeVector(0, 1)
+
+    def test_cutoff_keeps_the_point_just_below_it(self):
+        # f1 < 1 admits (0, 1), whose combined value W * 0 + 1 sits one
+        # below the cutoff W * 1 + L = 2
+        res = solve_lex(extremes_problem(), ObjectiveOrder.F1_FIRST, [ExtraConstraint(1, 1)])
+        assert res.solution.outcome == OutcomeVector(0, 1)
+
+    def test_cutoff_drops_the_point_at_it(self):
+        # with f2 < 1 only (1, -1) is left; its combined value W * 1 + L
+        # equals the cutoff of f1 < 1, so nothing is below it
+        extras = [ExtraConstraint(1, 1), ExtraConstraint(2, 1)]
+        res = solve_lex(extremes_problem(), ObjectiveOrder.F1_FIRST, extras)
+        assert res.status is SolveStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("order", list(ObjectiveOrder))
+    @pytest.mark.parametrize("cap", [None, 0, 1, 2])
+    def test_agrees_with_enumeration(self, order, cap):
+        p = extremes_problem()
+        extras = [] if cap is None else [ExtraConstraint(order.first, cap)]
+        a = solve_lex(p, order, extras)
+        b = EnumerationBackend().solve_lex(p, order, extras)
+        assert (a.status, a.solution and a.solution.outcome) == (
+            b.status,
+            b.solution and b.solution.outcome,
+        )
 
 
 class TestLpRelaxation:

@@ -215,6 +215,29 @@ def random_lps(draw):
     return costs, rows, tuple(bounds)
 
 
+@st.composite
+def feasible_lps(draw):
+    """Like ``random_lps``, with one to three rows that an integer point of
+    the box satisfies, so the LP is never infeasible."""
+    n = draw(st.integers(1, 4))
+    bounds, point = [], []
+    for _ in range(n):
+        lo = draw(st.integers(-4, 3))
+        bounds.append((lo, lo + draw(st.integers(0, 5))))
+        point.append(draw(st.integers(*bounds[-1])))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = tuple(draw(st.integers(-6, 6)) for _ in range(n))
+        relation = draw(st.sampled_from(RELATIONS))
+        rhs = sum(c * v for c, v in zip(coeffs, point))
+        if relation is not Relation.EQ:
+            slack = draw(st.integers(0, 6))
+            rhs += slack if relation is Relation.LE else -slack
+        rows.append(LinearConstraint(coeffs, relation, rhs))
+    costs = tuple(draw(st.integers(-7, 7)) for _ in range(n))
+    return costs, tuple(rows), tuple(bounds)
+
+
 class TestWarmStart:
     """Re-optimizing from a parent's basis must match a cold solve exactly."""
 
@@ -257,6 +280,59 @@ class TestWarmStart:
             assert (warm.status, warm.objective) == (cold.status, cold.objective)
         again = solve_lp(costs, rows, bounds, start=parent)
         assert (again.x, again.objective) == (parent.x, parent.objective)
+
+    @given(
+        feasible_lps(),
+        st.lists(
+            st.tuples(st.integers(0, 2), st.one_of(st.integers(-4, 4), st.just("cross"))),
+            min_size=1,
+            max_size=2,
+        ),
+        st.lists(st.integers(0, 7), max_size=2),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_rhs_change_equals_cold(self, lp, moves, picks):
+        # tighten or loosen a row, or reflect its shifted rhs through zero
+        # so that phase 1 would have normalized it with the other sign
+        costs, rows, bounds = lp
+        parent = solve_lp(costs, rows, bounds)
+        assert parent.is_optimal
+        moved = list(rows)
+        for pick, move in moves:
+            con = moved[pick % len(rows)]
+            if move == "cross":
+                shifted = con.rhs - sum(c * lo for c, (lo, _) in zip(con.coeffs, bounds))
+                move = -2 * shifted
+            moved[pick % len(rows)] = LinearConstraint(con.coeffs, con.relation, con.rhs + move)
+        for pick in picks:  # a B&B child of the moved root, bounds cut too
+            bounds = tightened(parent.x, bounds, pick) or bounds
+        warm = solve_lp(costs, moved, bounds, start=parent)
+        cold = solve_lp(costs, moved, bounds)
+        assert warm.status is cold.status
+        if warm.is_optimal:
+            assert warm.objective == cold.objective
+            for con in moved:
+                assert con.satisfied_by(warm.x)
+            for v, (lo, hi) in zip(warm.x, bounds):
+                assert lo <= v <= hi
+
+    def test_duplicated_equality_row(self):
+        # phase 1 drops one copy of the EQ row as redundant; it lives on as
+        # a certificate that both copies keep the same right-hand side
+        bounds = ((0, 2), (-1, 2))
+        row = LinearConstraint((1, 1), Relation.EQ, 2)
+        other = LinearConstraint((1, -1), Relation.GE, -1)
+        parent = solve_lp((1, 0), (row, row, other), bounds)
+        assert parent.is_optimal
+        for rhs in (3, 1, 0):
+            shifted = LinearConstraint((1, 1), Relation.EQ, rhs)
+            one = solve_lp((1, 0), (row, shifted, other), bounds, start=parent)
+            assert one.status is SolveStatus.INFEASIBLE
+            both = (shifted, shifted, other)
+            warm = solve_lp((1, 0), both, bounds, start=parent)
+            cold = solve_lp((1, 0), both, bounds)
+            assert (warm.status, warm.objective) == (cold.status, cold.objective)
+            assert warm.is_optimal
 
 
 class TestSequentialShape:

@@ -151,10 +151,12 @@ class TestScipyAgreement:
 
         rng = random.Random(20260822)
         picks = random.Random(7)  # apart from rng, so the trial LPs do not depend on it
+        shifts = random.Random(11)  # likewise apart from picks
         relations = [Relation.LE, Relation.GE, Relation.EQ]
         checked_optimal = 0
         checked_infeasible = 0
         warm_optimal = warm_infeasible = 0
+        moved_optimal = moved_infeasible = 0
         for trial in range(300):
             n = rng.randint(1, 5)
             m = rng.randint(0, 4)
@@ -173,6 +175,17 @@ class TestScipyAgreement:
                 checked_infeasible += 1
                 continue
             checked_optimal += 1
+            # re-optimize a child with one row's rhs moved from this basis
+            if rows:
+                moved = list(rows)
+                i = shifts.randrange(len(rows))
+                delta = shifts.choice([-1, 1]) * shifts.randint(1, 12)
+                moved[i] = LinearConstraint(rows[i].coeffs, rows[i].relation, rows[i].rhs + delta)
+                child = solve_lp(costs, moved, bounds, start=mine)
+                if self._check_against_scipy(trial, child, costs, moved, bounds):
+                    moved_optimal += 1
+                else:
+                    moved_infeasible += 1
             # re-optimize a child with one bound tightened from this basis
             child_bounds = tightened(mine.x, bounds, picks.randrange(4))
             if child_bounds is None:
@@ -186,6 +199,8 @@ class TestScipyAgreement:
         assert checked_infeasible >= 20
         assert warm_optimal >= 100
         assert warm_infeasible >= 10
+        assert moved_optimal >= 50
+        assert moved_infeasible >= 5
 
 
 class TestDefensive:
@@ -203,9 +218,20 @@ class TestDefensive:
         with pytest.raises(ValueError, match="other costs or rows"):
             solve_lp([2, 1], rows, [(0, 3), (0, 2)], start=parent)
         with pytest.raises(ValueError, match="other costs or rows"):
-            solve_lp([1, 2], [ge([1, 1], 4)], [(0, 3), (0, 2)], start=parent)
+            solve_lp([1, 2], [ge([1, 2], 3)], [(0, 3), (0, 2)], start=parent)
+        with pytest.raises(ValueError, match="other costs or rows"):
+            solve_lp([1, 2], [le([1, 1], 3)], [(0, 3), (0, 2)], start=parent)
         with pytest.raises(ValueError, match="other costs or rows"):
             solve_lp([1, 2], [], [(0, 3), (0, 2)], start=parent)
+
+    def test_start_for_other_rhs_restarts(self):
+        parent = solve_lp([1, 2], [ge([1, 1], 3)], [(0, 3), (0, 3)])
+        assert parent.fits([1, 2], [ge([1, 1], 5)])
+        warm = solve_lp([1, 2], [ge([1, 1], 5)], [(0, 3), (0, 3)], start=parent)
+        assert (warm.x, warm.objective) == ((3, 2), 7)
+        assert solve_lp([1, 2], [ge([1, 1], 7)], [(0, 3), (0, 3)], start=parent).status is (
+            SolveStatus.INFEASIBLE
+        )
 
     def test_start_must_be_optimal(self):
         infeasible = solve_lp([1], [ge([1], 5)], [(0, 3)])
