@@ -13,9 +13,12 @@ primary backend is an exact branch and bound:
 * pruning with ``ceil(lp_bound) >= incumbent`` (sound because objectives
   take integer values on integer points), re-checking the inherited parent
   bound before paying for a node's LP;
-* an optional strict cutoff in place of an initial incumbent: pruning and
-  incumbent acceptance both compare against it, and a search that finds no
-  point below it reports infeasible;
+* an optional strict cutoff: pruning and incumbent acceptance both
+  compare against it, and a search that finds no point below it reports
+  infeasible;
+* an optional initial incumbent, a known integer point below the cutoff:
+  the search starts from its value and point, so it only prunes more and
+  still proves optimality;
 * a node cap (default 10^7, overridable through the ``BIOPT_NODE_LIMIT``
   environment variable) that raises instead of ever returning an unproven
   answer.
@@ -48,6 +51,19 @@ integer.
 of its last solve.  Consecutive solves of a sweep differ only in the
 right-hand side of their cap row, so the next solve's root restarts from
 it instead of running phase 1 again.
+
+It also keeps an incumbent staircase: the (f1, f2)-nondominated integer
+points among every integral LP point its searches have met, pruned or
+not, for its current problem.  A point that dominates another satisfies
+every cap and cutoff the other does, at no larger combined value, so the
+dominated one is never needed.  Each solve starts from the pooled point
+with the lowest ``W * f_lead + f_last`` that satisfies all its rows,
+checked in integers, and lies strictly below its cutoff.  An earlier
+solve of a sweep has often met the next solve's optimum already.  The
+optima of its solves are front points, and a solve whose caps on both
+objectives would leave room only for points dominating one of them is
+infeasible without a search: in a meeting run that is the closing solve
+after the two workers both found the same point.
 """
 
 from __future__ import annotations
@@ -57,12 +73,13 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, floor
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from biopt.errors import BioptError, BudgetExceeded, NodeLimitExceeded
 from biopt.model import (
     LinearConstraint,
     ObjectiveOrder,
+    OutcomeVector,
     Problem,
     Relation,
     Solution,
@@ -179,12 +196,18 @@ def _branch_and_bound(
     node_limit: Optional[int],
     cutoff: Optional[int] = None,
     start: Optional[LpResult] = None,
+    incumbent: Optional[tuple[int, tuple[int, ...]]] = None,
+    record: Optional[Callable[[tuple[int, ...]], None]] = None,
 ) -> _Minimized:
     """Minimize ``costs . x`` over the integer points of ``rows`` and ``bounds``.
 
     With a ``cutoff`` only points with objective strictly below it count:
-    it stands in for an incumbent that has no point.  The root LP restarts
-    from ``start`` when one is given.
+    it stands in for an incumbent that has no point.  An ``incumbent``
+    ``(value, x)`` is an integer point of the feasible set below any
+    cutoff; the search starts from it and returns it unless it finds a
+    better one.  ``record`` is called with every integral LP point the
+    search meets, before the bound test may prune it.  The root LP
+    restarts from ``start`` when one is given.
     """
     limit = node_limit if node_limit is not None else _node_limit_from_env()
     costs = tuple(costs)
@@ -195,8 +218,7 @@ def _branch_and_bound(
     stack: list[
         tuple[tuple[tuple[int, int], ...], Optional[int], Optional[LpResult]]
     ] = [(root, None, start)]
-    best_value: Optional[int] = cutoff
-    best_x: Optional[tuple[int, ...]] = None
+    best_value, best_x = incumbent if incumbent is not None else (cutoff, None)
     nodes = 0
     lps = 0
     while stack:
@@ -219,15 +241,16 @@ def _branch_and_bound(
         if not lp.is_optimal:
             continue
         assert lp.objective is not None and lp.x is not None
+        j = _most_fractional(lp.x)
+        if j is None:
+            point = tuple(v.numerator for v in lp.x)
+            if record is not None:
+                record(point)
         lower = ceil(lp.objective)
         if best_value is not None and lower >= best_value:
             continue
-        j = _most_fractional(lp.x)
-        if j is None:
-            value = int(lp.objective)
-            if best_value is None or value < best_value:
-                best_value = value
-                best_x = tuple(int(v) for v in lp.x)
+        if j is None:  # an integral point below the incumbent
+            best_value, best_x = lower, point
             continue
         split = floor(lp.x[j])
         lo_j, hi_j = node_bounds[j]
@@ -238,6 +261,70 @@ def _branch_and_bound(
     if best_x is None:
         return _Minimized(None, None, nodes, lps, root_lp)
     return _Minimized(best_value, best_x, nodes, lps, root_lp)
+
+
+class IncumbentStaircase:
+    """The (f1, f2)-nondominated integer points of one problem met so far.
+
+    Every point added must be an integer point of ``problem``; branch and
+    bound adds each integral LP point it meets.  A dominated point is
+    never kept, and a point that dominates others replaces them, so the
+    staircase holds at most one point per f1 value.
+
+    It also keeps the outcomes marked as front points: the optima of
+    lexicographic solves, which are nondominated whatever strict caps the
+    solves had, since a point dominating one would meet the same caps and
+    win the solve.
+    """
+
+    def __init__(self, problem: Problem) -> None:
+        self.problem = problem
+        self._points: list[tuple[int, int, tuple[int, ...]]] = []
+        self._front: set[tuple[int, int]] = set()
+
+    def add(self, x: tuple[int, ...]) -> None:
+        f1, f2 = evaluate(self.problem, x).as_tuple()
+        if any(g1 <= f1 and g2 <= f2 for g1, g2, _ in self._points):
+            return
+        self._points = [
+            p for p in self._points if not (f1 <= p[0] and f2 <= p[1])
+        ]
+        self._points.append((f1, f2, x))
+
+    def best(
+        self,
+        costs: Sequence[int],
+        rows: Sequence[LinearConstraint],
+        cutoff: Optional[int],
+    ) -> Optional[tuple[int, tuple[int, ...]]]:
+        """The pooled ``(costs . x, x)`` of least value that satisfies every
+        row and lies strictly below ``cutoff``, or None."""
+        ranked = sorted(
+            (sum(c * v for c, v in zip(costs, x)), x) for _, _, x in self._points
+        )
+        for value, x in ranked:
+            if cutoff is not None and value >= cutoff:
+                break
+            if all(row.satisfied_by(x) for row in rows):
+                return value, x
+        return None
+
+    def mark_front(self, outcome: OutcomeVector) -> None:
+        self._front.add(outcome.as_tuple())
+
+    def rules_out(self, cap1: int, cap2: int) -> bool:
+        """Does a front point leave no point with ``f1 < cap1`` and
+        ``f2 < cap2``?
+
+        Front point ``F`` does when ``cap1 <= F1 + 1`` and ``cap2 <= F2 + 1``
+        with one of them tight: a point under both caps would then have
+        ``f1 <= F1`` and ``f2 <= F2`` with one inequality strict, so it
+        would dominate ``F``.
+        """
+        return any(
+            cap1 <= f1 + 1 and cap2 <= f2 + 1 and (cap1 <= f1 or cap2 <= f2)
+            for f1, f2 in self._front
+        )
 
 
 def _extras_to_rows(
@@ -252,6 +339,7 @@ def solve_lex(
     extras: Sequence[ExtraConstraint] = (),
     node_limit: Optional[int] = None,
     start: Optional[LpResult] = None,
+    pool: Optional[IncumbentStaircase] = None,
 ) -> LexResult:
     """Lexicographic minimization by one branch and bound on
     ``W * f_lead + f_last``.
@@ -259,6 +347,13 @@ def solve_lex(
     The tightest bound ``extras`` put on the leading objective becomes the
     cutoff.  The root LP restarts from ``start`` when its costs and rows
     fit this solve's (see ``LpResult.fits``), and runs cold otherwise.
+    With a ``pool`` of ``problem``'s integer points the search starts from
+    its best point that fits this solve (``IncumbentStaircase.best``), and
+    every integral LP point the search meets joins the pool.  When the
+    pool's front points rule out both caps together
+    (``IncumbentStaircase.rules_out``), the solve reports infeasible at
+    once, as a root node pruned before its LP; an optimum joins the
+    pool's front points.
     """
     box = problem.var_bounds
     last = problem.objective(order.last)
@@ -276,17 +371,26 @@ def solve_lex(
     rows = problem.constraints + _extras_to_rows(problem, trailing)
     if start is not None and not start.fits(costs, rows):
         start = None
-    found = _branch_and_bound(costs, rows, box, node_limit, cutoff, start)
+    seed = record = None
+    if pool is not None:
+        if pool.problem is not problem:
+            raise ValueError("pool holds the points of another problem")
+        last_cap = min((e.strict_upper for e in trailing), default=None)
+        if cap is not None and last_cap is not None:
+            caps = (cap, last_cap) if order.first == 1 else (last_cap, cap)
+            if pool.rules_out(*caps):
+                return LexResult(SolveStatus.INFEASIBLE, None, 1, 0)
+        seed, record = pool.best(costs, rows, cutoff), pool.add
+    found = _branch_and_bound(
+        costs, rows, box, node_limit, cutoff, start, seed, record
+    )
     root = found.root if found.root.is_optimal else None
     if found.assignment is None:
         return LexResult(SolveStatus.INFEASIBLE, None, found.nodes, found.lps, root)
-    return LexResult(
-        SolveStatus.OPTIMAL,
-        Solution(found.assignment, evaluate(problem, found.assignment)),
-        found.nodes,
-        found.lps,
-        root,
-    )
+    solution = Solution(found.assignment, evaluate(problem, found.assignment))
+    if pool is not None:
+        pool.mark_front(solution.outcome)
+    return LexResult(SolveStatus.OPTIMAL, solution, found.nodes, found.lps, root)
 
 
 class BranchAndBoundBackend(SolverBackend):
@@ -295,12 +399,15 @@ class BranchAndBoundBackend(SolverBackend):
     ``node_limit=None`` defers to ``BIOPT_NODE_LIMIT`` or the built-in
     default at solve time.  The backend keeps the last optimal root LP of
     each objective order and restarts the next solve of that order from
-    it, so it belongs to one worker.
+    it, and it keeps the incumbent staircase of the problem it last
+    solved, starting afresh whenever the problem changes; so it belongs
+    to one worker.
     """
 
     def __init__(self, node_limit: Optional[int] = None) -> None:
         self.node_limit = node_limit
         self._roots: dict[ObjectiveOrder, LpResult] = {}
+        self._pool: Optional[IncumbentStaircase] = None
 
     def solve_lex(
         self,
@@ -308,12 +415,15 @@ class BranchAndBoundBackend(SolverBackend):
         order: ObjectiveOrder,
         extras: Sequence[ExtraConstraint] = (),
     ) -> LexResult:
+        if self._pool is None or self._pool.problem is not problem:
+            self._pool = IncumbentStaircase(problem)
         result = solve_lex(
             problem,
             order,
             extras,
             node_limit=self.node_limit,
             start=self._roots.get(order),
+            pool=self._pool,
         )
         if result.root is not None:
             self._roots[order] = result.root
@@ -359,7 +469,3 @@ class EnumerationBackend(SolverBackend):
         if best is None:
             return LexResult(SolveStatus.INFEASIBLE, None, visited, 0)
         return LexResult(SolveStatus.OPTIMAL, best, visited, 0)
-
-
-def default_backend() -> SolverBackend:
-    return BranchAndBoundBackend()

@@ -157,6 +157,11 @@ class _Tableau:
     entries outside the artificial columns, so no pivot or bound move
     changes it, and its last entry must stay zero for the LP to be
     feasible.
+
+    The objective row ``onums / oden`` holds the reduced costs only, one
+    per column, with no last entry: ``point`` sums the objective from the
+    basic values itself.  The objective's value would grow with every
+    pivot and block the gcd that keeps the reduced costs small.
     """
 
     def __init__(self, ncols: int, upper: list[Optional[int]]) -> None:
@@ -167,7 +172,7 @@ class _Tableau:
         self.certs: list[list[int]] = []
         self.basis: list[int] = []
         self.state: list[_VarState] = [_VarState.AT_LOWER] * ncols
-        self.onums: list[int] = [0] * (ncols + 1)
+        self.onums: list[int] = [0] * ncols
         self.oden: int = 1
 
     # -- construction -------------------------------------------------
@@ -243,7 +248,7 @@ class _Tableau:
 
     def set_objective(self, costs: dict[int, int]) -> None:
         """Install a cost vector and cancel it on the current basic columns."""
-        self.onums = [costs.get(j, 0) for j in range(self.ncols)] + [0]
+        self.onums = [costs.get(j, 0) for j in range(self.ncols)]
         self.oden = 1
         for i, b in enumerate(self.basis):
             if self.onums[b] != 0:
@@ -253,6 +258,7 @@ class _Tableau:
         b = self.basis[i]
         e = self.onums[b]
         row, den = self.rows[i], self.dens[i]
+        # zip stops before the row's last entry: the objective row has none
         merged = [t * den - e * p for t, p in zip(self.onums, row)]
         self.onums, self.oden = _reduced(merged, self.oden * den)
 
@@ -291,7 +297,9 @@ class _Tableau:
 
         The last entries are combined like every other column, so afterwards
         they hold the basic values of the new basis with every nonbasic
-        column, ``c``'s old basic variable included, at its old value.
+        column, ``c``'s old basic variable included, at its old value.  The
+        objective row, which has no last entry, is updated on its reduced
+        costs alone.
         """
         prow = self.rows[r]
         p = prow[c]
@@ -347,7 +355,7 @@ class _Tableau:
         """Bland: lowest-index nonbasic column with an improving direction."""
         state, upper = self.state, self.upper
         at_lower, at_upper = _VarState.AT_LOWER, _VarState.AT_UPPER
-        for j, d in enumerate(self.onums[:-1]):
+        for j, d in enumerate(self.onums):
             if d == 0:
                 continue  # basic columns always have a zero reduced cost
             if state[j] is not (at_lower if d < 0 else at_upper):

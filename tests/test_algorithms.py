@@ -138,8 +138,10 @@ class TestRunStats:
         assert stats.nodes >= stats.lps >= stats.ip_solves > 0
 
     def test_counters_sum_the_solves(self, knapsack):
+        _, stats = sequential_boip(knapsack, BranchAndBoundBackend())
+        # a fresh backend: the sweep's own one holds the incumbents it met,
+        # which would shrink the replayed trees
         backend = BranchAndBoundBackend()
-        _, stats = sequential_boip(knapsack, backend)
         nodes = lps = 0
         cap = None
         for _ in range(stats.ip_solves):

@@ -5,12 +5,14 @@ import random
 import pytest
 
 from biopt.errors import BioptError, BudgetExceeded, NodeLimitExceeded
+from biopt.instances import GeneratorSpec, generate
 from biopt.ipsolve import (
     DEFAULT_NODE_LIMIT,
     NODE_LIMIT_ENV,
     BranchAndBoundBackend,
     EnumerationBackend,
     ExtraConstraint,
+    IncumbentStaircase,
     LexResult,
     _branch_and_bound,
     solve_lex,
@@ -288,6 +290,118 @@ class TestExtraConstraintType:
         assert row.coeffs == (0, 1)
         assert row.relation is Relation.LE
         assert row.rhs == 3
+
+
+def cover_on(box):
+    """min (x1, x2) s.t. x1 + x2 >= 3 on ``box``."""
+    return build_problem(
+        2, [(1, 0), (0, 1)], [LinearConstraint((1, 1), Relation.GE, 3)], box
+    )
+
+
+class TestIncumbentStaircase:
+    def test_keeps_only_nondominated_points(self, cover):
+        pool = IncumbentStaircase(cover)
+        for x in [(2, 2), (1, 3), (2, 1), (0, 3), (3, 0), (2, 1), (3, 3)]:
+            pool.add(x)
+        # (2, 1) replaced (2, 2) and (0, 3) replaced (1, 3); (3, 3) was
+        # dominated on arrival.  Each dropped point would win one call here.
+        def x1_is(v):
+            return (LinearConstraint((1, 0), Relation.EQ, v),)
+
+        assert pool.best((1, 0), x1_is(1), None) is None
+        assert pool.best((0, -1), x1_is(2), None) == (-1, (2, 1))
+        assert pool.best((0, -1), x1_is(3), None) == (0, (3, 0))
+        assert pool.best((1, 0), (), None) == (0, (0, 3))
+
+    def test_best_checks_rows_and_cutoff(self, cover):
+        pool = IncumbentStaircase(cover)
+        for x in [(0, 3), (1, 2), (2, 1), (3, 0)]:
+            pool.add(x)
+        x2_at_most_1 = LinearConstraint((0, 1), Relation.LE, 1)
+        assert pool.best((1, 0), (x2_at_most_1,), None) == (2, (2, 1))
+        assert pool.best((1, 0), (x2_at_most_1,), 3) == (2, (2, 1))
+        assert pool.best((1, 0), (x2_at_most_1,), 2) is None  # strict cutoff
+
+    def test_seeded_point_is_returned_as_proven(self, cover):
+        pool = IncumbentStaircase(cover)
+        pool.add((1, 2))
+        res = solve_lex(cover, ObjectiveOrder.F1_FIRST, [ExtraConstraint(2, 3)], pool=pool)
+        assert res.solution == Solution((1, 2), OutcomeVector(1, 2))
+        assert res.node_count >= 1  # the root LP still ran to prove it
+
+    def test_rules_out_caps_beside_a_front_point(self, cover):
+        pool = IncumbentStaircase(cover)
+        pool.mark_front(OutcomeVector(1, 2))
+        assert pool.rules_out(1, 3)  # f1 <= 0, f2 <= 2 would dominate (1, 2)
+        assert pool.rules_out(2, 2)
+        assert not pool.rules_out(2, 3)  # leaves room for (1, 2) itself
+        assert not pool.rules_out(3, 2)
+        assert not pool.rules_out(1, 4)
+
+    def test_solve_ruled_out_runs_no_lp(self, cover):
+        backend = BranchAndBoundBackend()
+        f1_first = ObjectiveOrder.F1_FIRST
+        found = backend.solve_lex(cover, f1_first, [ExtraConstraint(2, 3)])
+        assert found.solution.outcome == OutcomeVector(1, 2)
+        beside = [ExtraConstraint(2, 2), ExtraConstraint(1, 2)]
+        res = backend.solve_lex(cover, f1_first, beside)
+        assert res == LexResult(SolveStatus.INFEASIBLE, None, 1, 0)
+        assert not EnumerationBackend().solve_lex(cover, f1_first, beside).is_optimal
+        again = [ExtraConstraint(2, 3), ExtraConstraint(1, 2)]
+        assert backend.solve_lex(cover, f1_first, again).solution.outcome == OutcomeVector(1, 2)
+
+    def test_rule_out_reads_each_cap_as_its_objective(self, cover):
+        # under (f2, f1) the cap on the leading objective is the one on f2
+        backend = BranchAndBoundBackend()
+        f2_first = ObjectiveOrder.F2_FIRST
+        found = backend.solve_lex(cover, f2_first, [ExtraConstraint(1, 3)])
+        assert found.solution.outcome == OutcomeVector(2, 1)
+        beside = [ExtraConstraint(1, 3), ExtraConstraint(2, 1)]  # f1 <= 2, f2 <= 0
+        assert backend.solve_lex(cover, f2_first, beside) == LexResult(
+            SolveStatus.INFEASIBLE, None, 1, 0
+        )
+
+    def test_pool_of_another_problem_raises(self, cover):
+        pool = IncumbentStaircase(cover_on([(0, 3), (0, 3)]))
+        with pytest.raises(ValueError):
+            solve_lex(cover, ObjectiveOrder.F1_FIRST, pool=pool)
+
+    def test_backend_starts_afresh_for_another_problem(self, cover):
+        # (0, 3), the first optimum, satisfies the narrower problem's row
+        # but not its box
+        narrower = cover_on([(1, 3), (0, 3)])
+        backend = BranchAndBoundBackend()
+        assert backend.solve_lex(cover, ObjectiveOrder.F1_FIRST).solution.assignment == (0, 3)
+        res = backend.solve_lex(narrower, ObjectiveOrder.F1_FIRST)
+        assert res.solution.assignment == (1, 2)
+
+    def test_pooled_solve_never_takes_more_nodes(self, cover, knapsack):
+        """Replay sweeps with and without a pool; each pair of solves
+        restarts from the same root LP, so the pool is their only difference."""
+        problems = [cover, knapsack] + [
+            generate(GeneratorSpec(family, size, seed))
+            for family, size in (("knapsack", 12), ("assignment", 4))
+            for seed in (1, 2, 3)
+        ]
+        bare_total = pooled_total = 0
+        for problem in problems:
+            pool = IncumbentStaircase(problem)
+            for order in ObjectiveOrder:
+                own, cap, root = order.last, None, None
+                while True:
+                    extras = [] if cap is None else [ExtraConstraint(own, cap)]
+                    bare = solve_lex(problem, order, extras, start=root)
+                    pooled = solve_lex(problem, order, extras, start=root, pool=pool)
+                    assert pooled.status is bare.status
+                    assert pooled.node_count <= bare.node_count
+                    bare_total += bare.node_count
+                    pooled_total += pooled.node_count
+                    if not pooled.is_optimal:
+                        break
+                    assert pooled.solution.outcome == bare.solution.outcome
+                    cap, root = pooled.solution.outcome.component(own), pooled.root
+        assert pooled_total < bare_total
 
 
 class TestBackendDuels:

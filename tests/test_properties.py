@@ -195,6 +195,54 @@ class TestCutoffAgreement:
             assert not result.is_optimal
 
 
+class TestPooledSweepAgreement:
+    """One branch-and-bound backend carries its incumbent staircase from
+    solve to solve; every solve must still match a scan of the lattice."""
+
+    @given(
+        tiny_problems(),
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.integers(-20, 20),
+                st.tuples(st.integers(0, 7), st.integers(-1, 2)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.booleans(),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_epsilon_sweep_in_both_orders(self, problem, lead_caps, f2_first):
+        # each order sweeps its trailing objective's cap down, as the
+        # sequential and splitting sweeps do, under a cap on the leading
+        # objective, as a meeting worker reads one from the store: none, a
+        # random one, or (k, d), one at d from the k-th point found so far
+        bnb, enum = BranchAndBoundBackend(), EnumerationBackend()
+        found = []
+        orders = list(ObjectiveOrder)
+        for order in reversed(orders) if f2_first else orders:
+            cap = None
+            for lead_cap in lead_caps:
+                if isinstance(lead_cap, tuple):
+                    k, d = lead_cap
+                    near = found[k % len(found)] if found else None
+                    lead_cap = None if near is None else near.component(order.first) + d
+                extras = [] if cap is None else [ExtraConstraint(order.last, cap)]
+                if lead_cap is not None:
+                    extras.append(ExtraConstraint(order.first, lead_cap))
+                got = bnb.solve_lex(problem, order, extras)
+                want = enum.solve_lex(problem, order, extras)
+                assert got.status is want.status
+                if not got.is_optimal:
+                    continue
+                assert got.solution.outcome == want.solution.outcome
+                assert problem.is_feasible(got.solution.assignment)
+                assert evaluate(problem, got.solution.assignment) == got.solution.outcome
+                found.append(got.solution.outcome)
+                cap = got.solution.outcome.component(order.last)
+
+
 @st.composite
 def random_lps(draw):
     """A small LP with LE, GE and EQ rows and boxes reaching below zero."""
