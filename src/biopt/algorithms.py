@@ -31,17 +31,16 @@ Both parallel merges return the union deduplicated by outcome without any
 dominance filtering — a dominated point would crash the staircase
 validation and is treated as a solver bug.
 
-``SharedBounds`` is the only mutable state the meeting workers share.  It
-lives in shared memory so the workers can be OS processes (giving true
-parallelism) or threads; each cell is owned by one writer and enforces
-monotone non-increase.
+The parallel workers are forked processes, the only way CPython runs them
+in parallel.  ``SharedBounds`` is the only mutable state the meeting
+workers share.  It lives in shared memory, and each cell is owned by one
+writer and enforces monotone non-increase.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import random
-import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -65,8 +64,8 @@ class SharedBounds:
     regressions as hard errors, since the owning sweep only ever tightens
     its own bound and a regression means a logic bug somewhere.
 
-    Backed by shared memory so it works identically across threads and
-    forked worker processes.
+    Backed by shared memory, so forked worker processes see each other's
+    writes.
     """
 
     def __init__(self) -> None:
@@ -324,6 +323,7 @@ def splitting_boip(
     so every find is a global front point; the union with the two endpoint
     solutions needs no dominance filter.
     """
+    _check_executor(executor)
     engines = tuple(backends) if backends is not None else _default_backends(t)
     if len(engines) != t:
         raise ValueError(f"expected {t} backends, got {len(engines)}")
@@ -345,7 +345,7 @@ def splitting_boip(
         cap = f1_max if hi == f1_max else hi + 1
         stop = max(lo, f1_min + 1)
         jobs.append((_sweep, (problem, engine, 1, cap, stop)))
-    sweeps = _run_parallel(jobs, executor)
+    sweeps = _run_parallel(jobs)
     front = _union(plan.endpoints, *(s.solutions for s in sweeps))
 
     feasible = 2 + sum(s.feasible for s in sweeps)
@@ -384,6 +384,7 @@ def meeting_boip(
     applied — the staircase validation in ParetoSet doubles as a hard check
     of that guarantee.
     """
+    _check_executor(executor)
     engines = tuple(backends) if backends is not None else _default_backends(2)
     if len(engines) != 2:
         raise ValueError("meeting needs exactly two backends")
@@ -394,7 +395,7 @@ def meeting_boip(
         (_sweep, (problem, engines[0], 1, None, None, store, delays)),
         (_sweep, (problem, engines[1], 2, None, None, store, delays)),
     ]
-    sweep1, sweep2 = _run_parallel(jobs, executor)
+    sweep1, sweep2 = _run_parallel(jobs)
     front = _union(sweep1.solutions, sweep2.solutions)
 
     feasible = sweep1.feasible + sweep2.feasible
@@ -415,31 +416,24 @@ def meeting_boip(
 # dispatch
 # ---------------------------------------------------------------------------
 
-def _run_sequential(problem: Problem, executor: str = "process"):
-    return sequential_boip(problem)
-
-
-def _run_splitting(problem: Problem, executor: str = "process"):
-    return splitting_boip(problem, t=2, executor=executor)
-
-
-def _run_meeting(problem: Problem, executor: str = "process"):
-    return meeting_boip(problem, executor=executor)
-
-
-# Every enumeration algorithm by name, called as ``run(problem, executor)``.
-# The parallel ones run two workers on processes or threads as ``executor``
-# says; the sequential sweep ignores it.
-RUNNERS: dict[str, Callable[..., tuple[ParetoSet, RunStats]]] = {
-    "sequential": _run_sequential,
-    "splitting": _run_splitting,
-    "meeting": _run_meeting,
+# Every enumeration algorithm by name, called as ``run(problem)``.
+RUNNERS: dict[str, Callable[[Problem], tuple[ParetoSet, RunStats]]] = {
+    "sequential": sequential_boip,
+    "splitting": splitting_boip,
+    "meeting": meeting_boip,
 }
 
 
 # ---------------------------------------------------------------------------
 # worker execution
 # ---------------------------------------------------------------------------
+
+def _check_executor(executor: str) -> None:
+    # workers only ever run as forked processes; the keyword stays for
+    # callers that still pass executor="process"
+    if executor != "process":
+        raise ValueError(f"unknown executor {executor!r} (only 'process')")
+
 
 def _pipe_runner(conn, fn, args) -> None:
     try:
@@ -450,37 +444,13 @@ def _pipe_runner(conn, fn, args) -> None:
         conn.close()
 
 
-def _run_parallel(jobs: Sequence[tuple], executor: str) -> list:
-    """Run (fn, args) jobs on two-or-so workers; propagate failures.
+def _run_parallel(jobs: Sequence[tuple]) -> list:
+    """Run (fn, args) jobs on forked worker processes; propagate failures.
 
-    With processes, the first failure to arrive is raised at once: the
-    other workers are terminated and joined first, so none outlives the
-    call, whichever way it ends.
+    The first failure to arrive is raised at once: the other workers are
+    terminated and joined first, so none outlives the call, whichever way
+    it ends.
     """
-    if executor == "thread":
-        slots: list = [None] * len(jobs)
-
-        def tail(i: int, fn, args) -> None:
-            try:
-                slots[i] = ("ok", fn(*args))
-            except BaseException:  # noqa: BLE001
-                slots[i] = ("error", traceback.format_exc())
-
-        threads = [
-            threading.Thread(target=tail, args=(i, fn, args), daemon=True)
-            for i, (fn, args) in enumerate(jobs)
-        ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        for tag, payload in slots:
-            if tag == "error":
-                raise BioptError(f"worker failed:\n{payload}")
-        return [payload for _, payload in slots]
-    if executor != "process":
-        raise ValueError(f"unknown executor {executor!r} (use 'process' or 'thread')")
-
     # imported on first use, as ctx.Pipe does, to keep `import biopt` cheap
     from multiprocessing.connection import wait
 

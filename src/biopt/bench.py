@@ -51,11 +51,8 @@ class BenchConfig:
     reps: int = 10
     algorithms: tuple[str, ...] = ALGORITHMS
     time_limit_s: Optional[float] = None
-    out: Optional[str] = None
     oracle_max_box: int = 10**7
     warmup: bool = True
-    executor: str = "process"
-    cost_range: tuple[int, int] = (1, 100)
 
     def __post_init__(self) -> None:
         if self.reps < 1:
@@ -97,7 +94,7 @@ class BenchRecord:
 
 
 def _run_algorithm(
-    algorithm: str, problem: Problem, executor: str, oracle_budget: int
+    algorithm: str, problem: Problem, oracle_budget: int
 ) -> tuple[ParetoSet, RunStats]:
     """Run one algorithm; return its front and work accounting (all zero
     for brute force, which makes no IP solves)."""
@@ -106,7 +103,7 @@ def _run_algorithm(
         return front, RunStats(0, 0, 0, (), len(front))
     if algorithm not in RUNNERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return RUNNERS[algorithm](problem, executor)
+    return RUNNERS[algorithm](problem)
 
 
 def run_bench(config: BenchConfig) -> list[BenchRecord]:
@@ -115,12 +112,10 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
     for family in config.families:
         for size in config.sizes:
             if config.warmup:
-                problem = generate(GeneratorSpec(family, size, 1, config.cost_range))
-                _run_algorithm(
-                    config.algorithms[0], problem, config.executor, config.oracle_max_box
-                )
+                problem = generate(GeneratorSpec(family, size, 1))
+                _run_algorithm(config.algorithms[0], problem, config.oracle_max_box)
             for seed in range(1, config.reps + 1):
-                problem = generate(GeneratorSpec(family, size, seed, config.cost_range))
+                problem = generate(GeneratorSpec(family, size, seed))
                 oracle: Optional[ParetoSet] = None
                 if problem.box_size() <= config.oracle_max_box:
                     oracle = brute_force_pareto(
@@ -129,7 +124,7 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
                 for algorithm in config.algorithms:
                     start = time.perf_counter()
                     front, stats = _run_algorithm(
-                        algorithm, problem, config.executor, config.oracle_max_box
+                        algorithm, problem, config.oracle_max_box
                     )
                     # round to the CSV's precision here so summaries computed
                     # from records and from the emitted file agree exactly

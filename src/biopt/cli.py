@@ -164,7 +164,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             reps=args.reps,
             algorithms=tuple(args.algs),
             time_limit_s=args.time_limit,
-            out=args.out,
         )
     except ValueError as bad:
         return _usage_error(str(bad))

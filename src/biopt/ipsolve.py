@@ -193,7 +193,6 @@ def _branch_and_bound(
     costs: Sequence[int],
     rows: Sequence[LinearConstraint],
     bounds: Sequence[tuple[int, int]],
-    node_limit: Optional[int],
     cutoff: Optional[int] = None,
     start: Optional[LpResult] = None,
     incumbent: Optional[tuple[int, tuple[int, ...]]] = None,
@@ -209,7 +208,7 @@ def _branch_and_bound(
     search meets, before the bound test may prune it.  The root LP
     restarts from ``start`` when one is given.
     """
-    limit = node_limit if node_limit is not None else _node_limit_from_env()
+    limit = _node_limit_from_env()
     costs = tuple(costs)
     rows = tuple(rows)
     root = tuple((int(lo), int(hi)) for lo, hi in bounds)
@@ -337,7 +336,6 @@ def solve_lex(
     problem: Problem,
     order: ObjectiveOrder,
     extras: Sequence[ExtraConstraint] = (),
-    node_limit: Optional[int] = None,
     start: Optional[LpResult] = None,
     pool: Optional[IncumbentStaircase] = None,
 ) -> LexResult:
@@ -381,9 +379,7 @@ def solve_lex(
             if pool.rules_out(*caps):
                 return LexResult(SolveStatus.INFEASIBLE, None, 1, 0)
         seed, record = pool.best(costs, rows, cutoff), pool.add
-    found = _branch_and_bound(
-        costs, rows, box, node_limit, cutoff, start, seed, record
-    )
+    found = _branch_and_bound(costs, rows, box, cutoff, start, seed, record)
     root = found.root if found.root.is_optimal else None
     if found.assignment is None:
         return LexResult(SolveStatus.INFEASIBLE, None, found.nodes, found.lps, root)
@@ -396,16 +392,15 @@ def solve_lex(
 class BranchAndBoundBackend(SolverBackend):
     """Branch-and-bound lexicographic engine (the default backend).
 
-    ``node_limit=None`` defers to ``BIOPT_NODE_LIMIT`` or the built-in
-    default at solve time.  The backend keeps the last optimal root LP of
-    each objective order and restarts the next solve of that order from
-    it, and it keeps the incumbent staircase of the problem it last
-    solved, starting afresh whenever the problem changes; so it belongs
-    to one worker.
+    The backend keeps the last optimal root LP of each objective order and
+    restarts the next solve of that order from it, and it keeps the
+    incumbent staircase of the problem it last solved, starting afresh
+    whenever the problem changes; so it belongs to one worker.  The node
+    cap comes from ``BIOPT_NODE_LIMIT`` or the built-in default at solve
+    time.
     """
 
-    def __init__(self, node_limit: Optional[int] = None) -> None:
-        self.node_limit = node_limit
+    def __init__(self) -> None:
         self._roots: dict[ObjectiveOrder, LpResult] = {}
         self._pool: Optional[IncumbentStaircase] = None
 
@@ -418,12 +413,7 @@ class BranchAndBoundBackend(SolverBackend):
         if self._pool is None or self._pool.problem is not problem:
             self._pool = IncumbentStaircase(problem)
         result = solve_lex(
-            problem,
-            order,
-            extras,
-            node_limit=self.node_limit,
-            start=self._roots.get(order),
-            pool=self._pool,
+            problem, order, extras, start=self._roots.get(order), pool=self._pool
         )
         if result.root is not None:
             self._roots[order] = result.root

@@ -15,12 +15,13 @@ Formulation notes:
 
 * Every structural variable has finite integer bounds ``lo <= x <= hi``; it
   is shifted to ``y = x - lo`` with ``0 <= y <= u``.  Slack and artificial
-  columns have lower bound 0 and no upper bound.
+  columns have lower bound 0 and no upper bound until phase 1 ends.
 * Rows are normalized to nonnegative right-hand sides.  A ``<=`` row with
   nonnegative rhs starts with its slack basic; every other row gets a basic
   artificial, and phase 1 minimizes the artificial sum.  Leftover basic
   artificials at value zero are driven out; rows that cannot pivot them out
-  are redundant and dropped.  Artificial columns are barred in phase 2.
+  are redundant and dropped.  Every artificial column is then fixed at
+  zero (upper bound 0), so no later pivot can enter it.
 * Anti-cycling in the primal simplex is Bland's rule: the entering column is
   the lowest-index eligible one, and ratio-test ties are broken by the
   lowest blocker variable index, with the entering variable's own opposite
@@ -351,7 +352,7 @@ class _Tableau:
 
     # -- simplex iterations ---------------------------------------------
 
-    def choose_entering(self, barred: frozenset[int]) -> Optional[int]:
+    def choose_entering(self) -> Optional[int]:
         """Bland: lowest-index nonbasic column with an improving direction."""
         state, upper = self.state, self.upper
         at_lower, at_upper = _VarState.AT_LOWER, _VarState.AT_UPPER
@@ -360,8 +361,8 @@ class _Tableau:
                 continue  # basic columns always have a zero reduced cost
             if state[j] is not (at_lower if d < 0 else at_upper):
                 continue
-            if j in barred or upper[j] == 0:
-                continue  # barred, or a fixed variable that can never move
+            if upper[j] == 0:
+                continue  # a fixed variable that can never move
             return j
         return None
 
@@ -423,10 +424,10 @@ class _Tableau:
         self._shift(j, u if direction > 0 else -u)
         self.state[j] = _VarState.AT_UPPER if direction > 0 else _VarState.AT_LOWER
 
-    def run(self, barred: frozenset[int]) -> None:
+    def run(self) -> None:
         """Iterate to optimality of the installed objective."""
         while True:
-            j = self.choose_entering(barred)
+            j = self.choose_entering()
             if j is None:
                 return
             direction = 1 if self.state[j] is _VarState.AT_LOWER else -1
@@ -451,7 +452,7 @@ class _Tableau:
                 best_r, best_b = i, b
         return best_r
 
-    def dual_ratio_test(self, r: int, below: bool, barred: frozenset[int]) -> Optional[int]:
+    def dual_ratio_test(self, r: int, below: bool) -> Optional[int]:
         """Entering column for leaving row ``r``, or None if the LP is infeasible.
 
         Eligible columns can move off their bound in the direction that
@@ -470,7 +471,7 @@ class _Tableau:
             # raising an at-lower column moves the basic value by -a / den
             if (a < 0) != (below == (s is at_lower)):
                 continue
-            if j in barred or upper[j] == 0:
+            if upper[j] == 0:
                 continue
             d = onums[j]
             if d < 0:
@@ -481,7 +482,7 @@ class _Tableau:
                 best_j, best_d, best_a = j, d, a
         return best_j
 
-    def run_dual(self, barred: frozenset[int]) -> bool:
+    def run_dual(self) -> bool:
         """Bounded dual simplex from a dual feasible basis.
 
         Returns False when a row proves the LP infeasible.  Every pivot
@@ -492,7 +493,7 @@ class _Tableau:
             if r < 0:
                 return True
             below = self.rows[r][-1] < 0
-            j = self.dual_ratio_test(r, below, barred)
+            j = self.dual_ratio_test(r, below)
             if j is None:
                 return False
             self.enter(r, j, _VarState.AT_LOWER if below else _VarState.AT_UPPER)
@@ -503,7 +504,6 @@ class _Restart(NamedTuple):
 
     tableau: _Tableau
     bounds: tuple[tuple[int, int], ...]  # columns are shifted by their lows
-    barred: frozenset[int]  # artificial columns, fixed at zero
     costs: tuple[int, ...]
     rows: tuple[LinearConstraint, ...]
     # per row: its unit column, and the sign that normalized its rhs
@@ -534,9 +534,9 @@ def _reoptimize(
     for new, old, (unit, sign) in zip(rows, base.rows, base.units):
         if new.rhs != old.rhs:
             tab.move_rhs(unit, sign * (new.rhs - old.rhs))
-    if any(row[-1] for row in tab.certs) or not tab.run_dual(base.barred):
+    if any(row[-1] for row in tab.certs) or not tab.run_dual():
         return LpResult(SolveStatus.INFEASIBLE)
-    return _optimal(_Restart(tab, bounds, base.barred, costs, rows, base.units))
+    return _optimal(_Restart(tab, bounds, costs, rows, base.units))
 
 
 def solve_lp(
@@ -621,20 +621,22 @@ def solve_lp(
         tab.add_row(full, b, basic)
         units.append((basic, sign))  # the row's +1 column: its e_i
 
-    barred = frozenset(art_cols)
     try:
         if art_cols:
+            arts = frozenset(art_cols)
             tab.set_objective({c: 1 for c in art_cols})
-            tab.run(frozenset())
-            if any(row[-1] for row, b in zip(tab.rows, tab.basis) if b in barred):
+            tab.run()
+            if any(row[-1] for row, b in zip(tab.rows, tab.basis) if b in arts):
                 return LpResult(SolveStatus.INFEASIBLE)  # an artificial stays positive
-            _drive_out_artificials(tab, barred)
+            _drive_out_artificials(tab, arts)
+            for c in art_cols:
+                tab.upper[c] = 0  # nonbasic at zero now: fixed there
 
         tab.set_objective({j: int(c) for j, c in enumerate(costs)})
-        tab.run(barred)
+        tab.run()
     except _UnboundedRay:
         return LpResult(SolveStatus.UNBOUNDED)
-    return _optimal(_Restart(tab, bounds, barred, costs, rows, tuple(units)))
+    return _optimal(_Restart(tab, bounds, costs, rows, tuple(units)))
 
 
 def _drive_out_artificials(tab: _Tableau, art_cols: frozenset[int]) -> None:

@@ -77,8 +77,8 @@ def test_criterion_1_oracle_equivalence():
         reference = _outcomes(brute_force_pareto(problem, ORACLE_BUDGET))
         for label, front in (
             ("sequential", sequential_boip(problem)[0]),
-            ("splitting", splitting_boip(problem, t=2, executor="thread")[0]),
-            ("meeting", meeting_boip(problem, executor="thread")[0]),
+            ("splitting", splitting_boip(problem, t=2)[0]),
+            ("meeting", meeting_boip(problem)[0]),
         ):
             got = _outcomes(front)
             if got != reference:
@@ -107,7 +107,7 @@ def test_criterion_2_schedule_independence():
         reference = _outcomes(brute_force_pareto(problem))
         for rep in range(DELAY_RUNS_PER_INSTANCE):
             delays = DelaySpec(seed=index * 1000 + rep)
-            front, _ = meeting_boip(problem, executor="thread", delays=delays)
+            front, _ = meeting_boip(problem, delays=delays)
             runs += 1
             if _outcomes(front) != reference:
                 failures += 1
@@ -193,7 +193,7 @@ def test_criterion_5_work_accounting():
         size = len(brute_force_pareto(problem))
         for rep in range(10):
             delays = DelaySpec(seed=9000 + index * 100 + rep)
-            _, stats = meeting_boip(problem, executor="thread", delays=delays)
+            _, stats = meeting_boip(problem, delays=delays)
             runs += 1
             if stats.ip_solves > size + WORK_BOUND_SLACK:
                 overshoots.append(

@@ -2,8 +2,8 @@
 
 import multiprocessing
 import pickle
+import os
 import random
-import threading
 import time
 
 import pytest
@@ -22,6 +22,7 @@ from biopt.algorithms import (
     split_range,
     splitting_boip,
 )
+import biopt.algorithms
 import biopt.ipsolve
 from biopt.errors import BioptError, BoundRegression
 from biopt.instances import GeneratorSpec, generate
@@ -134,7 +135,7 @@ class TestRunStats:
     @pytest.mark.parametrize("name", sorted(RUNNERS))
     def test_work_counters_cover_every_solve(self, name, knapsack):
         # every IP solve runs at least one node, and every node at most one LP
-        _, stats = RUNNERS[name](knapsack, "thread")
+        _, stats = RUNNERS[name](knapsack)
         assert stats.nodes >= stats.lps >= stats.ip_solves > 0
 
     def test_counters_sum_the_solves(self, knapsack):
@@ -154,20 +155,18 @@ class TestRunStats:
 
 @pytest.fixture
 def cold_lps(monkeypatch):
-    """Count the LPs each thread solves with no ``start``, by spying on the
-    ``solve_lp`` that branch and bound calls."""
-    counts: dict[threading.Thread, int] = {}
+    """Record the costs of every LP solved in this process with no
+    ``start``, by spying on the ``solve_lp`` that branch and bound calls."""
+    cold: list = []
     real = biopt.ipsolve.solve_lp
 
     def spy(costs, rows, bounds, *, start=None):
         if start is None:
-            # the thread object, not its ident, which a later thread may reuse
-            me = threading.current_thread()
-            counts[me] = counts.get(me, 0) + 1
+            cold.append(costs)
         return real(costs, rows, bounds, start=start)
 
     monkeypatch.setattr(biopt.ipsolve, "solve_lp", spy)
-    return counts
+    return cold
 
 
 def sweep_instances(cover, knapsack, three_outcomes):
@@ -187,26 +186,30 @@ class TestRootRestart:
         for name, problem in sweep_instances(cover, knapsack, three_outcomes).items():
             cold_lps.clear()
             _, stats = sequential_boip(problem)
-            assert sum(cold_lps.values()) <= 2, name
+            assert len(cold_lps) <= 2, name
             assert stats.lps > 2, name
 
     def test_each_meeting_worker_makes_at_most_two_cold_lps(
         self, cover, knapsack, three_outcomes, cold_lps
     ):
+        # each worker sweeps in-process on its own backend; both one-sided
+        # interleavings are legal meeting schedules
         for name, problem in sweep_instances(cover, knapsack, three_outcomes).items():
-            cold_lps.clear()
-            meeting_boip(problem, executor="thread")
-            assert len(cold_lps) == 2, name  # one entry per worker thread
-            assert max(cold_lps.values()) <= 2, name
+            for first in (1, 2):
+                store = SharedBounds()
+                for own in (first, 3 - first):
+                    cold_lps.clear()
+                    _sweep(problem, BranchAndBoundBackend(), own, store=store)
+                    assert 1 <= len(cold_lps) <= 2, (name, first, own)
 
     def test_backends_share_no_root(self, cover, cold_lps):
         first, second = BranchAndBoundBackend(), BranchAndBoundBackend()
         first.solve_lex(cover, ObjectiveOrder.F1_FIRST, [ExtraConstraint(2, 3)])
-        assert sum(cold_lps.values()) == 1
+        assert len(cold_lps) == 1
         first.solve_lex(cover, ObjectiveOrder.F1_FIRST, [ExtraConstraint(2, 2)])
-        assert sum(cold_lps.values()) == 1  # restarted from its own root
+        assert len(cold_lps) == 1  # restarted from its own root
         second.solve_lex(cover, ObjectiveOrder.F1_FIRST, [ExtraConstraint(2, 2)])
-        assert sum(cold_lps.values()) == 2  # nothing cached for this backend
+        assert len(cold_lps) == 2  # nothing cached for this backend
 
     def test_ip_solve_counts_unchanged(self, cover, knapsack, three_outcomes):
         # (sequential, splitting) IP solves per instance: restarting the
@@ -222,7 +225,7 @@ class TestRootRestart:
         }
         for name, problem in sweep_instances(cover, knapsack, three_outcomes).items():
             seq = sequential_boip(problem)[1].ip_solves
-            split = splitting_boip(problem, executor="thread")[1].ip_solves
+            split = splitting_boip(problem)[1].ip_solves
             assert (seq, split) == expected[name], name
 
 
@@ -325,30 +328,30 @@ class TestSplitRange:
 
 
 class TestSplitting:
-    def test_cover_thread(self, cover):
-        front, stats = splitting_boip(cover, t=2, executor="thread")
-        assert outcomes_of(front) == outcomes_of(sequential_boip(cover)[0])
-        assert len(stats.worker_elapsed) == 2
-        assert stats.ip_solves == stats.feasible_solves + stats.infeasible_solves
-
     def test_cover_process(self, cover):
-        front, _ = splitting_boip(cover, t=2, executor="process")
+        front, stats = splitting_boip(cover, t=2, executor="process")
         assert outcomes_of(front) == {
             OutcomeVector(0, 3),
             OutcomeVector(1, 2),
             OutcomeVector(2, 1),
             OutcomeVector(3, 0),
         }
+        assert len(stats.worker_elapsed) == 2
+        assert stats.ip_solves == stats.feasible_solves + stats.infeasible_solves
 
-    def test_every_sweep_find_is_on_the_front(self, three_outcomes):
+    def test_every_sweep_find_is_on_the_front(self, three_outcomes, monkeypatch):
         # f1 range [1, 12] splits into [1, 6] and [7, 12].  The second
         # slice sweeps west under f1 < 12, where (1, 5) beats (10, 7) on
-        # f2, so the dominated outcome is never found.
-        backends = (_Recording(), _Recording())
-        front, stats = splitting_boip(
-            three_outcomes, backends=backends, t=2, executor="thread"
+        # f2, so the dominated outcome is never found.  The slices are
+        # independent, so they may run one after another in this process,
+        # where the backends' records reach this test.
+        monkeypatch.setattr(
+            biopt.algorithms, "_run_parallel", lambda jobs: [f(*a) for f, a in jobs]
         )
+        backends = (_Recording(), _Recording())
+        front, stats = splitting_boip(three_outcomes, backends=backends, t=2)
         finds = [o for b in backends for o in b.outcomes if o is not None]
+        assert len(finds) == 4  # both endpoints, then one find per slice
         assert set(finds) <= {OutcomeVector(1, 5), OutcomeVector(12, 1)}
         assert outcomes_of(front) == {OutcomeVector(1, 5), OutcomeVector(12, 1)}
         assert stats.pareto_size == 2
@@ -357,7 +360,7 @@ class TestSplitting:
         assert stats.infeasible_solves == 0
 
     def test_infeasible(self):
-        front, stats = splitting_boip(infeasible_problem(), executor="thread")
+        front, stats = splitting_boip(infeasible_problem())
         assert len(front) == 0
         assert stats.ip_solves == 1
         assert stats.infeasible_solves == 1
@@ -370,7 +373,7 @@ class TestSplitting:
             constraints=[],
             var_bounds=[(2, 2)],
         )
-        front, stats = splitting_boip(point, t=2, executor="thread")
+        front, stats = splitting_boip(point, t=2)
         assert outcomes_of(front) == {OutcomeVector(2, -2)}
         assert stats.worker_elapsed[0] == 0.0  # empty slice never ran
         assert stats.worker_elapsed[1] > 0.0
@@ -379,15 +382,18 @@ class TestSplitting:
         with pytest.raises(ValueError):
             splitting_boip(cover, backends=(BranchAndBoundBackend(),), t=2)
 
+    def test_unknown_executor(self, cover):
+        for executor in ("bogus", "thread"):
+            with pytest.raises(ValueError):
+                splitting_boip(cover, executor=executor)
+
     def test_matches_oracle_on_random_instances(self):
         for seed in range(25):
             problem = random_tiny_problem(random.Random(5100 + seed))
             oracle = brute_force_pareto(problem)
             for t in (1, 2, 3, 4):
                 backends = tuple(BranchAndBoundBackend() for _ in range(t))
-                front, stats = splitting_boip(
-                    problem, backends=backends, t=t, executor="thread"
-                )
+                front, stats = splitting_boip(problem, backends=backends, t=t)
                 assert outcomes_of(front) == set(oracle.outcomes())
                 assert stats.pareto_size == len(oracle)
                 # each slice's closing find repeats a point found elsewhere
@@ -396,8 +402,8 @@ class TestSplitting:
 
 
 class TestMeeting:
-    def test_cover_thread(self, cover):
-        front, stats = meeting_boip(cover, executor="thread")
+    def test_cover_process(self, cover):
+        front, stats = meeting_boip(cover, executor="process")
         assert front.outcomes() == (
             OutcomeVector(0, 3),
             OutcomeVector(1, 2),
@@ -408,18 +414,14 @@ class TestMeeting:
         assert len(stats.worker_elapsed) == 2
         assert stats.infeasible_solves >= 1  # at least one closing probe
 
-    def test_cover_process(self, cover):
-        front, _ = meeting_boip(cover, executor="process")
-        assert outcomes_of(front) == outcomes_of(sequential_boip(cover)[0])
-
     def test_knapsack_with_delays(self, knapsack):
         front, _ = meeting_boip(
-            knapsack, executor="thread", delays=DelaySpec(seed=11, max_ms=2.0)
+            knapsack, delays=DelaySpec(seed=11, max_ms=2.0)
         )
         assert front.outcomes() == (OutcomeVector(-4, -2), OutcomeVector(-1, -4))
 
     def test_infeasible(self):
-        front, stats = meeting_boip(infeasible_problem(), executor="thread")
+        front, stats = meeting_boip(infeasible_problem())
         assert len(front) == 0
         assert stats.feasible_solves == 0
         assert stats.infeasible_solves == 2  # one closing probe per worker
@@ -428,21 +430,22 @@ class TestMeeting:
         used = SharedBounds()
         used.publish(1, 2)
         with pytest.raises(ValueError):
-            meeting_boip(cover, bounds=used, executor="thread")
+            meeting_boip(cover, bounds=used)
 
     def test_backend_count_validated(self, cover):
         with pytest.raises(ValueError):
-            meeting_boip(cover, backends=(BranchAndBoundBackend(),), executor="thread")
+            meeting_boip(cover, backends=(BranchAndBoundBackend(),))
 
     def test_unknown_executor(self, cover):
-        with pytest.raises(ValueError):
-            meeting_boip(cover, executor="bogus")
+        for executor in ("bogus", "thread"):
+            with pytest.raises(ValueError):
+                meeting_boip(cover, executor=executor)
 
     def test_matches_oracle_on_random_instances(self):
         for seed in range(25):
             problem = random_tiny_problem(random.Random(6300 + seed))
             oracle = brute_force_pareto(problem)
-            front, stats = meeting_boip(problem, executor="thread")
+            front, stats = meeting_boip(problem)
             assert outcomes_of(front) == set(oracle.outcomes())
             assert stats.ip_solves == stats.feasible_solves + stats.infeasible_solves
 
@@ -513,18 +516,32 @@ class _Recording(SolverBackend):
 
 
 class _Boom(SolverBackend):
+    """Branch and bound in the process that built it; raises in any other,
+    such as a forked worker."""
+
+    def __init__(self):
+        self.inner = BranchAndBoundBackend()
+        self.home = os.getpid()
+
     def solve_lex(self, problem, order, extras=()):
-        raise RuntimeError("boom")
+        if os.getpid() != self.home:
+            raise RuntimeError("boom")
+        return self.inner.solve_lex(problem, order, extras)
 
 
 class TestWorkerFailure:
-    def test_thread_worker_failure_propagates(self, cover):
-        with pytest.raises(BioptError, match="boom"):
-            meeting_boip(cover, backends=(_Boom(), _Boom()), executor="thread")
-
     def test_process_worker_failure_propagates(self, cover):
         with pytest.raises(BioptError, match="boom"):
             meeting_boip(cover, backends=(_Boom(), _Boom()), executor="process")
+        assert multiprocessing.active_children() == []
+
+    def test_splitting_worker_failure_propagates(self, cover):
+        # the endpoint solves run in the parent; the first slice's worker
+        # fails while the second one sweeps normally
+        backends = (_Boom(), BranchAndBoundBackend())
+        with pytest.raises(BioptError, match="boom"):
+            splitting_boip(cover, backends=backends, t=2)
+        assert multiprocessing.active_children() == []
 
 
 def _sleep(seconds):
@@ -540,13 +557,13 @@ class TestFailFast:
     def test_first_failure_ends_the_run(self):
         start = time.perf_counter()
         with pytest.raises(BioptError, match="early failure"):
-            _run_parallel([(_sleep, (3.0,)), (_fail_at_once, ())], "process")
+            _run_parallel([(_sleep, (3.0,)), (_fail_at_once, ())])
         assert time.perf_counter() - start < 1.5  # not after the 3 s sleep
         assert multiprocessing.active_children() == []
 
     def test_results_keep_job_order(self):
         jobs = [(_sleep, (0.2,)), (_sleep, (0.0,))]
-        assert _run_parallel(jobs, "process") == [0.2, 0.0]
+        assert _run_parallel(jobs) == [0.2, 0.0]
         assert multiprocessing.active_children() == []
 
 
@@ -589,8 +606,8 @@ class TestCrossAlgorithmAgreement:
             problem = random_tiny_problem(random.Random(7700 + seed))
             oracle = set(brute_force_pareto(problem).outcomes())
             seq, _ = sequential_boip(problem)
-            split, _ = splitting_boip(problem, t=2, executor="thread")
-            meet, _ = meeting_boip(problem, executor="thread")
+            split, _ = splitting_boip(problem, t=2)
+            meet, _ = meeting_boip(problem)
             assert outcomes_of(seq) == oracle
             assert outcomes_of(split) == oracle
             assert outcomes_of(meet) == oracle

@@ -27,7 +27,6 @@ def tiny_config(**overrides):
         sizes=(5,),
         reps=2,
         algorithms=ALGORITHMS,
-        executor="thread",
         warmup=False,
     )
     base.update(overrides)
@@ -98,10 +97,10 @@ class TestRunBench:
     def test_mismatch_aborts_loudly(self, monkeypatch):
         real = bench_module._run_algorithm
 
-        def corrupted(algorithm, problem, executor, oracle_budget):
+        def corrupted(algorithm, problem, oracle_budget):
             if algorithm == "meeting":
                 return ParetoSet(()), 0  # drop every point
-            return real(algorithm, problem, executor, oracle_budget)
+            return real(algorithm, problem, oracle_budget)
 
         monkeypatch.setattr(bench_module, "_run_algorithm", corrupted)
         with pytest.raises(BioptError, match="disagrees"):

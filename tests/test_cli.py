@@ -198,7 +198,7 @@ class TestVerify:
         assert str(2**30) in capsys.readouterr().err
 
     def test_corrupted_algorithm_detected(self, cover_file, capsys, monkeypatch):
-        def broken(problem, executor="process"):
+        def broken(problem):
             return ParetoSet(()), None
 
         monkeypatch.setitem(RUNNERS, "sequential", broken)

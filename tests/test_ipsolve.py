@@ -43,10 +43,10 @@ def _rows_and_box(problem, extras, branch_bounds):
     return rows, box
 
 
-def solve_single(problem, objective_index, extras=(), branch_bounds=None, node_limit=None):
+def solve_single(problem, objective_index, extras=(), branch_bounds=None):
     """Minimize one objective by branch and bound, every extra as a row."""
     rows, box = _rows_and_box(problem, extras, branch_bounds)
-    res = _branch_and_bound(problem.objective(objective_index), rows, box, node_limit)
+    res = _branch_and_bound(problem.objective(objective_index), rows, box)
     if res.value is None:
         return LexResult(SolveStatus.INFEASIBLE, None, res.nodes, res.lps)
     solution = Solution(res.assignment, evaluate(problem, res.assignment))
@@ -239,12 +239,19 @@ class TestLpRelaxation:
 
 
 class TestNodeLimit:
-    def test_tight_limit_raises(self):
+    def test_tight_limit_raises(self, monkeypatch):
+        # the exact node count of the search passes; one node fewer raises
+        nodes = solve_single(fractional_problem(), 1).node_count
+        assert nodes > 1
+        monkeypatch.setenv(NODE_LIMIT_ENV, str(nodes))
+        assert solve_single(fractional_problem(), 1).node_count == nodes
+        monkeypatch.setenv(NODE_LIMIT_ENV, str(nodes - 1))
         with pytest.raises(NodeLimitExceeded):
-            solve_single(fractional_problem(), 1, node_limit=1)
+            solve_single(fractional_problem(), 1)
 
-    def test_backend_limit(self):
-        backend = BranchAndBoundBackend(node_limit=1)
+    def test_backend_limit(self, monkeypatch):
+        monkeypatch.setenv(NODE_LIMIT_ENV, "1")
+        backend = BranchAndBoundBackend()
         with pytest.raises(NodeLimitExceeded):
             backend.solve_lex(fractional_problem(), ObjectiveOrder.F1_FIRST)
 
