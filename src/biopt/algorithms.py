@@ -135,7 +135,8 @@ class RunStats:
     """Work accounting for one enumeration run.
 
     ``nodes`` and ``lps`` are the branch-and-bound nodes and LP solves of
-    every IP solve of the run, summed over its workers.
+    every IP solve of the run, and ``pivots`` and ``flips`` the simplex
+    pivots and bound flips of those LPs, all summed over its workers.
     """
 
     ip_solves: int
@@ -145,6 +146,8 @@ class RunStats:
     pareto_size: int
     nodes: int = 0
     lps: int = 0
+    pivots: int = 0
+    flips: int = 0
 
     def __post_init__(self) -> None:
         if self.ip_solves != self.feasible_solves + self.infeasible_solves:
@@ -161,6 +164,8 @@ class _SweepOutcome:
     elapsed: float
     nodes: int
     lps: int
+    pivots: int
+    flips: int
 
 
 def _default_backends(n: int) -> tuple[SolverBackend, ...]:
@@ -186,6 +191,8 @@ def sequential_boip(
         pareto_size=len(front),
         nodes=sweep.nodes,
         lps=sweep.lps,
+        pivots=sweep.pivots,
+        flips=sweep.flips,
     )
     return front, stats
 
@@ -203,9 +210,12 @@ def _sweep(
 
     ``own=2`` runs order (f1, f2) capping f2, walking the front west to
     east; ``own=1`` runs (f2, f1) capping f1, walking it east to west.
-    Every find tightens ``cap`` to its own objective value.  The sweep ends
-    on an infeasible solve, or once ``cap`` is below ``stop``: right after
-    the first find below it, or at once if it starts there.  With a
+    Every find tightens ``cap`` to its own objective value.  With no
+    ``cap`` the sweep starts from one that every point of the variable box
+    meets, so its first solve already carries the cap row and the next
+    solve's root LP restarts from that solve's.  The sweep ends on an
+    infeasible solve, or once ``cap`` is below ``stop``: right after the
+    first find below it, or at once if it starts there.  With a
     ``store`` it re-reads the other objective's cap before every solve and
     publishes its own after every find, napping from
     ``delays.sleeper(own)`` before each store access.
@@ -214,10 +224,15 @@ def _sweep(
     other = 3 - own
     nap = delays.sleeper(own) if delays is not None else None
     start = time.perf_counter()
+    if cap is None:
+        cap = 1 + sum(
+            max(c * lo, c * hi)
+            for c, (lo, hi) in zip(problem.objective(own), problem.var_bounds)
+        )
     found: list[Solution] = []
-    feasible = infeasible = nodes = lps = 0
-    while cap is None or stop is None or cap >= stop:
-        extras = [] if cap is None else [ExtraConstraint(own, cap)]
+    feasible = infeasible = nodes = lps = pivots = flips = 0
+    while stop is None or cap >= stop:
+        extras = [ExtraConstraint(own, cap)]
         if store is not None:
             if nap is not None:
                 nap()
@@ -227,6 +242,8 @@ def _sweep(
         res = backend.solve_lex(problem, order, extras)
         nodes += res.node_count
         lps += res.lp_count
+        pivots += res.pivots
+        flips += res.flips
         if not res.is_optimal:
             infeasible += 1
             break
@@ -239,7 +256,9 @@ def _sweep(
                 nap()
             store.publish(own, cap)
     elapsed = time.perf_counter() - start
-    return _SweepOutcome(tuple(found), feasible, infeasible, elapsed, nodes, lps)
+    return _SweepOutcome(
+        tuple(found), feasible, infeasible, elapsed, nodes, lps, pivots, flips
+    )
 
 
 def _union(*groups: Sequence[Solution]) -> ParetoSet:
@@ -269,14 +288,16 @@ class SplitPlan:
     empty slice (possible when the f1 range has fewer values than workers).
     ``endpoints`` holds the two lexicographic endpoint solutions, or is
     empty when the problem is infeasible (then ``intervals`` is empty too).
-    ``nodes`` and ``lps`` count the work of the endpoint solves; they take
-    no part in comparisons.
+    ``nodes``, ``lps``, ``pivots`` and ``flips`` count the work of the
+    endpoint solves; they take no part in comparisons.
     """
 
     intervals: tuple[tuple[int, int], ...]
     endpoints: tuple[Solution, ...]
     nodes: int = field(default=0, compare=False)
     lps: int = field(default=0, compare=False)
+    pivots: int = field(default=0, compare=False)
+    flips: int = field(default=0, compare=False)
 
 
 def split_range(
@@ -294,7 +315,9 @@ def split_range(
     engine = backend if backend is not None else BranchAndBoundBackend()
     west = engine.solve_lex(problem, ObjectiveOrder.F1_FIRST)
     if not west.is_optimal:
-        return SplitPlan((), (), west.node_count, west.lp_count)
+        return SplitPlan(
+            (), (), west.node_count, west.lp_count, west.pivots, west.flips
+        )
     east = engine.solve_lex(problem, ObjectiveOrder.F2_FIRST)
     assert west.solution is not None and east.solution is not None
     f1_min = west.solution.outcome.f1
@@ -308,6 +331,8 @@ def split_range(
         (west.solution, east.solution),
         west.node_count + east.node_count,
         west.lp_count + east.lp_count,
+        west.pivots + east.pivots,
+        west.flips + east.flips,
     )
 
 
@@ -329,7 +354,9 @@ def splitting_boip(
         raise ValueError(f"expected {t} backends, got {len(engines)}")
     plan = split_range(problem, engines[0], t)
     if not plan.endpoints:
-        return ParetoSet(()), RunStats(1, 0, 1, (), 0, plan.nodes, plan.lps)
+        return ParetoSet(()), RunStats(
+            1, 0, 1, (), 0, plan.nodes, plan.lps, plan.pivots, plan.flips
+        )
 
     west, east = plan.endpoints
     f1_min, f1_max = west.outcome.f1, east.outcome.f1
@@ -361,6 +388,8 @@ def splitting_boip(
         pareto_size=len(front),
         nodes=plan.nodes + sum(s.nodes for s in sweeps),
         lps=plan.lps + sum(s.lps for s in sweeps),
+        pivots=plan.pivots + sum(s.pivots for s in sweeps),
+        flips=plan.flips + sum(s.flips for s in sweeps),
     )
     return front, stats
 
@@ -408,6 +437,8 @@ def meeting_boip(
         pareto_size=len(front),
         nodes=sweep1.nodes + sweep2.nodes,
         lps=sweep1.lps + sweep2.lps,
+        pivots=sweep1.pivots + sweep2.pivots,
+        flips=sweep1.flips + sweep2.flips,
     )
     return front, stats
 

@@ -14,11 +14,12 @@ questionable number.
 
 CSV schema (header mandatory, one row per run)::
 
-    family,size,seed,algorithm,threads,elapsed_ms,ip_solves,pareto_size,nodes,lps,verified
+    family,size,seed,algorithm,threads,elapsed_ms,ip_solves,pareto_size,nodes,lps,pivots,flips,verified
 
-``nodes`` and ``lps`` are the run's branch-and-bound nodes and LP solves
-(``RunStats.nodes`` and ``RunStats.lps``); ``brute`` writes 0 for them and
-for ``ip_solves``.  ``verified`` is ``true`` when the oracle cross-check
+``nodes`` and ``lps`` are the run's branch-and-bound nodes and LP solves,
+and ``pivots`` and ``flips`` the simplex pivots and bound flips of those
+LPs (the ``RunStats`` fields of the same names); ``brute`` writes 0 for
+them and for ``ip_solves``.  ``verified`` is ``true`` when the oracle cross-check
 ran (a mismatch never reaches the file), empty when the instance was too
 large to check.
 """
@@ -87,6 +88,8 @@ class BenchRecord:
     timed_out: bool = False
     nodes: int = 0
     lps: int = 0
+    pivots: int = 0
+    flips: int = 0
 
     def __post_init__(self) -> None:
         if self.elapsed_ms < 0:
@@ -155,6 +158,8 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
                             timed_out=timed_out,
                             nodes=stats.nodes,
                             lps=stats.lps,
+                            pivots=stats.pivots,
+                            flips=stats.flips,
                         )
                     )
     return records
@@ -171,6 +176,8 @@ CSV_COLUMNS = (
     "pareto_size",
     "nodes",
     "lps",
+    "pivots",
+    "flips",
     "verified",
 )
 
@@ -193,6 +200,8 @@ def write_csv(records: Sequence[BenchRecord], destination) -> None:
                     rec.pareto_size,
                     rec.nodes,
                     rec.lps,
+                    rec.pivots,
+                    rec.flips,
                     verified,
                 )
             )

@@ -118,7 +118,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(
         f"algorithm={algorithm} points={len(front)} "
         f"ip_solves={stats.ip_solves} elapsed_ms={elapsed_ms:.3f} "
-        f"nodes={stats.nodes} lps={stats.lps}",
+        f"nodes={stats.nodes} lps={stats.lps} "
+        f"pivots={stats.pivots} flips={stats.flips}",
         file=sys.stderr,
     )
     return EXIT_OK if len(front) > 0 else EXIT_EMPTY_FRONT

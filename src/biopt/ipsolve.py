@@ -137,7 +137,8 @@ class LexResult:
 
     ``root`` is the optimal LP relaxation at the root of the search, if it
     had one, for restarting the next solve's root; it takes no part in
-    comparisons.
+    comparisons.  ``pivots`` and ``flips`` sum ``LpResult.pivots`` and
+    ``LpResult.flips`` over the search's LPs.
     """
 
     status: SolveStatus
@@ -145,6 +146,8 @@ class LexResult:
     node_count: int = 0
     lp_count: int = 0
     root: LpResult | None = field(default=None, compare=False, repr=False)
+    pivots: int = 0
+    flips: int = 0
 
     @property
     def is_optimal(self) -> bool:
@@ -172,6 +175,8 @@ class _Minimized(NamedTuple):
     nodes: int
     lps: int
     root: LpResult  # the root node's LP
+    pivots: int
+    flips: int
 
 
 def _most_fractional(x: Sequence[Fraction]) -> Optional[int]:
@@ -218,8 +223,7 @@ def _branch_and_bound(
         tuple[tuple[tuple[int, int], ...], Optional[int], Optional[LpResult]]
     ] = [(root, None, start)]
     best_value, best_x = incumbent if incumbent is not None else (cutoff, None)
-    nodes = 0
-    lps = 0
+    nodes = lps = pivots = flips = 0
     while stack:
         node_bounds, parent_bound, parent = stack.pop()
         nodes += 1
@@ -233,6 +237,8 @@ def _branch_and_bound(
             continue
         lps += 1
         lp = solve_lp(costs, rows, node_bounds, start=parent)
+        pivots += lp.pivots
+        flips += lp.flips
         if nodes == 1:
             root_lp = lp
         if lp.status is SolveStatus.UNBOUNDED:
@@ -258,8 +264,8 @@ def _branch_and_bound(
         stack.append((up, lower, lp))
         stack.append((down, lower, lp))  # popped first: floor child leads
     if best_x is None:
-        return _Minimized(None, None, nodes, lps, root_lp)
-    return _Minimized(best_value, best_x, nodes, lps, root_lp)
+        return _Minimized(None, None, nodes, lps, root_lp, pivots, flips)
+    return _Minimized(best_value, best_x, nodes, lps, root_lp, pivots, flips)
 
 
 class IncumbentStaircase:
@@ -381,12 +387,13 @@ def solve_lex(
         seed, record = pool.best(costs, rows, cutoff), pool.add
     found = _branch_and_bound(costs, rows, box, cutoff, start, seed, record)
     root = found.root if found.root.is_optimal else None
+    work = (found.nodes, found.lps, root, found.pivots, found.flips)
     if found.assignment is None:
-        return LexResult(SolveStatus.INFEASIBLE, None, found.nodes, found.lps, root)
+        return LexResult(SolveStatus.INFEASIBLE, None, *work)
     solution = Solution(found.assignment, evaluate(problem, found.assignment))
     if pool is not None:
         pool.mark_front(solution.outcome)
-    return LexResult(SolveStatus.OPTIMAL, solution, found.nodes, found.lps, root)
+    return LexResult(SolveStatus.OPTIMAL, solution, *work)
 
 
 class BranchAndBoundBackend(SolverBackend):

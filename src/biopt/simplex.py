@@ -34,13 +34,35 @@ instead (``solve_lp(..., start=parent)``).  Changing bounds leaves every
 reduced cost as it was, so after each nonbasic column is moved to the
 bound its reduced cost prefers the basis is still dual feasible; only basic
 values may now lie outside their bounds.  The bounded dual simplex then
-pivots with the dual Bland rule: the leaving row is that of the
-lowest-index basic column outside its bounds, and the entering column is
-the eligible one with the smallest ``|d_j / a_rj|``, ties to the lowest
-index.  A leaving row with no eligible column proves the LP infeasible.
-The dual objective never decreases, and the rule is Bland's rule applied
-to the dual LP, so no basis repeats even on dual degenerate pivots, and
-there are finitely many bases.
+takes as leaving row that of the lowest-index basic column outside its
+bounds (dual Bland).
+
+Its entering column comes from a long-step, or bound-flipping, ratio test
+(Maros, *Computational Techniques of the Simplex Method*, 2003, ch. 10;
+Koberstein, *The Dual Simplex Method*, 2005).  The eligible columns are
+the nonbasic ones whose move off their bound pushes the leaving row's
+basic value back toward the bound it violates.  Walking the dual step up
+from zero, the dual objective rises at a slope equal to the row's scaled
+violation: ``-row[-1]`` below the lower bound, ``row[-1] - u * den``
+above the upper bound ``u``.  The step meets the eligible columns in order
+of least ``|d_j| / |a_rj|`` (cross-multiplied, ties to the lowest index).
+Passing column ``j`` turns its reduced cost's sign, so ``j`` must move to
+its opposite bound, which closes ``|a_rj| * u_j`` of the violation and
+lowers the slope by as much.  While the slope exceeds that amount the
+column is flipped and the walk goes on; the first column that cannot be
+passed (no upper bound, or one too small) enters, and its own primal step
+then stays within its box.  If every eligible column is passed, moving
+all of them to their far bounds still leaves the row violated, so the LP
+is infeasible: the same certificate as a row with no eligible column.
+When the least ratio is zero the plain dual Bland step is taken instead:
+that column enters with no flips.
+
+The dual objective never decreases.  Every other step, flips or not,
+starts with a positive least ratio and a positive slope, so it strictly
+raises the dual objective, and no basis, with the bounds its nonbasic
+columns sit at, can repeat across it.  A cycle could therefore only be
+made of plain dual Bland steps, and Bland's rule applied to the dual LP
+does not cycle.  There are finitely many bases.
 
 A ``start`` may also differ in the right-hand sides of its rows, as
 consecutive epsilon-constraint solves do.  Each row's column that was the
@@ -96,13 +118,18 @@ class LpResult:
 
     An optimal result also carries ``restart``, an opaque record of its
     final basis; passing the result back as ``solve_lp(..., start=result)``
-    re-optimizes from that basis.  It takes no part in comparisons.
+    re-optimizes from that basis.  ``pivots`` counts the basis changes of
+    this solve alone and ``flips`` the nonbasic columns it moved from one
+    bound to the other inside a simplex iteration; none of the three takes
+    part in comparisons.
     """
 
     status: SolveStatus
     x: tuple[Fraction, ...] | None = None
     objective: Fraction | None = None
     restart: _Restart | None = field(default=None, compare=False, repr=False)
+    pivots: int = field(default=0, compare=False)
+    flips: int = field(default=0, compare=False)
 
     @property
     def is_optimal(self) -> bool:
@@ -163,6 +190,9 @@ class _Tableau:
     per column, with no last entry: ``point`` sums the objective from the
     basic values itself.  The objective's value would grow with every
     pivot and block the gcd that keeps the reduced costs small.
+
+    ``pivots`` and ``flips`` count the basis changes and bound flips made
+    since the tableau was built or copied.
     """
 
     def __init__(self, ncols: int, upper: list[Optional[int]]) -> None:
@@ -175,6 +205,8 @@ class _Tableau:
         self.state: list[_VarState] = [_VarState.AT_LOWER] * ncols
         self.onums: list[int] = [0] * ncols
         self.oden: int = 1
+        self.pivots = 0
+        self.flips = 0
 
     # -- construction -------------------------------------------------
 
@@ -197,6 +229,7 @@ class _Tableau:
         twin.state = self.state[:]
         twin.onums = self.onums[:]
         twin.oden = self.oden
+        twin.pivots = twin.flips = 0
         return twin
 
     def rebound(
@@ -271,9 +304,11 @@ class _Tableau:
         """Values of the structural columns in original coordinates, and
         their cost.
 
-        Only basic columns can be fractional, so the nonbasic part of the
-        cost is summed in integers, and each distinct integral value is
-        made a ``Fraction`` once.
+        Only basic columns can be fractional, and each distinct integral
+        value is made a ``Fraction`` once.  The cost is summed in integers
+        alone, as one numerator over a running denominator (the least
+        common multiple of the denominators of the costed basic values so
+        far), and made a ``Fraction`` once at the end.
         """
         n = len(bounds)
         basic = _VarState.BASIC
@@ -281,15 +316,24 @@ class _Tableau:
             hi if s is _VarState.AT_UPPER else lo
             for (lo, hi), s in zip(bounds, self.state)
         ]
-        whole = sum(c * v for c, v, s in zip(costs, ints, self.state) if s is not basic)
+        num = sum(c * v for c, v, s in zip(costs, ints, self.state) if s is not basic)
+        den = 1
         as_fraction = {v: Fraction(v) for v in set(ints)}
         out = [as_fraction[v] for v in ints]
-        objective = Fraction(whole)
-        for row, den, b in zip(self.rows, self.dens, self.basis):
+        for row, d, b in zip(self.rows, self.dens, self.basis):
             if b < n:
-                out[b] = v = Fraction(bounds[b][0] * den + row[-1], den)
-                objective += costs[b] * v
-        return tuple(out), objective
+                v = bounds[b][0] * d + row[-1]  # the value is v / d
+                out[b] = Fraction(v, d)
+                c = costs[b]
+                if not c:
+                    continue
+                if d == den:
+                    num += c * v
+                else:
+                    g = gcd(den, d)
+                    num = num * (d // g) + c * v * (den // g)
+                    den = den // g * d
+        return tuple(out), Fraction(num, den)
 
     # -- pivoting ------------------------------------------------------
 
@@ -338,6 +382,7 @@ class _Tableau:
         leaving = self.basis[r]
         from_upper = self.state[c] is _VarState.AT_UPPER
         self.pivot(r, c)
+        self.pivots += 1
         self.basis[r] = c
         self.state[c] = _VarState.BASIC
         self.state[leaving] = landing
@@ -413,16 +458,17 @@ class _Tableau:
             return None
         return best_row, best_land
 
-    def step(self, j: int, direction: int, row: int, landing: _VarState) -> None:
-        """Move column ``j`` off its bound along ``direction``: flip it to the
-        opposite bound (``row < 0``) or pivot it into ``row``."""
-        if row >= 0:
-            self.enter(row, j, landing)
-            return
+    def flip(self, j: int) -> None:
+        """Move nonbasic column ``j`` to its opposite bound."""
         u = self.upper[j]
         assert u is not None
-        self._shift(j, u if direction > 0 else -u)
-        self.state[j] = _VarState.AT_UPPER if direction > 0 else _VarState.AT_LOWER
+        if self.state[j] is _VarState.AT_LOWER:
+            self._shift(j, u)
+            self.state[j] = _VarState.AT_UPPER
+        else:
+            self._shift(j, -u)
+            self.state[j] = _VarState.AT_LOWER
+        self.flips += 1
 
     def run(self) -> None:
         """Iterate to optimality of the installed objective."""
@@ -435,7 +481,10 @@ class _Tableau:
             if hit is None:
                 raise _UnboundedRay
             row, landing = hit
-            self.step(j, direction, row, landing)
+            if row < 0:
+                self.flip(j)
+            else:
+                self.enter(row, j, landing)
 
     # -- dual simplex iterations ----------------------------------------
 
@@ -452,20 +501,30 @@ class _Tableau:
                 best_r, best_b = i, b
         return best_r
 
-    def dual_ratio_test(self, r: int, below: bool) -> Optional[int]:
-        """Entering column for leaving row ``r``, or None if the LP is infeasible.
+    def dual_ratio_test(
+        self, r: int, below: bool
+    ) -> tuple[Optional[int], list[int]]:
+        """Long-step ratio test for leaving row ``r``: ``(entering, flips)``.
 
         Eligible columns can move off their bound in the direction that
-        pushes row ``r``'s basic value back toward the violated bound
-        (up when ``below``).  Among them the smallest ``|d_j / a_rj|``
-        wins, compared by cross-multiplication, ties to the lowest index;
-        that keeps every reduced cost on its dual feasible side.
+        pushes row ``r``'s basic value back toward the violated bound (up
+        when ``below``).  They are passed in order of least
+        ``|d_j / a_rj|``, compared by cross-multiplication, ties to the
+        lowest index.  A column with an upper bound ``u_j`` is passed, and
+        listed in ``flips``, while the row's remaining scaled violation
+        ``slope`` exceeds ``|a_rj| * u_j``; passing it lowers ``slope`` by
+        that much.  The first column that cannot be passed enters.  When
+        the least ratio is zero, that column enters with no flips (the
+        plain dual Bland step).  ``entering`` is None, and the LP
+        infeasible, when no column is eligible or every one is passed.
         """
         upper, onums = self.upper, self.onums
         basic, at_lower = _VarState.BASIC, _VarState.AT_LOWER
-        best_j: Optional[int] = None
+        row = self.rows[r]
+        eligible: list[int] = []  # in index order
+        best = -1  # position in eligible of the least ratio
         best_d, best_a = 0, 1
-        for j, (a, s) in enumerate(zip(self.rows[r], self.state)):
+        for j, (a, s) in enumerate(zip(row, self.state)):
             if not a or s is basic:
                 continue
             # raising an at-lower column moves the basic value by -a / den
@@ -478,24 +537,51 @@ class _Tableau:
                 d = -d
             if a < 0:
                 a = -a
-            if best_j is None or d * best_a < best_d * a:
-                best_j, best_d, best_a = j, d, a
-        return best_j
+            if best < 0 or d * best_a < best_d * a:
+                best, best_d, best_a = len(eligible), d, a
+            eligible.append(j)
+        flips: list[int] = []
+        if best < 0:
+            return None, flips
+        if not best_d:
+            return eligible[best], flips
+        if below:
+            slope = -row[-1]
+        else:
+            slope = row[-1] - upper[self.basis[r]] * self.dens[r]
+        while True:
+            j = eligible.pop(best)
+            u = upper[j]
+            if u is None or slope <= best_a * u:
+                return j, flips
+            flips.append(j)
+            slope -= best_a * u
+            if not eligible:
+                return None, flips
+            # a strict < keeps the lowest index among equal ratios
+            best = -1
+            for k, j in enumerate(eligible):
+                d, a = abs(onums[j]), abs(row[j])
+                if best < 0 or d * best_a < best_d * a:
+                    best, best_d, best_a = k, d, a
 
     def run_dual(self) -> bool:
         """Bounded dual simplex from a dual feasible basis.
 
-        Returns False when a row proves the LP infeasible.  Every pivot
-        lands the leaving column exactly on the bound it violated.
+        Returns False when a row proves the LP infeasible.  Each iteration
+        flips the columns its ratio test passed, then pivots; the leaving
+        column lands exactly on the bound it violated.
         """
         while True:
             r = self.choose_leaving()
             if r < 0:
                 return True
             below = self.rows[r][-1] < 0
-            j = self.dual_ratio_test(r, below)
+            j, flips = self.dual_ratio_test(r, below)
             if j is None:
                 return False
+            for k in flips:
+                self.flip(k)
             self.enter(r, j, _VarState.AT_LOWER if below else _VarState.AT_UPPER)
 
 
@@ -511,8 +597,13 @@ class _Restart(NamedTuple):
 
 
 def _optimal(restart: _Restart) -> LpResult:
-    x, objective = restart.tableau.point(restart.bounds, restart.costs)
-    return LpResult(SolveStatus.OPTIMAL, x, objective, restart)
+    tab = restart.tableau
+    x, objective = tab.point(restart.bounds, restart.costs)
+    return LpResult(SolveStatus.OPTIMAL, x, objective, restart, tab.pivots, tab.flips)
+
+
+def _infeasible(tab: _Tableau) -> LpResult:
+    return LpResult(SolveStatus.INFEASIBLE, pivots=tab.pivots, flips=tab.flips)
 
 
 def _reoptimize(
@@ -535,7 +626,7 @@ def _reoptimize(
         if new.rhs != old.rhs:
             tab.move_rhs(unit, sign * (new.rhs - old.rhs))
     if any(row[-1] for row in tab.certs) or not tab.run_dual():
-        return LpResult(SolveStatus.INFEASIBLE)
+        return _infeasible(tab)
     return _optimal(_Restart(tab, bounds, costs, rows, base.units))
 
 
@@ -627,7 +718,7 @@ def solve_lp(
             tab.set_objective({c: 1 for c in art_cols})
             tab.run()
             if any(row[-1] for row, b in zip(tab.rows, tab.basis) if b in arts):
-                return LpResult(SolveStatus.INFEASIBLE)  # an artificial stays positive
+                return _infeasible(tab)  # an artificial stays positive
             _drive_out_artificials(tab, arts)
             for c in art_cols:
                 tab.upper[c] = 0  # nonbasic at zero now: fixed there

@@ -130,7 +130,7 @@ class TestRunStats:
         stats = RunStats(5, 4, 1, (0.1,), 4)
         assert stats.ip_solves == 5
         assert stats.pareto_size == 4
-        assert (stats.nodes, stats.lps) == (0, 0)
+        assert (stats.nodes, stats.lps, stats.pivots, stats.flips) == (0, 0, 0, 0)
 
     @pytest.mark.parametrize("name", sorted(RUNNERS))
     def test_work_counters_cover_every_solve(self, name, knapsack):
@@ -143,14 +143,20 @@ class TestRunStats:
         # a fresh backend: the sweep's own one holds the incumbents it met,
         # which would shrink the replayed trees
         backend = BranchAndBoundBackend()
-        nodes = lps = 0
-        cap = None
+        work = [0, 0, 0, 0]
+        # the sweep's first cap: every point of the box meets it
+        cap = 1 + sum(
+            max(c * lo, c * hi)
+            for c, (lo, hi) in zip(knapsack.objective(2), knapsack.var_bounds)
+        )
         for _ in range(stats.ip_solves):
-            extras = () if cap is None else (ExtraConstraint(2, cap),)
+            extras = (ExtraConstraint(2, cap),)
             res = backend.solve_lex(knapsack, ObjectiveOrder.F1_FIRST, extras)
-            nodes, lps = nodes + res.node_count, lps + res.lp_count
+            counts = (res.node_count, res.lp_count, res.pivots, res.flips)
+            work = [total + n for total, n in zip(work, counts)]
             cap = res.solution.outcome.f2 if res.is_optimal else None
-        assert (stats.nodes, stats.lps) == (nodes, lps)
+        assert [stats.nodes, stats.lps, stats.pivots, stats.flips] == work
+        assert stats.pivots > 0
 
 
 @pytest.fixture
@@ -180,16 +186,18 @@ def sweep_instances(cover, knapsack, three_outcomes):
 class TestRootRestart:
     """Each sweep's root LPs restart from the previous solve's root."""
 
-    def test_sequential_sweep_makes_at_most_two_cold_lps(
+    def test_sequential_sweep_makes_one_cold_lp(
         self, cover, knapsack, three_outcomes, cold_lps
     ):
+        # the first solve already carries the cap row, with a slack that
+        # every point of the box leaves positive
         for name, problem in sweep_instances(cover, knapsack, three_outcomes).items():
             cold_lps.clear()
             _, stats = sequential_boip(problem)
-            assert len(cold_lps) <= 2, name
+            assert len(cold_lps) == 1, name
             assert stats.lps > 2, name
 
-    def test_each_meeting_worker_makes_at_most_two_cold_lps(
+    def test_each_meeting_worker_makes_one_cold_lp(
         self, cover, knapsack, three_outcomes, cold_lps
     ):
         # each worker sweeps in-process on its own backend; both one-sided
@@ -200,7 +208,7 @@ class TestRootRestart:
                 for own in (first, 3 - first):
                     cold_lps.clear()
                     _sweep(problem, BranchAndBoundBackend(), own, store=store)
-                    assert 1 <= len(cold_lps) <= 2, (name, first, own)
+                    assert len(cold_lps) == 1, (name, first, own)
 
     def test_backends_share_no_root(self, cover, cold_lps):
         first, second = BranchAndBoundBackend(), BranchAndBoundBackend()

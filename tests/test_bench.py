@@ -128,7 +128,7 @@ class TestCsv:
         with target.open(newline="", encoding="utf-8") as source:
             rows = list(csv.reader(source))
         assert rows[0] == list(CSV_COLUMNS)
-        assert CSV_COLUMNS[-3:] == ("nodes", "lps", "verified")
+        assert CSV_COLUMNS[-5:] == ("nodes", "lps", "pivots", "flips", "verified")
         assert len(rows) == 1 + len(records)
         for row, rec in zip(rows[1:], records):
             cell = dict(zip(CSV_COLUMNS, row))
@@ -137,7 +137,9 @@ class TestCsv:
             assert float(cell["elapsed_ms"]) >= 0.0
             assert cell["verified"] == "true"
             assert (int(cell["nodes"]), int(cell["lps"])) == (rec.nodes, rec.lps)
+            assert (int(cell["pivots"]), int(cell["flips"])) == (rec.pivots, rec.flips)
             assert rec.nodes >= rec.lps >= rec.ip_solves > 0
+            assert rec.pivots > 0
 
     def test_brute_writes_zero_counters(self, tmp_path):
         records = run_bench(tiny_config(reps=1, algorithms=("brute",)))
@@ -145,7 +147,8 @@ class TestCsv:
         write_csv(records, target)
         with target.open(newline="", encoding="utf-8") as source:
             (row,) = list(csv.DictReader(source))
-        assert (row["ip_solves"], row["nodes"], row["lps"]) == ("0", "0", "0")
+        counters = ("ip_solves", "nodes", "lps", "pivots", "flips")
+        assert [row[name] for name in counters] == ["0"] * 5
 
     def test_unverified_cell_is_empty(self, tmp_path):
         records = run_bench(

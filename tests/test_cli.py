@@ -113,8 +113,10 @@ class TestSolve:
         assert captured.out == T1_RESULT
         assert "ip_solves=5" in captured.err
         assert "elapsed_ms=" in captured.err
-        nodes, lps = re.search(r" nodes=(\d+) lps=(\d+)\n\Z", captured.err).groups()
-        assert int(nodes) >= int(lps) >= 5
+        footer = r" nodes=(\d+) lps=(\d+) pivots=(\d+) flips=(\d+)\n\Z"
+        nodes, lps, pivots, flips = map(int, re.search(footer, captured.err).groups())
+        assert nodes >= lps >= 5
+        assert pivots > 0 and flips >= 0
 
     def test_meeting_same_lines(self, cover_file, capsys):
         code = main(["solve", "--alg", "meet", "--threads", "2", cover_file])

@@ -286,8 +286,79 @@ def feasible_lps(draw):
     return costs, tuple(rows), tuple(bounds)
 
 
+@st.composite
+def boxed_lps(draw):
+    """An LP over boxes 1 to 5 wide with one to three dense rows that an
+    integer point of the box satisfies.  Every column has an upper bound
+    and an entry in every row, so a dual ratio test has many to pass."""
+    n = draw(st.integers(4, 8))
+    bounds, point = [], []
+    for _ in range(n):
+        lo = draw(st.integers(-3, 2))
+        bounds.append((lo, lo + draw(st.integers(1, 5))))
+        point.append(draw(st.integers(*bounds[-1])))
+    entries = st.integers(-6, 6).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = tuple(draw(entries) for _ in range(n))
+        relation = draw(st.sampled_from(RELATIONS))
+        rhs = sum(c * v for c, v in zip(coeffs, point))
+        if relation is not Relation.EQ:
+            slack = draw(st.integers(0, 8))
+            rhs += slack if relation is Relation.LE else -slack
+        rows.append(LinearConstraint(coeffs, relation, rhs))
+    costs = tuple(draw(st.integers(-7, 7)) for _ in range(n))
+    return costs, tuple(rows), tuple(bounds)
+
+
 class TestWarmStart:
     """Re-optimizing from a parent's basis must match a cold solve exactly."""
+
+    def test_long_steps_equal_cold(self):
+        flipped: list[bool] = []
+
+        @given(
+            boxed_lps(),
+            st.lists(
+                st.tuples(st.integers(0, 2), st.integers(1, 30), st.booleans()),
+                min_size=1,
+                max_size=3,
+            ),
+            st.lists(st.integers(0, 7), max_size=2),
+        )
+        @settings(deadline=None, max_examples=300, database=None)
+        def check(lp, moves, picks):
+            # tighten rows (an equality row either way), then cut bounds as
+            # branching would: large violations that flips can close
+            costs, rows, bounds = lp
+            parent = solve_lp(costs, rows, bounds)
+            assert parent.is_optimal
+            moved = list(rows)
+            for pick, size, down in moves:
+                con = moved[pick % len(rows)]
+                if con.relation is Relation.LE or (con.relation is Relation.EQ and down):
+                    size = -size
+                moved[pick % len(rows)] = LinearConstraint(
+                    con.coeffs, con.relation, con.rhs + size
+                )
+            for pick in picks:
+                bounds = tightened(parent.x, bounds, pick) or bounds
+            warm = solve_lp(costs, moved, bounds, start=parent)
+            cold = solve_lp(costs, moved, bounds)
+            assert warm.status is cold.status
+            flipped.append(warm.flips > 0)
+            if warm.is_optimal:
+                assert warm.objective == cold.objective
+                for con in moved:
+                    assert con.satisfied_by(warm.x)
+                for v, (lo, hi) in zip(warm.x, bounds):
+                    assert lo <= v <= hi
+                assert sum(c * v for c, v in zip(costs, warm.x)) == warm.objective
+
+        check()
+        # the draw is built to make flips common (about one solve in six);
+        # a share this low would leave the long step untested
+        assert sum(flipped) >= 0.08 * len(flipped)
 
     @given(random_lps(), st.lists(st.integers(0, 7), min_size=1, max_size=3))
     @settings(deadline=None, max_examples=300)

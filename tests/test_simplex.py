@@ -104,6 +104,66 @@ class TestHandChecked:
         assert x[0] + x[1] + x[2] == 5
 
 
+class TestLongStep:
+    """The dual ratio test flips the boxed columns it can pass."""
+
+    def test_knapsack_down_branch_is_one_pivot(self):
+        # max 12a + 10b + 3c + 2d, 4a + 5b + 2c + 2d <= 7 on [0,1]^4: the
+        # root takes a and 3/5 of b.  Its down-branch b <= 0 frees 3/5 of
+        # b's weight; c (ratio 5/2) weighs 2/5 of it and is flipped to 1,
+        # then d (ratio 5) enters at 1/2 in the one pivot
+        costs, rows, box = [-12, -10, -3, -2], [le([4, 5, 2, 2], 7)], [(0, 1)] * 4
+        root = solve_lp(costs, rows, box)
+        assert root.x == (1, Fraction(3, 5), 0, 0)
+        child = [(0, 1), (0, 0), (0, 1), (0, 1)]
+        warm = solve_lp(costs, rows, child, start=root)
+        assert (warm.pivots, warm.flips) == (1, 1)
+        assert warm.x == (1, 0, 1, Fraction(1, 2))
+        assert warm.objective == solve_lp(costs, rows, child).objective == -16
+
+    # min x1 + 2 x2 + 3 x3, x1 + x2 + x3 >= 4: the root is (4, 0, 0), and
+    # capping x1 makes the row short by 4 - cap with ratios 1 (x2), 2 (x3)
+    COVER = ([1, 2, 3], [ge([1, 1, 1], 4)], [(0, 5), (0, 1), (0, 1)])
+
+    def test_slope_equal_to_a_column_enters_it(self):
+        # short by 2: x2 is passed (1 < 2), x3 closes the rest exactly and
+        # must enter, not be passed
+        costs, rows, box = self.COVER
+        root = solve_lp(costs, rows, box)
+        assert root.x == (4, 0, 0)
+        warm = solve_lp(costs, rows, [(0, 2), (0, 1), (0, 1)], start=root)
+        assert warm.is_optimal
+        assert (warm.pivots, warm.flips) == (1, 1)
+        assert warm.x == (2, 1, 1)
+        assert warm.objective == 7
+
+    def test_every_column_passed_is_infeasible(self):
+        # short by 3, and flipping x2 and x3 closes only 2 of it
+        costs, rows, box = self.COVER
+        root = solve_lp(costs, rows, box)
+        warm = solve_lp(costs, rows, [(0, 1), (0, 1), (0, 1)], start=root)
+        assert warm.status is SolveStatus.INFEASIBLE
+        assert warm.pivots == 0
+
+    def test_zero_ratio_takes_the_plain_bland_step(self):
+        # min x1 + x2, x1 + x2 >= 2: the root is (2, 0) with x2's reduced
+        # cost 0.  Fixing x1 at 0 makes the least ratio 0, so x2 enters
+        # (to 2, past its bound) instead of being flipped; the next row
+        # then has nothing eligible
+        costs, rows, box = [1, 1], [ge([1, 1], 2)], [(0, 3), (0, 1)]
+        root = solve_lp(costs, rows, box)
+        assert root.x == (2, 0)
+        warm = solve_lp(costs, rows, [(0, 0), (0, 1)], start=root)
+        assert warm.status is SolveStatus.INFEASIBLE
+        assert (warm.pivots, warm.flips) == (1, 0)
+
+    def test_cold_solves_count_pivots_and_flips(self):
+        # the primal simplex flips x1 to its bound before pivoting x2 in
+        res = solve_lp([1, 1], [ge([1, 1], 2)], [(0, 1), (0, 3)])
+        assert res.x == (1, 1)
+        assert (res.pivots, res.flips) == (1, 1)
+
+
 class TestScipyAgreement:
     """Randomized duels against an independent floating-point LP solver."""
 
