@@ -4,11 +4,12 @@ This is the subproblem engine the enumeration algorithms lean on.  The
 primary backend is an exact branch and bound:
 
 * depth-first node exploration, the rounded-down child first;
-* a cold two-phase LP at most at the root: both children of a node carry
-  a reference to its optimal LP and re-optimize from its basis by bounded
-  dual simplex, since a child differs from its parent in one variable
-  bound (see ``biopt.simplex``).  The root itself restarts from a given
-  optimal LP whose rows differ from its own only in right-hand sides;
+* a cold LP at most at the root: both children of a node carry a
+  reference to its optimal LP and re-optimize from its basis, since a
+  child differs from its parent in one variable bound.  The root itself
+  restarts from a given optimal LP whose rows differ from its own only in
+  right-hand sides.  Cold and warm LPs run the same bounded dual simplex
+  (see ``biopt.simplex``);
 * branching on the most fractional variable, ties to the lowest index;
 * pruning with ``ceil(lp_bound) >= incumbent`` (sound because objectives
   take integer values on integer points), re-checking the inherited parent
@@ -50,7 +51,7 @@ integer.
 ``BranchAndBoundBackend`` keeps, per objective order, the optimal root LP
 of its last solve.  Consecutive solves of a sweep differ only in the
 right-hand side of their cap row, so the next solve's root restarts from
-it instead of running phase 1 again.
+it instead of solving it cold again.
 
 It also keeps an incumbent staircase: the (f1, f2)-nondominated integer
 points among every integral LP point its searches have met, pruned or
@@ -241,8 +242,6 @@ def _branch_and_bound(
         flips += lp.flips
         if nodes == 1:
             root_lp = lp
-        if lp.status is SolveStatus.UNBOUNDED:
-            raise BioptError("unbounded relaxation inside a finite box")
         if not lp.is_optimal:
             continue
         assert lp.objective is not None and lp.x is not None

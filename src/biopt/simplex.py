@@ -1,5 +1,5 @@
-"""Exact simplex for LPs with bounded integer data: cold two-phase primal
-simplex, and bounded dual simplex re-optimizing from an earlier basis.
+"""Exact bounded dual simplex for LPs with bounded integer data, solving
+cold from the slack basis or re-optimizing from an earlier basis.
 
 The solver is the workhorse under the branch-and-bound backend, so it must be
 exact: every quantity is a rational number, never a float.  Storing a dense
@@ -14,28 +14,29 @@ and objective are materialized as ``Fraction``.
 Formulation notes:
 
 * Every structural variable has finite integer bounds ``lo <= x <= hi``; it
-  is shifted to ``y = x - lo`` with ``0 <= y <= u``.  Slack and artificial
-  columns have lower bound 0 and no upper bound until phase 1 ends.
-* Rows are normalized to nonnegative right-hand sides.  A ``<=`` row with
-  nonnegative rhs starts with its slack basic; every other row gets a basic
-  artificial, and phase 1 minimizes the artificial sum.  Leftover basic
-  artificials at value zero are driven out; rows that cannot pivot them out
-  are redundant and dropped.  Every artificial column is then fixed at
-  zero (upper bound 0), so no later pivot can enter it.
-* Anti-cycling in the primal simplex is Bland's rule: the entering column is
-  the lowest-index eligible one, and ratio-test ties are broken by the
-  lowest blocker variable index, with the entering variable's own opposite
-  bound competing under its own index (a tie won there is a bound flip).
+  is shifted to ``y = x - lo`` with ``0 <= y <= u``.
+* Row ``i`` gets exactly one slack column, ``n + i``, with coefficient +1:
+  a ``>=`` row is negated into a ``<=`` row, the slack of a ``<=`` row has
+  lower bound 0 and no upper bound, and the slack of an ``=`` row is fixed
+  at 0 (upper bound 0), so no pivot can ever enter it.
 
-A cold solve (no ``start``) runs both phases; branch and bound uses it at
-the root.  Every optimal result keeps its final tableau, so a child node
-whose bounds differ from its parent's re-optimizes from the parent's basis
-instead (``solve_lp(..., start=parent)``).  Changing bounds leaves every
-reduced cost as it was, so after each nonbasic column is moved to the
-bound its reduced cost prefers the basis is still dual feasible; only basic
-values may now lie outside their bounds.  The bounded dual simplex then
-takes as leaving row that of the lowest-index basic column outside its
-bounds (dual Bland).
+A cold solve (no ``start``) starts from the slack basis: every slack is
+basic, and every structural column sits at the bound its cost prefers, its
+upper bound when the cost is negative and its lower bound otherwise.  The
+objective row is the costs themselves, since no basic column has a cost,
+and each reduced cost then has the sign its bound asks for: the basis is
+dual feasible.  It need not be primal feasible: a slack may start below 0,
+or an ``=`` row's slack away from 0.  The bounded dual simplex below
+finishes the solve, so cold and warm solves run the same iterations.
+
+Every optimal result keeps its final tableau, so a child node whose bounds
+differ from its parent's re-optimizes from the parent's basis instead
+(``solve_lp(..., start=parent)``).  Changing bounds leaves every reduced
+cost as it was, so after each nonbasic column is moved to the bound its
+reduced cost prefers the basis is still dual feasible; only basic values
+may now lie outside their bounds.  The bounded dual simplex then takes as
+leaving row that of the lowest-index basic column outside its bounds (dual
+Bland).
 
 Its entering column comes from a long-step, or bound-flipping, ratio test
 (Maros, *Computational Techniques of the Simplex Method*, 2003, ch. 10;
@@ -62,25 +63,21 @@ starts with a positive least ratio and a positive slope, so it strictly
 raises the dual objective, and no basis, with the bounds its nonbasic
 columns sit at, can repeat across it.  A cycle could therefore only be
 made of plain dual Bland steps, and Bland's rule applied to the dual LP
-does not cycle.  There are finitely many bases.
+does not cycle.  There are finitely many bases, so every solve ends,
+optimal or with a row that proves the LP infeasible.  Since every
+structural column is boxed, the LP is never unbounded.
 
 A ``start`` may also differ in the right-hand sides of its rows, as
-consecutive epsilon-constraint solves do.  Each row's column that was the
-unit vector ``e_i`` when the tableau was built (its slack, or its
-artificial if it has one) is ``B^-1 e_i`` in the current tableau, so a
-change of ``delta`` in the row's normalized rhs adds that column times
-``delta`` to the basic values: ``row[-1] += row[unit] * sign * delta``,
-where ``sign`` is the sign phase 1's normalization gave the row.  Reduced
-costs do not depend on the rhs, so the basis stays dual feasible and the
-same bounded dual simplex finishes the solve.  The rows phase 1 dropped as
-redundant are kept as certificate rows: each is a combination of the rows
-whose left-hand side vanishes, so it has zero entries outside the
-artificial columns and no pivot moves it.  It is shifted the same way,
-and if its value leaves zero the combined rows read ``0 = nonzero`` and
-the LP is infeasible.
-
-Termination is therefore guaranteed, and with a bounded variable box the
-LP can never be unbounded; an unbounded ray indicates a bug and raises.
+consecutive epsilon-constraint solves do.  Row ``i``'s slack column was
+the unit vector ``e_i`` when the tableau was built, so it is ``B^-1 e_i``
+in the current tableau, and a change of ``delta`` in the row's rhs adds
+that column times ``delta`` to the basic values: ``row[-1] += sign *
+delta * row[n + i]``, where ``sign`` is -1 for a negated ``>=`` row and
+1 otherwise.  Reduced costs do not depend on the rhs, so the basis stays
+dual feasible and the same bounded dual simplex finishes the solve.  No
+row is ever dropped, even one that depends on the others: if a shift
+contradicts such a dependence, the LP is infeasible and the dual simplex
+proves it like any other infeasibility.
 """
 
 from __future__ import annotations
@@ -96,20 +93,10 @@ from biopt.model import LinearConstraint, Relation
 
 
 class SolveStatus(Enum):
-    """Outcome of an exact solve (LPs here, IPs in the layer above).
-
-    UNBOUNDED cannot occur while problems keep finite variable boxes; it is
-    reported rather than silently mis-solved so that a model-construction
-    bug upstream surfaces immediately.
-    """
+    """Outcome of an exact solve (LPs here, IPs in the layer above)."""
 
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-
-
-class _UnboundedRay(Exception):
-    """Internal signal: an improving direction has no blocking bound."""
 
 
 @dataclass(frozen=True)
@@ -181,11 +168,6 @@ class _Tableau:
     bound ``u`` therefore subtracts ``rows[i][j] * u`` from every last
     entry, all in integers.
 
-    ``certs`` holds the rows phase 1 dropped as redundant.  Each has zero
-    entries outside the artificial columns, so no pivot or bound move
-    changes it, and its last entry must stay zero for the LP to be
-    feasible.
-
     The objective row ``onums / oden`` holds the reduced costs only, one
     per column, with no last entry: ``point`` sums the objective from the
     basic values itself.  The objective's value would grow with every
@@ -195,26 +177,29 @@ class _Tableau:
     since the tableau was built or copied.
     """
 
-    def __init__(self, ncols: int, upper: list[Optional[int]]) -> None:
-        self.ncols = ncols
+    def __init__(self, upper: list[Optional[int]], costs: list[int]) -> None:
+        """A tableau with no rows yet, each column at the bound its cost
+        prefers: the upper one for a negative cost, else the lower one."""
+        self.ncols = len(upper)
         self.upper = upper
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
-        self.certs: list[list[int]] = []
         self.basis: list[int] = []
-        self.state: list[_VarState] = [_VarState.AT_LOWER] * ncols
-        self.onums: list[int] = [0] * ncols
-        self.oden: int = 1
+        self.state: list[_VarState] = [
+            _VarState.AT_UPPER if c < 0 else _VarState.AT_LOWER for c in costs
+        ]
+        self.onums = costs
+        self.oden = 1
         self.pivots = 0
         self.flips = 0
 
     # -- construction -------------------------------------------------
 
-    def add_row(self, nums: list[int], rhs: int, basic_col: int) -> None:
-        row = nums + [rhs]
-        row, den = _reduced(row, 1)
+    def add_row(self, row: list[int], basic_col: int) -> None:
+        """Append a row, its last entry the basic value, with ``basic_col``
+        basic in it at coefficient 1."""
         self.rows.append(row)
-        self.dens.append(den)
+        self.dens.append(1)
         self.basis.append(basic_col)
         self.state[basic_col] = _VarState.BASIC
 
@@ -224,7 +209,6 @@ class _Tableau:
         twin.upper = self.upper[:]
         twin.rows = [row[:] for row in self.rows]
         twin.dens = self.dens[:]
-        twin.certs = [row[:] for row in self.certs]
         twin.basis = self.basis[:]
         twin.state = self.state[:]
         twin.onums = self.onums[:]
@@ -273,28 +257,9 @@ class _Tableau:
         is ``unit``.
 
         That column is ``B^-1 e_i`` for the row's ``e_i``, so each basic
-        value moves by its entry times ``delta``, and so does the last
-        entry of each certificate row.
+        value moves by its entry times ``delta``.
         """
         self._shift(unit, -delta)
-        for row in self.certs:
-            row[-1] += row[unit] * delta
-
-    def set_objective(self, costs: dict[int, int]) -> None:
-        """Install a cost vector and cancel it on the current basic columns."""
-        self.onums = [costs.get(j, 0) for j in range(self.ncols)]
-        self.oden = 1
-        for i, b in enumerate(self.basis):
-            if self.onums[b] != 0:
-                self._eliminate_objective(i)
-
-    def _eliminate_objective(self, i: int) -> None:
-        b = self.basis[i]
-        e = self.onums[b]
-        row, den = self.rows[i], self.dens[i]
-        # zip stops before the row's last entry: the objective row has none
-        merged = [t * den - e * p for t, p in zip(self.onums, row)]
-        self.onums, self.oden = _reduced(merged, self.oden * den)
 
     # -- inspection ----------------------------------------------------
 
@@ -397,67 +362,6 @@ class _Tableau:
 
     # -- simplex iterations ---------------------------------------------
 
-    def choose_entering(self) -> Optional[int]:
-        """Bland: lowest-index nonbasic column with an improving direction."""
-        state, upper = self.state, self.upper
-        at_lower, at_upper = _VarState.AT_LOWER, _VarState.AT_UPPER
-        for j, d in enumerate(self.onums):
-            if d == 0:
-                continue  # basic columns always have a zero reduced cost
-            if state[j] is not (at_lower if d < 0 else at_upper):
-                continue
-            if upper[j] == 0:
-                continue  # a fixed variable that can never move
-            return j
-        return None
-
-    def ratio_test(
-        self, j: int, direction: int
-    ) -> Optional[tuple[int, _VarState]]:
-        """Blocking bound for column ``j`` moving off its bound.
-
-        Returns ``(row, landing)`` where ``row`` is the blocking row (-1 for
-        the entering variable's own opposite bound) and ``landing`` the
-        bound the leaving variable ends on.  ``None`` means unbounded.
-
-        Each candidate step is the integer ratio ``num / den`` with
-        ``den > 0``: ``u_j / 1`` for the own bound, ``R / |a|`` for a basic
-        value ``R / dens[i]`` falling to 0 and ``(u * dens[i] - R) / |a|``
-        for one rising to its upper bound ``u``.  Candidates are compared by
-        cross-multiplication.
-        """
-        best_num = best_den = 0  # best_den == 0: no candidate yet
-        best_row = -1
-        best_var = j
-        best_land = _VarState.AT_UPPER if direction > 0 else _VarState.AT_LOWER
-        uj = self.upper[j]
-        if uj is not None:
-            best_num, best_den = uj, 1
-        for i, row in enumerate(self.rows):
-            a = row[j]
-            if a == 0:
-                continue
-            if (a > 0) == (direction < 0):  # the basic value increases
-                ub = self.upper[self.basis[i]]
-                if ub is None:
-                    continue
-                num = ub * self.dens[i] - row[-1]
-                land = _VarState.AT_UPPER
-            else:
-                num = row[-1]
-                land = _VarState.AT_LOWER
-            den = a if a > 0 else -a
-            bi = self.basis[i]
-            if best_den:
-                lhs, rhs = num * best_den, best_num * den
-                if lhs > rhs or (lhs == rhs and bi > best_var):
-                    continue
-            best_num, best_den = num, den
-            best_row, best_var, best_land = i, bi, land
-        if not best_den:
-            return None
-        return best_row, best_land
-
     def flip(self, j: int) -> None:
         """Move nonbasic column ``j`` to its opposite bound."""
         u = self.upper[j]
@@ -469,24 +373,6 @@ class _Tableau:
             self._shift(j, -u)
             self.state[j] = _VarState.AT_LOWER
         self.flips += 1
-
-    def run(self) -> None:
-        """Iterate to optimality of the installed objective."""
-        while True:
-            j = self.choose_entering()
-            if j is None:
-                return
-            direction = 1 if self.state[j] is _VarState.AT_LOWER else -1
-            hit = self.ratio_test(j, direction)
-            if hit is None:
-                raise _UnboundedRay
-            row, landing = hit
-            if row < 0:
-                self.flip(j)
-            else:
-                self.enter(row, j, landing)
-
-    # -- dual simplex iterations ----------------------------------------
 
     def choose_leaving(self) -> int:
         """Dual Bland: the row of the lowest-index basic column outside its
@@ -592,8 +478,7 @@ class _Restart(NamedTuple):
     bounds: tuple[tuple[int, int], ...]  # columns are shifted by their lows
     costs: tuple[int, ...]
     rows: tuple[LinearConstraint, ...]
-    # per row: its unit column, and the sign that normalized its rhs
-    units: tuple[tuple[int, int], ...]
+    signs: tuple[int, ...]  # per row: -1 if it was negated, else 1
 
 
 def _optimal(restart: _Restart) -> LpResult:
@@ -622,12 +507,13 @@ def _reoptimize(
     tab = base.tableau.copy()  # the parent's basis may serve several children
     if not tab.rebound(base.bounds, bounds):
         return LpResult(SolveStatus.INFEASIBLE)
-    for new, old, (unit, sign) in zip(rows, base.rows, base.units):
+    n = len(bounds)
+    for i, (new, old, sign) in enumerate(zip(rows, base.rows, base.signs)):
         if new.rhs != old.rhs:
-            tab.move_rhs(unit, sign * (new.rhs - old.rhs))
-    if any(row[-1] for row in tab.certs) or not tab.run_dual():
+            tab.move_rhs(n + i, sign * (new.rhs - old.rhs))
+    if not tab.run_dual():
         return _infeasible(tab)
-    return _optimal(_Restart(tab, bounds, costs, rows, base.units))
+    return _optimal(_Restart(tab, bounds, costs, rows, base.signs))
 
 
 def solve_lp(
@@ -642,13 +528,13 @@ def solve_lp(
     Data must be integers; the answer is exact.  Returns the rational
     optimum and one optimal point, or an infeasible status.
 
-    Without ``start`` the LP is solved cold by two-phase primal simplex.
-    With an optimal ``start`` solved for the same costs, and for rows that
-    differ at most in their right-hand sides (see ``LpResult.fits``), the
-    solve re-optimizes from ``start``'s basis by bounded dual simplex and
-    leaves ``start`` untouched; the bounds may differ too.  A ``start``
-    for other costs, another row count, or other coefficients or relations
-    raises ``ValueError``.
+    Without ``start`` the LP is solved cold by bounded dual simplex from
+    the slack basis.  With an optimal ``start`` solved for the same costs,
+    and for rows that differ at most in their right-hand sides (see
+    ``LpResult.fits``), the solve re-optimizes from ``start``'s basis
+    instead and leaves ``start`` untouched; the bounds may differ too.  A
+    ``start`` for other costs, another row count, or other coefficients or
+    relations raises ``ValueError``.
     """
     n = len(bounds)
     if len(costs) != n:
@@ -656,101 +542,22 @@ def solve_lp(
     costs, rows, bounds = tuple(costs), tuple(rows), tuple(bounds)
     if start is not None:
         return _reoptimize(start, costs, rows, bounds)
-    lows = tuple(lo for lo, _ in bounds)
-    shifted_upper: list[Optional[int]] = []
-    for lo, hi in bounds:
-        if hi < lo:
-            return LpResult(SolveStatus.INFEASIBLE)
-        shifted_upper.append(hi - lo)
-
-    # Normalize each row to nonnegative rhs in shifted coordinates and
-    # decide its slack sign, whether it needs an artificial, and the sign
-    # by which the normalization multiplied it.
-    prepared: list[tuple[list[int], int, int, bool, int]] = []
-    for con in rows:
-        coeffs = list(con.coeffs)
-        if len(coeffs) != n:
-            raise ValueError("constraint arity mismatch")
-        b = con.rhs - sum(c * lo for c, lo in zip(coeffs, lows))
-        rel, sign = con.relation, 1
-        if rel is Relation.GE:
-            coeffs, b, rel, sign = [-c for c in coeffs], -b, Relation.LE, -1
-        if rel is Relation.LE:
-            if b >= 0:
-                prepared.append((coeffs, b, 1, False, sign))
-            else:
-                # flip to a >=-style row with positive rhs: slack -1 + artificial
-                prepared.append(([-c for c in coeffs], -b, -1, True, -sign))
-        else:  # EQ: always carried by an artificial, even at rhs 0
-            if b < 0:
-                coeffs, b, sign = [-c for c in coeffs], -b, -1
-            prepared.append((coeffs, b, 0, True, sign))
-
-    n_slacks = sum(1 for _, _, s, _, _ in prepared if s != 0)
-    n_arts = sum(1 for _, _, _, a, _ in prepared if a)
-    ncols = n + n_slacks + n_arts
-    upper: list[Optional[int]] = shifted_upper + [None] * (n_slacks + n_arts)
-    tab = _Tableau(ncols, upper)
-
-    art_cols: list[int] = []
-    units: list[tuple[int, int]] = []
-    slack_at = n
-    art_at = n + n_slacks
-    for coeffs, b, slack_sign, needs_art, sign in prepared:
-        full = coeffs + [0] * (n_slacks + n_arts)
-        if slack_sign != 0:
-            full[slack_at] = slack_sign
-            slack_col = slack_at
-            slack_at += 1
-        if needs_art:
-            full[art_at] = 1
-            basic = art_at
-            art_cols.append(art_at)
-            art_at += 1
-        else:
-            basic = slack_col  # a <= row with nonnegative rhs
-        tab.add_row(full, b, basic)
-        units.append((basic, sign))  # the row's +1 column: its e_i
-
-    try:
-        if art_cols:
-            arts = frozenset(art_cols)
-            tab.set_objective({c: 1 for c in art_cols})
-            tab.run()
-            if any(row[-1] for row, b in zip(tab.rows, tab.basis) if b in arts):
-                return _infeasible(tab)  # an artificial stays positive
-            _drive_out_artificials(tab, arts)
-            for c in art_cols:
-                tab.upper[c] = 0  # nonbasic at zero now: fixed there
-
-        tab.set_objective({j: int(c) for j, c in enumerate(costs)})
-        tab.run()
-    except _UnboundedRay:
-        return LpResult(SolveStatus.UNBOUNDED)
-    return _optimal(_Restart(tab, bounds, costs, rows, tuple(units)))
-
-
-def _drive_out_artificials(tab: _Tableau, art_cols: frozenset[int]) -> None:
-    """Pivot zero-valued basic artificials out; drop redundant rows."""
-    r = 0
-    while r < len(tab.rows):
-        b = tab.basis[r]
-        if b not in art_cols:
-            r += 1
-            continue
-        pivot_col = None
-        for j in range(tab.ncols):
-            if j in art_cols or tab.state[j] is _VarState.BASIC:
-                continue
-            if tab.rows[r][j] != 0:
-                pivot_col = j
-                break
-        if pivot_col is None:
-            # row is a linear combination of the others: keep it only as
-            # a certificate that the combination's rhs stays zero
-            tab.state[b] = _VarState.AT_LOWER
-            tab.certs.append(tab.rows[r])
-            del tab.rows[r], tab.dens[r], tab.basis[r]
-            continue
-        tab.enter(r, pivot_col, _VarState.AT_LOWER)  # at value zero: nothing moves
-        r += 1
+    if any(len(con.coeffs) != n for con in rows):
+        raise ValueError("constraint arity mismatch")
+    if any(hi < lo for lo, hi in bounds):
+        return LpResult(SolveStatus.INFEASIBLE)
+    m = len(rows)
+    upper: list[Optional[int]] = [hi - lo for lo, hi in bounds]
+    upper += [0 if con.relation is Relation.EQ else None for con in rows]
+    tab = _Tableau(upper, [int(c) for c in costs] + [0] * m)
+    # the structural columns' starting values, in original coordinates
+    start_x = [hi if c < 0 else lo for c, (lo, hi) in zip(costs, bounds)]
+    signs = tuple(-1 if con.relation is Relation.GE else 1 for con in rows)
+    for i, (con, sign) in enumerate(zip(rows, signs)):
+        row = [sign * c for c in con.coeffs] + [0] * m
+        row[n + i] = 1
+        row.append(sign * (con.rhs - sum(c * v for c, v in zip(con.coeffs, start_x))))
+        tab.add_row(row, n + i)
+    if not tab.run_dual():
+        return _infeasible(tab)
+    return _optimal(_Restart(tab, bounds, costs, rows, signs))

@@ -4,8 +4,9 @@ Each test prints exactly one PASS/FAIL line (replayed in the terminal
 summary).  Criteria 3 and 4 compare wall-clock means of the two-worker
 algorithms against the sequential baseline, so they need two free CPU
 cores; with fewer the workers timeshare and elapsed time cannot drop.  On a
-2-core host both pass (see the "Release gates" section of README.md).  The
-printed lines carry the measured ratios.
+2-core host criterion 4 passes and criterion 3 fails, reading above its
+0.70 bound (see the "Release gates" section of README.md).  The printed
+lines carry the measured ratios.
 """
 
 import random

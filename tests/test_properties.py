@@ -412,7 +412,7 @@ class TestWarmStart:
     @settings(deadline=None, max_examples=300)
     def test_rhs_change_equals_cold(self, lp, moves, picks):
         # tighten or loosen a row, or reflect its shifted rhs through zero
-        # so that phase 1 would have normalized it with the other sign
+        # so that its slack changes sign
         costs, rows, bounds = lp
         parent = solve_lp(costs, rows, bounds)
         assert parent.is_optimal
@@ -436,8 +436,8 @@ class TestWarmStart:
                 assert lo <= v <= hi
 
     def test_duplicated_equality_row(self):
-        # phase 1 drops one copy of the EQ row as redundant; it lives on as
-        # a certificate that both copies keep the same right-hand side
+        # the two copies of the EQ row are dependent: the tableau keeps both,
+        # and shifting one copy alone must make the LP infeasible
         bounds = ((0, 2), (-1, 2))
         row = LinearConstraint((1, 1), Relation.EQ, 2)
         other = LinearConstraint((1, -1), Relation.GE, -1)
@@ -452,6 +452,35 @@ class TestWarmStart:
             cold = solve_lp((1, 0), both, bounds)
             assert (warm.status, warm.objective) == (cold.status, cold.objective)
             assert warm.is_optimal
+
+    @given(
+        feasible_lps(),
+        st.tuples(st.integers(0, 2), st.integers(-3, 3)),
+        st.tuples(st.integers(0, 2), st.integers(-3, 3)),
+        st.integers(-3, 3).filter(bool),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_dependent_row(self, lp, first, second, shift):
+        # append an integer combination of two rows that they imply: any
+        # multiple of an equality row, a nonnegative one of an inequality
+        costs, rows, bounds = lp
+        coeffs, rhs, relation = [0] * len(bounds), 0, Relation.EQ
+        for pick, times in (first, second):
+            con = rows[pick % len(rows)]
+            if con.relation is not Relation.EQ:
+                times = abs(times) * (-1 if con.relation is Relation.GE else 1)
+                if times:
+                    relation = Relation.LE
+            coeffs = [a + times * c for a, c in zip(coeffs, con.coeffs)]
+            rhs += times * con.rhs
+        extra = LinearConstraint(tuple(coeffs), relation, rhs)
+        parent = solve_lp(costs, rows + (extra,), bounds)
+        alone = solve_lp(costs, rows, bounds)
+        assert (parent.status, parent.objective) == (alone.status, alone.objective)
+        moved = rows + (LinearConstraint(extra.coeffs, relation, rhs + shift),)
+        warm = solve_lp(costs, moved, bounds, start=parent)
+        cold = solve_lp(costs, moved, bounds)
+        assert (warm.status, warm.objective) == (cold.status, cold.objective)
 
 
 class TestSequentialShape:

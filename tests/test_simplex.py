@@ -158,10 +158,19 @@ class TestLongStep:
         assert (warm.pivots, warm.flips) == (1, 0)
 
     def test_cold_solves_count_pivots_and_flips(self):
-        # the primal simplex flips x1 to its bound before pivoting x2 in
+        # from the slack basis the row is short by 2: the long step passes
+        # x1 (ties go to the lowest index), flips it to 1, and enters x2
         res = solve_lp([1, 1], [ge([1, 1], 2)], [(0, 1), (0, 3)])
         assert res.x == (1, 1)
         assert (res.pivots, res.flips) == (1, 1)
+
+    def test_cold_knapsack_root_is_one_pivot(self):
+        # every column starts at its upper bound, 6 over the capacity; the
+        # cold step passes d (ratio 1) and c (3/2), closing 4 of it, and
+        # enters b (2), which closes the rest at 3/5
+        res = solve_lp([-12, -10, -3, -2], [le([4, 5, 2, 2], 7)], [(0, 1)] * 4)
+        assert res.x == (1, Fraction(3, 5), 0, 0)
+        assert (res.pivots, res.flips) == (1, 2)
 
 
 class TestScipyAgreement:
