@@ -13,10 +13,8 @@ from biopt.algorithms import (
     DelaySpec,
     RunStats,
     SharedBounds,
-    SplitPlan,
     meeting_boip,
     sequential_boip,
-    split_range,
     splitting_boip,
 )
 from biopt.instances import (
@@ -45,6 +43,7 @@ from biopt.ipsolve import (
     ExtraConstraint,
     LexResult,
     SolverBackend,
+    Work,
     solve_lex,
 )
 from biopt.model import (
@@ -84,10 +83,8 @@ __all__ = [
     "write_instance",
     "RunStats",
     "SharedBounds",
-    "SplitPlan",
     "meeting_boip",
     "sequential_boip",
-    "split_range",
     "splitting_boip",
     "BoundRegression",
     "BranchAndBoundBackend",
@@ -109,6 +106,7 @@ __all__ = [
     "SolveStatus",
     "SolverBackend",
     "Solution",
+    "Work",
     "brute_force_pareto",
     "build_problem",
     "dominates",

@@ -27,9 +27,11 @@ one objective and tightens the cap to the value just found.
   near the meeting point but never correctness: the union of the two
   prefixes is the complete front under every interleaving.
 
-Both parallel merges return the union deduplicated by outcome without any
-dominance filtering — a dominated point would crash the staircase
-validation and is treated as a solver bug.
+Every algorithm ends in ``_finish``: its front is the union of its parts'
+finds (the sweeps, plus splitting's two endpoint solves), deduplicated by
+outcome without any dominance filtering — a dominated point would crash
+the staircase validation and is treated as a solver bug — and its
+``RunStats`` sums their solve counts and ``Work``.
 
 The parallel workers are forked processes, the only way CPython runs them
 in parallel.  ``SharedBounds`` is the only mutable state the meeting
@@ -43,11 +45,11 @@ import multiprocessing
 import random
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from biopt.errors import BioptError, BoundRegression
-from biopt.ipsolve import BranchAndBoundBackend, ExtraConstraint, SolverBackend
+from biopt.ipsolve import BranchAndBoundBackend, ExtraConstraint, SolverBackend, Work
 from biopt.model import ObjectiveOrder, OutcomeVector, ParetoSet, Problem, Solution
 
 # int64 sentinel for "no bound yet"; published bounds must stay well below it
@@ -134,38 +136,31 @@ class DelaySpec:
 class RunStats:
     """Work accounting for one enumeration run.
 
-    ``nodes`` and ``lps`` are the branch-and-bound nodes and LP solves of
-    every IP solve of the run, and ``pivots`` and ``flips`` the simplex
-    pivots and bound flips of those LPs, all summed over its workers.
+    ``work`` sums the ``Work`` of every IP solve of the run over its
+    workers.
     """
 
-    ip_solves: int
     feasible_solves: int
     infeasible_solves: int
     worker_elapsed: tuple[float, ...]
     pareto_size: int
-    nodes: int = 0
-    lps: int = 0
-    pivots: int = 0
-    flips: int = 0
+    work: Work = Work()
 
-    def __post_init__(self) -> None:
-        if self.ip_solves != self.feasible_solves + self.infeasible_solves:
-            raise ValueError("ip_solves must equal feasible + infeasible")
+    @property
+    def ip_solves(self) -> int:
+        return self.feasible_solves + self.infeasible_solves
 
 
 @dataclass(frozen=True)
 class _SweepOutcome:
-    """One worker's harvest: found solutions plus its local accounting."""
+    """One part of a run, a worker's sweep or splitting's endpoint solves:
+    found solutions plus its local accounting."""
 
     solutions: tuple[Solution, ...]
     feasible: int
     infeasible: int
     elapsed: float
-    nodes: int
-    lps: int
-    pivots: int
-    flips: int
+    work: Work
 
 
 def _default_backends(n: int) -> tuple[SolverBackend, ...]:
@@ -182,19 +177,7 @@ def sequential_boip(
     """Enumerate the complete front with the single-worker epsilon sweep."""
     engine = backend if backend is not None else BranchAndBoundBackend()
     sweep = _sweep(problem, engine, own=2)
-    front = ParetoSet(sweep.solutions)  # found in staircase order already
-    stats = RunStats(
-        ip_solves=sweep.feasible + sweep.infeasible,
-        feasible_solves=sweep.feasible,
-        infeasible_solves=sweep.infeasible,
-        worker_elapsed=(sweep.elapsed,),
-        pareto_size=len(front),
-        nodes=sweep.nodes,
-        lps=sweep.lps,
-        pivots=sweep.pivots,
-        flips=sweep.flips,
-    )
-    return front, stats
+    return _finish((sweep,), (sweep.elapsed,))
 
 
 def _sweep(
@@ -230,7 +213,8 @@ def _sweep(
             for c, (lo, hi) in zip(problem.objective(own), problem.var_bounds)
         )
     found: list[Solution] = []
-    feasible = infeasible = nodes = lps = pivots = flips = 0
+    feasible = infeasible = 0
+    work = Work()
     while stop is None or cap >= stop:
         extras = [ExtraConstraint(own, cap)]
         if store is not None:
@@ -240,10 +224,7 @@ def _sweep(
             if other_cap is not None:
                 extras.append(ExtraConstraint(other, other_cap))
         res = backend.solve_lex(problem, order, extras)
-        nodes += res.node_count
-        lps += res.lp_count
-        pivots += res.pivots
-        flips += res.flips
+        work += res.work
         if not res.is_optimal:
             infeasible += 1
             break
@@ -256,9 +237,7 @@ def _sweep(
                 nap()
             store.publish(own, cap)
     elapsed = time.perf_counter() - start
-    return _SweepOutcome(
-        tuple(found), feasible, infeasible, elapsed, nodes, lps, pivots, flips
-    )
+    return _SweepOutcome(tuple(found), feasible, infeasible, elapsed, work)
 
 
 def _union(*groups: Sequence[Solution]) -> ParetoSet:
@@ -276,64 +255,37 @@ def _union(*groups: Sequence[Solution]) -> ParetoSet:
     return ParetoSet(tuple(ordered))
 
 
+def _finish(
+    parts: Sequence[_SweepOutcome], elapsed: tuple[float, ...]
+) -> tuple[ParetoSet, RunStats]:
+    """The front and stats of a run: the ``_union`` of the parts' finds,
+    their solve counts and ``Work`` summed, and the workers' ``elapsed``."""
+    front = _union(*(part.solutions for part in parts))
+    stats = RunStats(
+        feasible_solves=sum(part.feasible for part in parts),
+        infeasible_solves=sum(part.infeasible for part in parts),
+        worker_elapsed=elapsed,
+        pareto_size=len(front),
+        work=sum((part.work for part in parts), Work()),
+    )
+    return front, stats
+
+
 # ---------------------------------------------------------------------------
 # range splitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """f1 slices for the splitting workers, plus the endpoint solutions.
+def _slices(f1_min: int, f1_max: int, t: int) -> tuple[tuple[int, int], ...]:
+    """Cut [f1_min, f1_max] into ``t`` near-equal inclusive integer slices.
 
-    ``intervals`` are inclusive integer ranges; an entry with lo > hi is an
-    empty slice (possible when the f1 range has fewer values than workers).
-    ``endpoints`` holds the two lexicographic endpoint solutions, or is
-    empty when the problem is infeasible (then ``intervals`` is empty too).
-    ``nodes``, ``lps``, ``pivots`` and ``flips`` count the work of the
-    endpoint solves; they take no part in comparisons.
+    Each of the first t-1 slices spans w = floor(range/t) values; the last
+    absorbs the remainder, so the slices always partition the range.  A
+    slice with lo > hi is empty (when the range has fewer values than t).
     """
-
-    intervals: tuple[tuple[int, int], ...]
-    endpoints: tuple[Solution, ...]
-    nodes: int = field(default=0, compare=False)
-    lps: int = field(default=0, compare=False)
-    pivots: int = field(default=0, compare=False)
-    flips: int = field(default=0, compare=False)
-
-
-def split_range(
-    problem: Problem, backend: Optional[SolverBackend] = None, t: int = 2
-) -> SplitPlan:
-    """Slice [f1min, f1max] into ``t`` near-equal integer intervals.
-
-    The endpoints come from the two lexicographic solves: f1min from the
-    (f1, f2) optimum, f1max from the (f2, f1) optimum.  Each of the first
-    t-1 intervals spans w = floor(range/t) values; the last absorbs the
-    remainder, so the intervals always partition [f1min, f1max].
-    """
-    if t < 1:
-        raise ValueError("worker count must be positive")
-    engine = backend if backend is not None else BranchAndBoundBackend()
-    west = engine.solve_lex(problem, ObjectiveOrder.F1_FIRST)
-    if not west.is_optimal:
-        return SplitPlan(
-            (), (), west.node_count, west.lp_count, west.pivots, west.flips
-        )
-    east = engine.solve_lex(problem, ObjectiveOrder.F2_FIRST)
-    assert west.solution is not None and east.solution is not None
-    f1_min = west.solution.outcome.f1
-    f1_max = east.solution.outcome.f1
     width = (f1_max - f1_min + 1) // t
-    intervals = tuple(
+    return tuple(
         (f1_min + i * width, f1_min + (i + 1) * width - 1) for i in range(t - 1)
     ) + ((f1_min + (t - 1) * width, f1_max),)
-    return SplitPlan(
-        intervals,
-        (west.solution, east.solution),
-        west.node_count + east.node_count,
-        west.lp_count + east.lp_count,
-        west.pivots + east.pivots,
-        west.flips + east.flips,
-    )
 
 
 def splitting_boip(
@@ -344,25 +296,39 @@ def splitting_boip(
 ) -> tuple[ParetoSet, RunStats]:
     """Enumerate the front by splitting the f1 range across ``t`` workers.
 
-    Each slice ``[lo, hi]`` is swept east to west under a strict f1 cap,
-    so every find is a global front point; the union with the two endpoint
-    solutions needs no dominance filter.
+    The range [f1min, f1max] comes from the two lexicographic endpoint
+    solves, run here on the first backend: f1min from the (f1, f2)
+    optimum, f1max from the (f2, f1) optimum.  Each slice ``[lo, hi]`` of
+    it is swept east to west under a strict f1 cap, so every find is a
+    global front point; the union with the two endpoint solutions needs no
+    dominance filter.  The endpoint solves count in the run's solves and
+    work, but not in ``worker_elapsed``.
     """
     _check_executor(executor)
+    if t < 1:
+        raise ValueError("worker count must be positive")
     engines = tuple(backends) if backends is not None else _default_backends(t)
     if len(engines) != t:
         raise ValueError(f"expected {t} backends, got {len(engines)}")
-    plan = split_range(problem, engines[0], t)
-    if not plan.endpoints:
-        return ParetoSet(()), RunStats(
-            1, 0, 1, (), 0, plan.nodes, plan.lps, plan.pivots, plan.flips
-        )
+    began = time.perf_counter()
+    west = engines[0].solve_lex(problem, ObjectiveOrder.F1_FIRST)
+    if not west.is_optimal:
+        ends = _SweepOutcome((), 0, 1, time.perf_counter() - began, west.work)
+        return _finish((ends,), ())
+    east = engines[0].solve_lex(problem, ObjectiveOrder.F2_FIRST)
+    assert west.solution is not None and east.solution is not None
+    ends = _SweepOutcome(
+        (west.solution, east.solution),
+        2,
+        0,
+        time.perf_counter() - began,
+        west.work + east.work,
+    )
 
-    west, east = plan.endpoints
-    f1_min, f1_max = west.outcome.f1, east.outcome.f1
+    f1_min, f1_max = west.solution.outcome.f1, east.solution.outcome.f1
     jobs = []
-    lanes: list[Optional[int]] = []  # job index per interval, None if empty
-    for (lo, hi), engine in zip(plan.intervals, engines):
+    lanes: list[Optional[int]] = []  # job index per slice, None if empty
+    for (lo, hi), engine in zip(_slices(f1_min, f1_max, t), engines):
         if lo > hi:
             lanes.append(None)
             continue
@@ -373,25 +339,10 @@ def splitting_boip(
         stop = max(lo, f1_min + 1)
         jobs.append((_sweep, (problem, engine, 1, cap, stop)))
     sweeps = _run_parallel(jobs)
-    front = _union(plan.endpoints, *(s.solutions for s in sweeps))
-
-    feasible = 2 + sum(s.feasible for s in sweeps)
-    infeasible = sum(s.infeasible for s in sweeps)
     elapsed = tuple(
         sweeps[lane].elapsed if lane is not None else 0.0 for lane in lanes
     )
-    stats = RunStats(
-        ip_solves=feasible + infeasible,
-        feasible_solves=feasible,
-        infeasible_solves=infeasible,
-        worker_elapsed=elapsed,
-        pareto_size=len(front),
-        nodes=plan.nodes + sum(s.nodes for s in sweeps),
-        lps=plan.lps + sum(s.lps for s in sweeps),
-        pivots=plan.pivots + sum(s.pivots for s in sweeps),
-        flips=plan.flips + sum(s.flips for s in sweeps),
-    )
-    return front, stats
+    return _finish((ends, *sweeps), elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -424,23 +375,8 @@ def meeting_boip(
         (_sweep, (problem, engines[0], 1, None, None, store, delays)),
         (_sweep, (problem, engines[1], 2, None, None, store, delays)),
     ]
-    sweep1, sweep2 = _run_parallel(jobs)
-    front = _union(sweep1.solutions, sweep2.solutions)
-
-    feasible = sweep1.feasible + sweep2.feasible
-    infeasible = sweep1.infeasible + sweep2.infeasible
-    stats = RunStats(
-        ip_solves=feasible + infeasible,
-        feasible_solves=feasible,
-        infeasible_solves=infeasible,
-        worker_elapsed=(sweep1.elapsed, sweep2.elapsed),
-        pareto_size=len(front),
-        nodes=sweep1.nodes + sweep2.nodes,
-        lps=sweep1.lps + sweep2.lps,
-        pivots=sweep1.pivots + sweep2.pivots,
-        flips=sweep1.flips + sweep2.flips,
-    )
-    return front, stats
+    sweeps = _run_parallel(jobs)
+    return _finish(sweeps, tuple(sweep.elapsed for sweep in sweeps))
 
 
 # ---------------------------------------------------------------------------

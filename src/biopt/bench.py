@@ -16,12 +16,15 @@ CSV schema (header mandatory, one row per run)::
 
     family,size,seed,algorithm,threads,elapsed_ms,ip_solves,pareto_size,nodes,lps,pivots,flips,verified
 
-``nodes`` and ``lps`` are the run's branch-and-bound nodes and LP solves,
-and ``pivots`` and ``flips`` the simplex pivots and bound flips of those
-LPs (the ``RunStats`` fields of the same names); ``brute`` writes 0 for
-them and for ``ip_solves``.  ``verified`` is ``true`` when the oracle cross-check
-ran (a mismatch never reaches the file), empty when the instance was too
-large to check.
+``nodes``, ``lps``, ``pivots`` and ``flips`` are the fields of the run's
+``RunStats.work``: its branch-and-bound nodes and LP solves, and the
+simplex pivots and bound flips of those LPs; ``brute`` writes 0 for them
+and for ``ip_solves``.  ``verified`` is ``true`` when the oracle
+cross-check ran (a mismatch never reaches the file), empty when the
+instance was too large to check.
+
+``run_algorithm`` and ``THREADS`` are the one dispatch from an algorithm
+name to its run and its worker count, for this harness and the CLI alike.
 """
 
 from __future__ import annotations
@@ -36,11 +39,13 @@ from typing import Optional, Sequence
 from biopt.algorithms import RUNNERS, RunStats
 from biopt.errors import BioptError
 from biopt.instances import FAMILIES, GeneratorSpec, generate
+from biopt.ipsolve import Work
 from biopt.model import ParetoSet, Problem
-from biopt.oracle import EnumerationBudget, brute_force_pareto
+from biopt.oracle import DEFAULT_MAX_POINTS, EnumerationBudget, brute_force_pareto
 
 ALGORITHMS = (*RUNNERS, "brute")
-_THREADS = {"sequential": 1, "brute": 1, "splitting": 2, "meeting": 2}
+# worker count of each algorithm
+THREADS = {"sequential": 1, "brute": 1, "splitting": 2, "meeting": 2}
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,8 @@ class BenchConfig:
             raise ValueError("reps must be at least 1")
         if not self.families or not self.sizes:
             raise ValueError("need at least one family and one size")
+        if min(self.sizes) < 1:
+            raise ValueError("sizes must be at least 1")
         for family in self.families:
             if family not in FAMILIES:
                 raise ValueError(f"unknown family {family!r}")
@@ -86,24 +93,21 @@ class BenchRecord:
     pareto_size: int
     verified: Optional[bool] = None
     timed_out: bool = False
-    nodes: int = 0
-    lps: int = 0
-    pivots: int = 0
-    flips: int = 0
+    work: Work = Work()
 
     def __post_init__(self) -> None:
         if self.elapsed_ms < 0:
             raise ValueError("elapsed time cannot be negative")
 
 
-def _run_algorithm(
-    algorithm: str, problem: Problem, oracle_budget: int
+def run_algorithm(
+    algorithm: str, problem: Problem, oracle_budget: int = DEFAULT_MAX_POINTS
 ) -> tuple[ParetoSet, RunStats]:
     """Run one algorithm; return its front and work accounting (all zero
     for brute force, which makes no IP solves)."""
     if algorithm == "brute":
         front = brute_force_pareto(problem, EnumerationBudget(oracle_budget))
-        return front, RunStats(0, 0, 0, (), len(front))
+        return front, RunStats(0, 0, (), len(front))
     if algorithm not in RUNNERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     return RUNNERS[algorithm](problem)
@@ -116,7 +120,7 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
         for size in config.sizes:
             if config.warmup:
                 problem = generate(GeneratorSpec(family, size, 1))
-                _run_algorithm(config.algorithms[0], problem, config.oracle_max_box)
+                run_algorithm(config.algorithms[0], problem, config.oracle_max_box)
             for seed in range(1, config.reps + 1):
                 problem = generate(GeneratorSpec(family, size, seed))
                 oracle: Optional[ParetoSet] = None
@@ -126,7 +130,7 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
                     )
                 for algorithm in config.algorithms:
                     start = time.perf_counter()
-                    front, stats = _run_algorithm(
+                    front, stats = run_algorithm(
                         algorithm, problem, config.oracle_max_box
                     )
                     # round to the CSV's precision here so summaries computed
@@ -150,16 +154,13 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
                             size=size,
                             seed=seed,
                             algorithm=algorithm,
-                            threads=_THREADS[algorithm],
+                            threads=THREADS[algorithm],
                             elapsed_ms=elapsed_ms,
                             ip_solves=stats.ip_solves,
                             pareto_size=len(front),
                             verified=verified,
                             timed_out=timed_out,
-                            nodes=stats.nodes,
-                            lps=stats.lps,
-                            pivots=stats.pivots,
-                            flips=stats.flips,
+                            work=stats.work,
                         )
                     )
     return records
@@ -198,10 +199,10 @@ def write_csv(records: Sequence[BenchRecord], destination) -> None:
                     f"{rec.elapsed_ms:.3f}",
                     rec.ip_solves,
                     rec.pareto_size,
-                    rec.nodes,
-                    rec.lps,
-                    rec.pivots,
-                    rec.flips,
+                    rec.work.nodes,
+                    rec.work.lps,
+                    rec.work.pivots,
+                    rec.work.flips,
                     verified,
                 )
             )

@@ -16,8 +16,17 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from biopt.algorithms import RUNNERS, RunStats
-from biopt.bench import ALGORITHMS, BenchConfig, render_summary, run_bench, summarize, write_csv
+from biopt.algorithms import RUNNERS
+from biopt.bench import (
+    ALGORITHMS,
+    THREADS,
+    BenchConfig,
+    render_summary,
+    run_algorithm,
+    run_bench,
+    summarize,
+    write_csv,
+)
 from biopt.errors import BioptError, BudgetExceeded, ParseError
 from biopt.instances import (
     FAMILIES,
@@ -90,12 +99,11 @@ def _load_instance(path: str) -> tuple[Optional[object], int]:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     algorithm = _ALG_NAMES[args.alg]
-    parallel = algorithm in ("splitting", "meeting")
-    threads = args.threads if args.threads is not None else (2 if parallel else 1)
-    if parallel and threads != 2:
-        return _usage_error(f"--alg {args.alg} requires --threads 2")
-    if not parallel and threads != 1:
-        return _usage_error(f"--alg {args.alg} runs single-threaded; use --threads 1")
+    workers = THREADS[algorithm]
+    if args.threads is not None and args.threads != workers:
+        if workers == 1:
+            return _usage_error(f"--alg {args.alg} runs single-threaded; use --threads 1")
+        return _usage_error(f"--alg {args.alg} requires --threads {workers}")
 
     problem, status = _load_instance(args.file)
     if problem is None:
@@ -103,11 +111,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     start = time.perf_counter()
     try:
-        if algorithm == "brute":
-            front = brute_force_pareto(problem)
-            stats = RunStats(0, 0, 0, (), len(front))
-        else:
-            front, stats = RUNNERS[algorithm](problem)
+        front, stats = run_algorithm(algorithm, problem)
     except BudgetExceeded as bad:
         return _usage_error(str(bad))
     except BioptError as bad:
@@ -118,8 +122,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(
         f"algorithm={algorithm} points={len(front)} "
         f"ip_solves={stats.ip_solves} elapsed_ms={elapsed_ms:.3f} "
-        f"nodes={stats.nodes} lps={stats.lps} "
-        f"pivots={stats.pivots} flips={stats.flips}",
+        f"nodes={stats.work.nodes} lps={stats.work.lps} "
+        f"pivots={stats.work.pivots} flips={stats.work.flips}",
         file=sys.stderr,
     )
     return EXIT_OK if len(front) > 0 else EXIT_EMPTY_FRONT
@@ -170,6 +174,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return _usage_error(str(bad))
     try:
         records = run_bench(config)
+    except BudgetExceeded as bad:
+        return _usage_error(str(bad))
     except BioptError as bad:
         return _runtime_error(str(bad))
     try:

@@ -133,26 +133,51 @@ class ExtraConstraint:
 
 
 @dataclass(frozen=True)
+class Work:
+    """The work of one or more integer solves: branch-and-bound nodes, LP
+    solves, and the simplex pivots and bound flips of those LPs."""
+
+    nodes: int = 0
+    lps: int = 0
+    pivots: int = 0
+    flips: int = 0
+
+    def __add__(self, other: Work) -> Work:
+        return Work(
+            self.nodes + other.nodes,
+            self.lps + other.lps,
+            self.pivots + other.pivots,
+            self.flips + other.flips,
+        )
+
+
+@dataclass(frozen=True)
 class LexResult:
-    """Outcome of a (possibly lexicographic) integer solve, with counters.
+    """Outcome of a (possibly lexicographic) integer solve, with its work.
 
     ``root`` is the optimal LP relaxation at the root of the search, if it
     had one, for restarting the next solve's root; it takes no part in
-    comparisons.  ``pivots`` and ``flips`` sum ``LpResult.pivots`` and
-    ``LpResult.flips`` over the search's LPs.
+    comparisons.
     """
 
     status: SolveStatus
     solution: Solution | None = None
-    node_count: int = 0
-    lp_count: int = 0
+    work: Work = Work()
     root: LpResult | None = field(default=None, compare=False, repr=False)
-    pivots: int = 0
-    flips: int = 0
 
     @property
     def is_optimal(self) -> bool:
         return self.status is SolveStatus.OPTIMAL
+
+    # perfbench's solve_lex spans read these two, and its run checks the
+    # LP spans against the sum of lp_count
+    @property
+    def node_count(self) -> int:
+        return self.work.nodes
+
+    @property
+    def lp_count(self) -> int:
+        return self.work.lps
 
 
 class SolverBackend(ABC):
@@ -173,11 +198,8 @@ class _Minimized(NamedTuple):
 
     value: Optional[int]
     assignment: Optional[tuple[int, ...]]
-    nodes: int
-    lps: int
     root: LpResult  # the root node's LP
-    pivots: int
-    flips: int
+    work: Work
 
 
 def _most_fractional(x: Sequence[Fraction]) -> Optional[int]:
@@ -262,9 +284,10 @@ def _branch_and_bound(
         up = node_bounds[:j] + ((split + 1, hi_j),) + node_bounds[j + 1:]
         stack.append((up, lower, lp))
         stack.append((down, lower, lp))  # popped first: floor child leads
+    work = Work(nodes, lps, pivots, flips)
     if best_x is None:
-        return _Minimized(None, None, nodes, lps, root_lp, pivots, flips)
-    return _Minimized(best_value, best_x, nodes, lps, root_lp, pivots, flips)
+        return _Minimized(None, None, root_lp, work)
+    return _Minimized(best_value, best_x, root_lp, work)
 
 
 class IncumbentStaircase:
@@ -382,17 +405,16 @@ def solve_lex(
         if cap is not None and last_cap is not None:
             caps = (cap, last_cap) if order.first == 1 else (last_cap, cap)
             if pool.rules_out(*caps):
-                return LexResult(SolveStatus.INFEASIBLE, None, 1, 0)
+                return LexResult(SolveStatus.INFEASIBLE, None, Work(nodes=1))
         seed, record = pool.best(costs, rows, cutoff), pool.add
     found = _branch_and_bound(costs, rows, box, cutoff, start, seed, record)
     root = found.root if found.root.is_optimal else None
-    work = (found.nodes, found.lps, root, found.pivots, found.flips)
     if found.assignment is None:
-        return LexResult(SolveStatus.INFEASIBLE, None, *work)
+        return LexResult(SolveStatus.INFEASIBLE, None, found.work, root)
     solution = Solution(found.assignment, evaluate(problem, found.assignment))
     if pool is not None:
         pool.mark_front(solution.outcome)
-    return LexResult(SolveStatus.OPTIMAL, solution, *work)
+    return LexResult(SolveStatus.OPTIMAL, solution, found.work, root)
 
 
 class BranchAndBoundBackend(SolverBackend):
@@ -431,9 +453,9 @@ class EnumerationBackend(SolverBackend):
 
     Scans the feasible lattice in row-major order keeping the first point
     that strictly improves the lexicographic key, so the representative is
-    deterministic.  ``node_count`` reports feasible points visited and
-    ``lp_count`` is always zero.  Boxes larger than ``max_points`` are
-    refused outright.
+    deterministic.  Its ``Work`` counts the feasible points visited as
+    nodes, and no LPs.  Boxes larger than ``max_points`` are refused
+    outright.
     """
 
     def __init__(self, max_points: int = 10_000_000) -> None:
@@ -462,6 +484,5 @@ class EnumerationBackend(SolverBackend):
             if best_key is None or key < best_key:
                 best_key = key
                 best = Solution(point, outcome)
-        if best is None:
-            return LexResult(SolveStatus.INFEASIBLE, None, visited, 0)
-        return LexResult(SolveStatus.OPTIMAL, best, visited, 0)
+        status = SolveStatus.INFEASIBLE if best is None else SolveStatus.OPTIMAL
+        return LexResult(status, best, Work(nodes=visited))

@@ -252,15 +252,6 @@ class _Tableau:
             self._shift(j, (lo if state is _VarState.AT_LOWER else hi) - was)
         return True
 
-    def move_rhs(self, unit: int, delta: int) -> None:
-        """Add ``delta`` to the right-hand side of the row whose unit column
-        is ``unit``.
-
-        That column is ``B^-1 e_i`` for the row's ``e_i``, so each basic
-        value moves by its entry times ``delta``.
-        """
-        self._shift(unit, -delta)
-
     # -- inspection ----------------------------------------------------
 
     def point(
@@ -510,7 +501,9 @@ def _reoptimize(
     n = len(bounds)
     for i, (new, old, sign) in enumerate(zip(rows, base.rows, base.signs)):
         if new.rhs != old.rhs:
-            tab.move_rhs(n + i, sign * (new.rhs - old.rhs))
+            # the row's slack column n + i is B^-1 e_i: a change in its rhs
+            # moves each basic value by that column's entry times the change
+            tab._shift(n + i, sign * (old.rhs - new.rhs))
     if not tab.run_dual():
         return _infeasible(tab)
     return _optimal(_Restart(tab, bounds, costs, rows, base.signs))

@@ -14,12 +14,11 @@ from biopt.algorithms import (
     DelaySpec,
     RunStats,
     SharedBounds,
-    SplitPlan,
     _run_parallel,
+    _slices,
     _sweep,
     meeting_boip,
     sequential_boip,
-    split_range,
     splitting_boip,
 )
 import biopt.algorithms
@@ -31,6 +30,7 @@ from biopt.ipsolve import (
     EnumerationBackend,
     ExtraConstraint,
     SolverBackend,
+    Work,
 )
 from biopt.model import (
     LinearConstraint,
@@ -122,28 +122,24 @@ class TestSharedBounds:
 
 
 class TestRunStats:
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            RunStats(3, 1, 1, (), 0)
-
     def test_fields(self):
-        stats = RunStats(5, 4, 1, (0.1,), 4)
+        stats = RunStats(4, 1, (0.1,), 4)
         assert stats.ip_solves == 5
         assert stats.pareto_size == 4
-        assert (stats.nodes, stats.lps, stats.pivots, stats.flips) == (0, 0, 0, 0)
+        assert stats.work == Work(0, 0, 0, 0)
 
     @pytest.mark.parametrize("name", sorted(RUNNERS))
     def test_work_counters_cover_every_solve(self, name, knapsack):
         # every IP solve runs at least one node, and every node at most one LP
         _, stats = RUNNERS[name](knapsack)
-        assert stats.nodes >= stats.lps >= stats.ip_solves > 0
+        assert stats.work.nodes >= stats.work.lps >= stats.ip_solves > 0
 
     def test_counters_sum_the_solves(self, knapsack):
         _, stats = sequential_boip(knapsack, BranchAndBoundBackend())
         # a fresh backend: the sweep's own one holds the incumbents it met,
         # which would shrink the replayed trees
         backend = BranchAndBoundBackend()
-        work = [0, 0, 0, 0]
+        work = Work()
         # the sweep's first cap: every point of the box meets it
         cap = 1 + sum(
             max(c * lo, c * hi)
@@ -152,11 +148,33 @@ class TestRunStats:
         for _ in range(stats.ip_solves):
             extras = (ExtraConstraint(2, cap),)
             res = backend.solve_lex(knapsack, ObjectiveOrder.F1_FIRST, extras)
-            counts = (res.node_count, res.lp_count, res.pivots, res.flips)
-            work = [total + n for total, n in zip(work, counts)]
+            work += res.work
             cap = res.solution.outcome.f2 if res.is_optimal else None
-        assert [stats.nodes, stats.lps, stats.pivots, stats.flips] == work
-        assert stats.pivots > 0
+        assert stats.work == work
+        assert stats.work.pivots > 0
+
+    @pytest.mark.parametrize("name", ["splitting", "meeting"])
+    def test_parallel_counters_sum_the_solves(
+        self, name, cover, knapsack, three_outcomes, monkeypatch
+    ):
+        # the workers run one after another in this process, so the
+        # backends' records reach this test; for meeting that is the legal
+        # schedule in which worker 1 finishes before worker 2 starts
+        monkeypatch.setattr(
+            biopt.algorithms, "_run_parallel", lambda jobs: [f(*a) for f, a in jobs]
+        )
+        for label, problem in sweep_instances(cover, knapsack, three_outcomes).items():
+            backends = (_Recording(), _Recording())
+            if name == "splitting":
+                _, stats = splitting_boip(problem, backends=backends, t=2)
+            else:
+                _, stats = meeting_boip(problem, backends=backends)
+            results = [res for b in backends for res in b.results]
+            assert stats.work == sum((res.work for res in results), Work()), label
+            assert stats.ip_solves == len(results), label
+            optimal = sum(res.is_optimal for res in results)
+            assert stats.feasible_solves == optimal, label
+            assert stats.infeasible_solves == len(results) - optimal, label
 
 
 @pytest.fixture
@@ -195,7 +213,7 @@ class TestRootRestart:
             cold_lps.clear()
             _, stats = sequential_boip(problem)
             assert len(cold_lps) == 1, name
-            assert stats.lps > 2, name
+            assert stats.work.lps > 2, name
 
     def test_each_meeting_worker_makes_one_cold_lp(
         self, cover, knapsack, three_outcomes, cold_lps
@@ -299,40 +317,26 @@ class TestSequential:
 
 
 class TestSplitRange:
-    def test_cover_two_workers(self, cover):
-        plan = split_range(cover, t=2)
-        assert plan.intervals == ((0, 1), (2, 3))
-        west, east = plan.endpoints
-        assert west.outcome == OutcomeVector(0, 3)
-        assert east.outcome == OutcomeVector(3, 0)
+    # the cover's f1 range is [0, 3]; its endpoint outcomes (0, 3) and
+    # (3, 0) are checked by TestSplitting.test_cover_process
+    def test_cover_two_workers(self):
+        assert _slices(0, 3, 2) == ((0, 1), (2, 3))
 
-    def test_cover_one_worker(self, cover):
-        plan = split_range(cover, t=1)
-        assert plan.intervals == ((0, 3),)
+    def test_cover_one_worker(self):
+        assert _slices(0, 3, 1) == ((0, 3),)
 
-    def test_remainder_goes_to_last(self, cover):
-        plan = split_range(cover, t=3)
-        assert plan.intervals == ((0, 0), (1, 1), (2, 3))
+    def test_remainder_goes_to_last(self):
+        assert _slices(0, 3, 3) == ((0, 0), (1, 1), (2, 3))
 
     def test_single_value_range_leaves_first_interval_empty(self):
-        point = build_problem(
-            num_vars=1,
-            objectives=[(1,), (-1,)],
-            constraints=[],
-            var_bounds=[(2, 2)],
-        )
-        plan = split_range(point, t=2)
-        assert plan.intervals == ((2, 1), (2, 2))
-        lo, hi = plan.intervals[0]
+        intervals = _slices(2, 2, 2)
+        assert intervals == ((2, 1), (2, 2))
+        lo, hi = intervals[0]
         assert lo > hi  # empty slice marker
-
-    def test_infeasible_plan_is_empty(self):
-        plan = split_range(infeasible_problem(), t=2)
-        assert plan == SplitPlan((), ())
 
     def test_worker_count_validated(self, cover):
         with pytest.raises(ValueError):
-            split_range(cover, t=0)
+            splitting_boip(cover, backends=(), t=0)
 
 
 class TestSplitting:
@@ -511,14 +515,17 @@ class TestMeeting:
 
 
 class _Recording(SolverBackend):
-    """Branch and bound that records every solve's outcome, None if infeasible."""
+    """Branch and bound that records every solve's result, and its outcome
+    (None if infeasible)."""
 
     def __init__(self):
         self.inner = BranchAndBoundBackend()
+        self.results = []
         self.outcomes = []
 
     def solve_lex(self, problem, order, extras=()):
         res = self.inner.solve_lex(problem, order, extras)
+        self.results.append(res)
         self.outcomes.append(res.solution.outcome if res.is_optimal else None)
         return res
 

@@ -95,14 +95,14 @@ class TestRunBench:
         assert records[0].verified is None
 
     def test_mismatch_aborts_loudly(self, monkeypatch):
-        real = bench_module._run_algorithm
+        real = bench_module.run_algorithm
 
         def corrupted(algorithm, problem, oracle_budget):
             if algorithm == "meeting":
                 return ParetoSet(()), 0  # drop every point
             return real(algorithm, problem, oracle_budget)
 
-        monkeypatch.setattr(bench_module, "_run_algorithm", corrupted)
+        monkeypatch.setattr(bench_module, "run_algorithm", corrupted)
         with pytest.raises(BioptError, match="disagrees"):
             run_bench(tiny_config(reps=1, algorithms=("sequential", "meeting")))
 
@@ -136,10 +136,11 @@ class TestCsv:
             assert cell["algorithm"] in ("sequential", "meeting")
             assert float(cell["elapsed_ms"]) >= 0.0
             assert cell["verified"] == "true"
-            assert (int(cell["nodes"]), int(cell["lps"])) == (rec.nodes, rec.lps)
-            assert (int(cell["pivots"]), int(cell["flips"])) == (rec.pivots, rec.flips)
-            assert rec.nodes >= rec.lps >= rec.ip_solves > 0
-            assert rec.pivots > 0
+            work = rec.work
+            assert (int(cell["nodes"]), int(cell["lps"])) == (work.nodes, work.lps)
+            assert (int(cell["pivots"]), int(cell["flips"])) == (work.pivots, work.flips)
+            assert work.nodes >= work.lps >= rec.ip_solves > 0
+            assert work.pivots > 0
 
     def test_brute_writes_zero_counters(self, tmp_path):
         records = run_bench(tiny_config(reps=1, algorithms=("brute",)))

@@ -255,6 +255,23 @@ class TestBench:
         ])
         assert code == EXIT_USAGE
 
+    def test_bad_size(self, tmp_path, capsys):
+        code = main([
+            "bench", "--families", "knapsack", "--sizes", "0", "--reps", "1",
+            "--algs", "sequential", "--out", str(tmp_path / "b.csv"),
+        ])
+        assert code == EXIT_USAGE
+        assert "sizes must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_brute_over_budget_is_usage_error(self, tmp_path):
+        # knapsack-30 has a box of 2^30 points, past the enumeration budget
+        code = main([
+            "bench", "--families", "knapsack", "--sizes", "30", "--reps", "1",
+            "--algs", "brute", "--out", str(tmp_path / "b.csv"),
+        ])
+        assert code == EXIT_USAGE
+
 
 class TestParser:
     def test_no_command_is_usage_error(self):

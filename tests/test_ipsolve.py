@@ -14,6 +14,7 @@ from biopt.ipsolve import (
     ExtraConstraint,
     IncumbentStaircase,
     LexResult,
+    Work,
     _branch_and_bound,
     solve_lex,
 )
@@ -48,9 +49,9 @@ def solve_single(problem, objective_index, extras=(), branch_bounds=None):
     rows, box = _rows_and_box(problem, extras, branch_bounds)
     res = _branch_and_bound(problem.objective(objective_index), rows, box)
     if res.value is None:
-        return LexResult(SolveStatus.INFEASIBLE, None, res.nodes, res.lps)
+        return LexResult(SolveStatus.INFEASIBLE, None, res.work)
     solution = Solution(res.assignment, evaluate(problem, res.assignment))
-    return LexResult(SolveStatus.OPTIMAL, solution, res.nodes, res.lps)
+    return LexResult(SolveStatus.OPTIMAL, solution, res.work)
 
 
 def solve_lp_relaxation(problem, objective, extras=(), branch_bounds=None):
@@ -353,7 +354,7 @@ class TestIncumbentStaircase:
         assert found.solution.outcome == OutcomeVector(1, 2)
         beside = [ExtraConstraint(2, 2), ExtraConstraint(1, 2)]
         res = backend.solve_lex(cover, f1_first, beside)
-        assert res == LexResult(SolveStatus.INFEASIBLE, None, 1, 0)
+        assert res == LexResult(SolveStatus.INFEASIBLE, None, Work(nodes=1))
         assert not EnumerationBackend().solve_lex(cover, f1_first, beside).is_optimal
         again = [ExtraConstraint(2, 3), ExtraConstraint(1, 2)]
         assert backend.solve_lex(cover, f1_first, again).solution.outcome == OutcomeVector(1, 2)
@@ -366,7 +367,7 @@ class TestIncumbentStaircase:
         assert found.solution.outcome == OutcomeVector(2, 1)
         beside = [ExtraConstraint(1, 3), ExtraConstraint(2, 1)]  # f1 <= 2, f2 <= 0
         assert backend.solve_lex(cover, f2_first, beside) == LexResult(
-            SolveStatus.INFEASIBLE, None, 1, 0
+            SolveStatus.INFEASIBLE, None, Work(nodes=1)
         )
 
     def test_pool_of_another_problem_raises(self, cover):
