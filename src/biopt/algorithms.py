@@ -9,8 +9,8 @@ one objective and tightens the cap to the value just found.
   Exactly one subproblem per front point plus the terminating infeasible
   solve.
 * ``splitting_boip`` — the f1 range [f1min, f1max] (obtained from the two
-  endpoint lexicographic solves) is split into near-equal integer slices.
-  Each worker sweeps its slice ``[lo, hi]`` east to west: minimize
+  endpoint lexicographic solves) is cut into integer slices that hold
+  similar shares of the front (``_knee_slices``).  Each worker sweeps its slice ``[lo, hi]`` east to west: minimize
   (f2, f1) under f1 < cap, starting from ``cap = hi + 1`` (``f1max`` for
   the last slice, whose east end is already known), and stops right after
   the first find with f1 < lo.  Any point dominating a find would satisfy
@@ -34,13 +34,16 @@ the staircase validation and is treated as a solver bug — and its
 ``RunStats`` sums their solve counts and ``Work``.
 
 The parallel workers are forked processes, the only way CPython runs them
-in parallel.  ``SharedBounds`` is the only mutable state the meeting
-workers share.  It lives in shared memory, and each cell is owned by one
-writer and enforces monotone non-increase.
+in parallel, except splitting's west slice: the calling process, which has
+just solved the endpoints on that slice's backend, sweeps it itself while
+the other slices run forked.  ``SharedBounds`` is the only mutable state
+the meeting workers share.  It lives in shared memory, and each cell is
+owned by one writer and enforces monotone non-increase.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import random
 import time
@@ -50,7 +53,16 @@ from typing import Callable, Optional, Sequence
 
 from biopt.errors import BioptError, BoundRegression
 from biopt.ipsolve import BranchAndBoundBackend, ExtraConstraint, SolverBackend, Work
-from biopt.model import ObjectiveOrder, OutcomeVector, ParetoSet, Problem, Solution
+from biopt.model import (
+    LinearConstraint,
+    ObjectiveOrder,
+    OutcomeVector,
+    ParetoSet,
+    Problem,
+    Relation,
+    Solution,
+)
+from biopt.simplex import solve_lp
 
 # int64 sentinel for "no bound yet"; published bounds must stay well below it
 _NO_BOUND = 2**62
@@ -188,6 +200,7 @@ def _sweep(
     stop: Optional[int] = None,
     store: Optional[SharedBounds] = None,
     delays: Optional[DelaySpec] = None,
+    check: Optional[Callable[[], None]] = None,
 ) -> _SweepOutcome:
     """The core recursion: lex-minimize under a tightening strict cap on f_own.
 
@@ -201,7 +214,8 @@ def _sweep(
     first find below it, or at once if it starts there.  With a
     ``store`` it re-reads the other objective's cap before every solve and
     publishes its own after every find, napping from
-    ``delays.sleeper(own)`` before each store access.
+    ``delays.sleeper(own)`` before each store access.  It calls ``check``,
+    if given, before each solve.
     """
     order = ObjectiveOrder.F1_FIRST if own == 2 else ObjectiveOrder.F2_FIRST
     other = 3 - own
@@ -216,6 +230,8 @@ def _sweep(
     feasible = infeasible = 0
     work = Work()
     while stop is None or cap >= stop:
+        if check is not None:
+            check()
         extras = [ExtraConstraint(own, cap)]
         if store is not None:
             if nap is not None:
@@ -288,6 +304,46 @@ def _slices(f1_min: int, f1_max: int, t: int) -> tuple[tuple[int, int], ...]:
     ) + ((f1_min + (t - 1) * width, f1_max),)
 
 
+def _knee_slices(
+    problem: Problem, west: OutcomeVector, east: OutcomeVector, t: int
+) -> tuple[tuple[int, int], ...]:
+    """Cut [west.f1, east.f1] into ``t`` slices with similar shares of the
+    front between the two endpoints.
+
+    Scale the endpoints' box to the unit square, with ``u`` the scaled f1
+    and ``v`` the scaled f2: the front runs from (0, 1) to (1, 0), and up
+    to a point (u, v) its L1 length is ``u + 1 - v``, so the line
+    ``u - v = 2k/t - 1`` marks the k-th of ``t`` equal parts.  A front that
+    bulges toward the ideal point crosses that line between two estimates:
+    east of where the LP relaxation's front crosses it (the least f1 of
+    the relaxation on the line's east side, one cold LP), and west of where
+    the chord between the endpoints crosses it (``u = k/t``, the
+    equal-width cut).  Cut k lands halfway between them.  Every slice
+    keeps at least one value; a range of fewer than ``t`` values is cut by
+    ``_slices``.
+    """
+    f1_min, f1_max = west.f1, east.f1
+    even = _slices(f1_min, f1_max, t)
+    if f1_max - f1_min + 1 < t:
+        return even
+    r1, r2 = f1_max - f1_min, west.f2 - east.f2
+    c1, c2 = problem.objective(1), problem.objective(2)
+    # t*r2*(f1 - f1_min) - t*r1*(f2 - east.f2) >= (2k - t)*r1*r2
+    coeffs = tuple(t * (r2 * a - r1 * b) for a, b in zip(c1, c2))
+    base = t * (r2 * f1_min - r1 * east.f2)
+    bounds = [f1_min - 1]
+    for k in range(1, t):
+        row = LinearConstraint(coeffs, Relation.GE, (2 * k - t) * r1 * r2 + base)
+        lp = solve_lp(c1, (*problem.constraints, row), problem.var_bounds)
+        chord = even[k - 1][1]
+        # the east endpoint meets every row, so the LP is feasible
+        assert lp.objective is not None
+        cut = (math.floor(lp.objective) + chord) // 2
+        bounds.append(min(max(cut, bounds[-1] + 1), f1_max - t + k))
+    bounds.append(f1_max)
+    return tuple((lo + 1, hi) for lo, hi in zip(bounds, bounds[1:]))
+
+
 def splitting_boip(
     problem: Problem,
     backends: Optional[Sequence[SolverBackend]] = None,
@@ -297,12 +353,20 @@ def splitting_boip(
     """Enumerate the front by splitting the f1 range across ``t`` workers.
 
     The range [f1min, f1max] comes from the two lexicographic endpoint
-    solves, run here on the first backend: f1min from the (f1, f2)
-    optimum, f1max from the (f2, f1) optimum.  Each slice ``[lo, hi]`` of
-    it is swept east to west under a strict f1 cap, so every find is a
-    global front point; the union with the two endpoint solutions needs no
+    solves, run here on the last backend: f1min from the (f1, f2) optimum,
+    f1max from the (f2, f1) optimum.  Each slice ``[lo, hi]`` of it is
+    swept east to west under a strict f1 cap, so every find is a global
+    front point; the union with the two endpoint solutions needs no
     dominance filter.  The endpoint solves count in the run's solves and
-    work, but not in ``worker_elapsed``.
+    work, but not in ``worker_elapsed``, which lists the slices from west
+    to east.
+
+    The backends take the slices from east to west, so the last one, warm
+    from the endpoint solves, takes the west slice and sweeps it here (the
+    next slice east, when that one is empty), while the other slices run
+    on forked workers.  It keeps the root LPs and incumbent pool of all its
+    solves afterwards.  It already solved the endpoints here, so a backend
+    that kills its process stops the caller either way.
     """
     _check_executor(executor)
     if t < 1:
@@ -311,11 +375,11 @@ def splitting_boip(
     if len(engines) != t:
         raise ValueError(f"expected {t} backends, got {len(engines)}")
     began = time.perf_counter()
-    west = engines[0].solve_lex(problem, ObjectiveOrder.F1_FIRST)
+    west = engines[-1].solve_lex(problem, ObjectiveOrder.F1_FIRST)
     if not west.is_optimal:
         ends = _SweepOutcome((), 0, 1, time.perf_counter() - began, west.work)
         return _finish((ends,), ())
-    east = engines[0].solve_lex(problem, ObjectiveOrder.F2_FIRST)
+    east = engines[-1].solve_lex(problem, ObjectiveOrder.F2_FIRST)
     assert west.solution is not None and east.solution is not None
     ends = _SweepOutcome(
         (west.solution, east.solution),
@@ -326,22 +390,17 @@ def splitting_boip(
     )
 
     f1_min, f1_max = west.solution.outcome.f1, east.solution.outcome.f1
+    slices = _knee_slices(problem, west.solution.outcome, east.solution.outcome, t)
     jobs = []
-    lanes: list[Optional[int]] = []  # job index per slice, None if empty
-    for (lo, hi), engine in zip(_slices(f1_min, f1_max, t), engines):
-        if lo > hi:
-            lanes.append(None)
-            continue
-        lanes.append(len(jobs))
-        # the east endpoint is known, so the last slice starts west of it;
-        # the first slice stops as soon as it re-finds the west endpoint
-        cap = f1_max if hi == f1_max else hi + 1
-        stop = max(lo, f1_min + 1)
-        jobs.append((_sweep, (problem, engine, 1, cap, stop)))
-    sweeps = _run_parallel(jobs)
-    elapsed = tuple(
-        sweeps[lane].elapsed if lane is not None else 0.0 for lane in lanes
-    )
+    for (lo, hi), engine in zip(reversed(slices), engines):
+        if lo <= hi:
+            # the east endpoint is known, so the last slice starts west of
+            # it; the first slice stops as soon as it re-finds the west one
+            cap = f1_max if hi == f1_max else hi + 1
+            jobs.append((_sweep, (problem, engine, 1, cap, max(lo, f1_min + 1))))
+    sweeps = _run_parallel(jobs, here=True)[::-1]  # west to east
+    done = iter(sweeps)
+    elapsed = tuple(next(done).elapsed if lo <= hi else 0.0 for lo, hi in slices)
     return _finish((ends, *sweeps), elapsed)
 
 
@@ -411,12 +470,16 @@ def _pipe_runner(conn, fn, args) -> None:
         conn.close()
 
 
-def _run_parallel(jobs: Sequence[tuple]) -> list:
+def _run_parallel(jobs: Sequence[tuple], here: bool = False) -> list:
     """Run (fn, args) jobs on forked worker processes; propagate failures.
 
-    The first failure to arrive is raised at once: the other workers are
-    terminated and joined first, so none outlives the call, whichever way
-    it ends.
+    With ``here`` the last job runs in this process instead, called with a
+    ``check`` keyword that polls the workers' result pipes without
+    blocking.  The first failure to arrive, a worker's error or its exit
+    without a result, is raised at once, also from ``check``; an exception
+    of this process's own job propagates as it is.  Whichever way the call
+    ends, the workers are terminated unless all have reported, and joined,
+    so none outlives it.
     """
     # imported on first use, as ctx.Pipe does, to keep `import biopt` cheap
     from multiprocessing.connection import wait
@@ -425,27 +488,35 @@ def _run_parallel(jobs: Sequence[tuple]) -> list:
     procs = []
     pending = {}  # result pipe -> job index
     results: list = [None] * len(jobs)
+
+    def collect(ready) -> None:
+        for conn in ready:
+            i = pending.pop(conn)
+            try:
+                tag, payload = conn.recv()
+            except EOFError:
+                tag, payload = "error", "worker exited without reporting"
+            finally:
+                conn.close()
+            if tag == "error":
+                raise BioptError(f"worker failed:\n{payload}")
+            results[i] = payload
+
     finished = False
     try:
-        for i, (fn, args) in enumerate(jobs):
+        forked = jobs[:-1] if here else jobs
+        for i, (fn, args) in enumerate(forked):
             parent, child = ctx.Pipe(duplex=False)
             pending[parent] = i
             proc = ctx.Process(target=_pipe_runner, args=(child, fn, args))
             proc.start()
             child.close()
             procs.append(proc)
+        if here and jobs:
+            fn, args = jobs[-1]
+            results[-1] = fn(*args, check=lambda: collect(wait(list(pending), 0)))
         while pending:
-            for conn in wait(list(pending)):
-                i = pending.pop(conn)
-                try:
-                    tag, payload = conn.recv()
-                except EOFError:
-                    tag, payload = "error", "worker exited without reporting"
-                finally:
-                    conn.close()
-                if tag == "error":
-                    raise BioptError(f"worker failed:\n{payload}")
-                results[i] = payload
+            collect(wait(list(pending)))
         finished = True
     finally:
         for conn in pending:

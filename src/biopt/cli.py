@@ -123,7 +123,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         f"algorithm={algorithm} points={len(front)} "
         f"ip_solves={stats.ip_solves} elapsed_ms={elapsed_ms:.3f} "
         f"nodes={stats.work.nodes} lps={stats.work.lps} "
-        f"pivots={stats.work.pivots} flips={stats.work.flips}",
+        f"pivots={stats.work.pivots} flips={stats.work.flips} "
+        f"tightened={stats.work.tightened}",
         file=sys.stderr,
     )
     return EXIT_OK if len(front) > 0 else EXIT_EMPTY_FRONT

@@ -14,6 +14,14 @@ primary backend is an exact branch and bound:
 * pruning with ``ceil(lp_bound) >= incumbent`` (sound because objectives
   take integer values on integer points), re-checking the inherited parent
   bound before paying for a node's LP;
+* reduced-cost tightening (Crowder, Johnson & Padberg, 1983) at every
+  node that branches: only points of value at most ``U - 1`` count, with
+  ``U`` the incumbent's value or the cutoff, and on the node's LP any
+  point has value at least ``z + d_j * |x_j - b_j|``, for its optimum
+  ``z`` and each nonbasic column ``j`` at bound ``b_j`` with reduced cost
+  ``d_j``.  So ``x_j`` moves at most ``floor((U - 1 - z) / |d_j|)`` off
+  that bound, and both children inherit the box cut down to that, all in
+  integers;
 * an optional strict cutoff: pruning and incumbent acceptance both
   compare against it, and a search that finds no point below it reports
   infeasible;
@@ -135,12 +143,14 @@ class ExtraConstraint:
 @dataclass(frozen=True)
 class Work:
     """The work of one or more integer solves: branch-and-bound nodes, LP
-    solves, and the simplex pivots and bound flips of those LPs."""
+    solves, the simplex pivots and bound flips of those LPs, and the column
+    bounds that reduced-cost tightening moved."""
 
     nodes: int = 0
     lps: int = 0
     pivots: int = 0
     flips: int = 0
+    tightened: int = 0
 
     def __add__(self, other: Work) -> Work:
         return Work(
@@ -148,6 +158,7 @@ class Work:
             self.lps + other.lps,
             self.pivots + other.pivots,
             self.flips + other.flips,
+            self.tightened + other.tightened,
         )
 
 
@@ -217,6 +228,42 @@ def _most_fractional(x: Sequence[Fraction]) -> Optional[int]:
     return best_j
 
 
+def _tighten(
+    box: tuple[tuple[int, int], ...], lp: LpResult, limit: int
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The part of ``box`` holding every point of value at most ``limit``
+    in ``lp``'s LP, from its reduced costs, and the number of bounds that
+    moved.
+
+    ``limit`` must be at least ``lp``'s objective ``z``.  A column at its
+    lower bound ``lo`` with reduced cost ``d > 0`` keeps ``x_j <= lo +
+    floor((limit - z) / d)``; one at its upper bound ``hi`` with ``d < 0``
+    keeps ``x_j >= hi - floor((limit - z) / -d)``.
+    """
+    nums, den = lp.reduced_costs()
+    z = lp.objective
+    assert z is not None
+    q = z.denominator
+    gap = (limit * q - z.numerator) * den  # (limit - z) * den * q
+    out = list(box)
+    moved = 0
+    for j, d in enumerate(nums):
+        if not d:
+            continue
+        lo, hi = out[j]
+        if d > 0:
+            cap = lo + gap // (q * d)
+            if cap < hi:
+                out[j] = (lo, cap)
+                moved += 1
+        else:
+            low = hi - gap // (-q * d)
+            if low > lo:
+                out[j] = (low, hi)
+                moved += 1
+    return (tuple(out), moved) if moved else (box, 0)
+
+
 def _branch_and_bound(
     costs: Sequence[int],
     rows: Sequence[LinearConstraint],
@@ -246,7 +293,7 @@ def _branch_and_bound(
         tuple[tuple[tuple[int, int], ...], Optional[int], Optional[LpResult]]
     ] = [(root, None, start)]
     best_value, best_x = incumbent if incumbent is not None else (cutoff, None)
-    nodes = lps = pivots = flips = 0
+    nodes = lps = pivots = flips = tightened = 0
     while stack:
         node_bounds, parent_bound, parent = stack.pop()
         nodes += 1
@@ -278,13 +325,16 @@ def _branch_and_bound(
         if j is None:  # an integral point below the incumbent
             best_value, best_x = lower, point
             continue
+        if best_value is not None:
+            node_bounds, moved = _tighten(node_bounds, lp, best_value - 1)
+            tightened += moved
         split = floor(lp.x[j])
         lo_j, hi_j = node_bounds[j]
         down = node_bounds[:j] + ((lo_j, split),) + node_bounds[j + 1:]
         up = node_bounds[:j] + ((split + 1, hi_j),) + node_bounds[j + 1:]
         stack.append((up, lower, lp))
         stack.append((down, lower, lp))  # popped first: floor child leads
-    work = Work(nodes, lps, pivots, flips)
+    work = Work(nodes, lps, pivots, flips, tightened)
     if best_x is None:
         return _Minimized(None, None, root_lp, work)
     return _Minimized(best_value, best_x, root_lp, work)

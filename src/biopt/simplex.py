@@ -137,6 +137,19 @@ class LpResult:
             for new, old in zip(rows, base.rows)
         )
 
+    def reduced_costs(self) -> tuple[list[int], int]:
+        """The structural columns' reduced costs at this optimum, as integer
+        numerators over one positive denominator.
+
+        A basic column's is 0.  A column whose box is not a single point
+        sits at its lower bound when its reduced cost is positive and at its
+        upper bound when it is negative.
+        """
+        if self.restart is None:
+            raise ValueError("only an optimal LpResult has reduced costs")
+        tab = self.restart.tableau
+        return tab.onums[: len(self.restart.bounds)], tab.oden
+
 
 class _VarState(Enum):
     BASIC = 0

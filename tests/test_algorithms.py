@@ -14,6 +14,7 @@ from biopt.algorithms import (
     DelaySpec,
     RunStats,
     SharedBounds,
+    _knee_slices,
     _run_parallel,
     _slices,
     _sweep,
@@ -161,7 +162,7 @@ class TestRunStats:
         # backends' records reach this test; for meeting that is the legal
         # schedule in which worker 1 finishes before worker 2 starts
         monkeypatch.setattr(
-            biopt.algorithms, "_run_parallel", lambda jobs: [f(*a) for f, a in jobs]
+            biopt.algorithms, "_run_parallel", lambda jobs, here=False: [f(*a) for f, a in jobs]
         )
         for label, problem in sweep_instances(cover, knapsack, three_outcomes).items():
             backends = (_Recording(), _Recording())
@@ -338,6 +339,33 @@ class TestSplitRange:
         with pytest.raises(ValueError):
             splitting_boip(cover, backends=(), t=0)
 
+    def test_knee_slices_partition_the_range(self):
+        for seed in range(40):
+            problem = random_tiny_problem(random.Random(6100 + seed))
+            outcomes = brute_force_pareto(problem).outcomes()
+            if len(outcomes) < 2:
+                continue
+            west, east = outcomes[0], outcomes[-1]
+            for t in (2, 3, 4):
+                slices = _knee_slices(problem, west, east, t)
+                if east.f1 - west.f1 + 1 < t:
+                    assert slices == _slices(west.f1, east.f1, t)
+                    continue
+                assert slices[0][0] == west.f1 and slices[-1][1] == east.f1
+                assert all(lo <= hi for lo, hi in slices)
+                assert all(a[1] + 1 == b[0] for a, b in zip(slices, slices[1:]))
+
+    def test_knee_cut_lands_west_of_the_midpoint(self):
+        # a gate instance whose front bulges toward the ideal point: the
+        # midpoint leaves 10 of its 12 points in the west slice
+        problem = generate(GeneratorSpec("knapsack", 24, 1))
+        outcomes = sequential_boip(problem)[0].outcomes()
+        west, east = outcomes[0], outcomes[-1]
+        (_, cut), _ = _knee_slices(problem, west, east, 2)
+        (_, mid), _ = _slices(west.f1, east.f1, 2)
+        assert sum(o.f1 <= mid for o in outcomes) == 10
+        assert 6 <= sum(o.f1 <= cut for o in outcomes) <= 8
+
 
 class TestSplitting:
     def test_cover_process(self, cover):
@@ -358,7 +386,7 @@ class TestSplitting:
         # independent, so they may run one after another in this process,
         # where the backends' records reach this test.
         monkeypatch.setattr(
-            biopt.algorithms, "_run_parallel", lambda jobs: [f(*a) for f, a in jobs]
+            biopt.algorithms, "_run_parallel", lambda jobs, here=False: [f(*a) for f, a in jobs]
         )
         backends = (_Recording(), _Recording())
         front, stats = splitting_boip(three_outcomes, backends=backends, t=2)
@@ -551,12 +579,40 @@ class TestWorkerFailure:
         assert multiprocessing.active_children() == []
 
     def test_splitting_worker_failure_propagates(self, cover):
-        # the endpoint solves run in the parent; the first slice's worker
-        # fails while the second one sweeps normally
+        # the endpoint solves and the west slice run in this process on the
+        # second backend; the east slice's forked worker fails
         backends = (_Boom(), BranchAndBoundBackend())
         with pytest.raises(BioptError, match="boom"):
             splitting_boip(cover, backends=backends, t=2)
         assert multiprocessing.active_children() == []
+
+
+class _SweepNapping(SolverBackend):
+    """Branch and bound that sleeps before every capped solve: a sweep naps,
+    the endpoint solves do not."""
+
+    def __init__(self, seconds):
+        self.inner = BranchAndBoundBackend()
+        self.seconds = seconds
+
+    def solve_lex(self, problem, order, extras=()):
+        if extras:
+            time.sleep(self.seconds)
+        return self.inner.solve_lex(problem, order, extras)
+
+
+class _SweepRaising(SolverBackend):
+    """Branch and bound for the endpoint solves; raises ``error`` on the
+    first capped solve, as a Ctrl-C or a bug in the sweep would."""
+
+    def __init__(self, error):
+        self.inner = BranchAndBoundBackend()
+        self.error = error
+
+    def solve_lex(self, problem, order, extras=()):
+        if extras:
+            raise self.error
+        return self.inner.solve_lex(problem, order, extras)
 
 
 def _sleep(seconds):
@@ -580,6 +636,47 @@ class TestFailFast:
         jobs = [(_sleep, (0.2,)), (_sleep, (0.0,))]
         assert _run_parallel(jobs) == [0.2, 0.0]
         assert multiprocessing.active_children() == []
+
+    def test_exit_without_a_result_fails_the_run(self):
+        with pytest.raises(BioptError, match="exited without reporting"):
+            _run_parallel([(os._exit, (3,)), (_sleep, (0.0,))])
+        assert multiprocessing.active_children() == []
+
+
+class TestSplittingInCaller:
+    """Splitting sweeps its west slice in the calling process, on the last
+    backend, while the east slice runs on a forked worker."""
+
+    def test_forked_failure_stops_the_callers_sweep(self, cover):
+        # the west slice of cover takes two capped solves, 0.5 s each; the
+        # caller sees the forked failure at its check before the second
+        start = time.perf_counter()
+        with pytest.raises(BioptError, match="boom"):
+            splitting_boip(cover, backends=(_Boom(), _SweepNapping(0.5)), t=2)
+        assert time.perf_counter() - start < 0.8
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_in_the_callers_sweep_leaves_no_child(self, cover):
+        backends = (_SweepNapping(5.0), _SweepRaising(KeyboardInterrupt()))
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            splitting_boip(cover, backends=backends, t=2)
+        assert time.perf_counter() - start < 2.0
+        assert multiprocessing.active_children() == []
+
+    def test_callers_own_error_is_not_wrapped(self, cover):
+        backends = (_SweepNapping(5.0), _SweepRaising(RuntimeError("own")))
+        with pytest.raises(RuntimeError, match="own") as raised:
+            splitting_boip(cover, backends=backends, t=2)
+        assert not isinstance(raised.value, BioptError)
+        assert multiprocessing.active_children() == []
+
+    def test_last_backend_solves_here(self, cover):
+        # the records of a backend reach this test only from this process
+        backends = (_Recording(), _Recording())
+        splitting_boip(cover, backends=backends, t=2)
+        assert backends[0].results == []  # filled in its forked worker only
+        assert len(backends[1].results) == 4  # both endpoints, then two finds
 
 
 class TestTwoSidedCover:

@@ -2,7 +2,6 @@
 
 import csv
 import statistics
-from pathlib import Path
 
 import pytest
 

@@ -113,10 +113,14 @@ class TestSolve:
         assert captured.out == T1_RESULT
         assert "ip_solves=5" in captured.err
         assert "elapsed_ms=" in captured.err
-        footer = r" nodes=(\d+) lps=(\d+) pivots=(\d+) flips=(\d+)\n\Z"
-        nodes, lps, pivots, flips = map(int, re.search(footer, captured.err).groups())
+        footer = (
+            r" nodes=(\d+) lps=(\d+) pivots=(\d+) flips=(\d+) tightened=(\d+)\n\Z"
+        )
+        nodes, lps, pivots, flips, tightened = map(
+            int, re.search(footer, captured.err).groups()
+        )
         assert nodes >= lps >= 5
-        assert pivots > 0 and flips >= 0
+        assert pivots > 0 and flips >= 0 and tightened >= 0
 
     def test_meeting_same_lines(self, cover_file, capsys):
         code = main(["solve", "--alg", "meet", "--threads", "2", cover_file])

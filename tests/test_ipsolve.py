@@ -1,6 +1,7 @@
 """Integer solves: hand-checked cases, backend duels, and scipy.milp duels."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from biopt.ipsolve import (
     LexResult,
     Work,
     _branch_and_bound,
+    _tighten,
     solve_lex,
 )
 from biopt.model import (
@@ -237,6 +239,50 @@ class TestLpRelaxation:
     def test_length_check(self, cover):
         with pytest.raises(ValueError):
             solve_lp_relaxation(cover, [1, 2, 3])
+
+
+class TestReducedCostTightening:
+    """Hand-checked reduced-cost steps at the root of a search."""
+
+    def test_keeps_the_point_at_the_full_step(self):
+        # min 3y + 2x s.t. 2y + x >= 1, y in [0, 1], x in [0, 2], below the
+        # cutoff U = 3.  The root LP has y = 1/2, x = 0 and z = 3/2, and x
+        # has reduced cost 1/2, so x <= floor((U - 1 - z) / (1/2)) = 1.  The
+        # only point below U, (0, 1) of value 2 = U - 1, lies on that bound.
+        rows = [LinearConstraint((2, 1), Relation.GE, 1)]
+        found = _branch_and_bound((3, 2), rows, [(0, 1), (0, 2)], cutoff=3)
+        assert (found.value, found.assignment) == (2, (0, 1))
+        assert found.work.tightened == 1
+
+    def test_steps_round_down(self):
+        # min 2y + 2x s.t. 3y + 2x >= 2, y in [0, 1], x in [0, 3]: the root
+        # LP has y = 2/3, x = 0 and z = 4/3, and x has reduced cost 2/3.
+        # Under U = 4 the step is (4 - 1 - 4/3) / (2/3) = 5/2, so x <= 2.
+        rows = [LinearConstraint((3, 2), Relation.GE, 2)]
+        lp = solve_lp((2, 2), rows, [(0, 1), (0, 3)])
+        assert (lp.x, lp.objective) == ((Fraction(2, 3), 0), Fraction(4, 3))
+        assert _tighten(((0, 1), (0, 3)), lp, 3) == (((0, 1), (0, 2)), 1)
+        found = _branch_and_bound((2, 2), rows, [(0, 1), (0, 3)], cutoff=4)
+        assert found.value == 2
+        assert found.work.tightened == 1
+
+    def test_raises_a_lower_bound_at_the_upper_one(self):
+        # the case above with x replaced by -x in [-3, 0]: x sits at its
+        # upper bound 0 with reduced cost -2/3, so x >= 0 - 2
+        rows = [LinearConstraint((3, -2), Relation.GE, 2)]
+        lp = solve_lp((2, -2), rows, [(0, 1), (-3, 0)])
+        assert _tighten(((0, 1), (-3, 0)), lp, 3) == (((0, 1), (-2, 0)), 1)
+
+    def test_the_step_follows_the_limit(self):
+        # on the same LP a limit of 2 gives (2 - 4/3) / (2/3) = 1, so
+        # x <= 1; a limit far above z leaves the box as it was, the very
+        # same object
+        rows = [LinearConstraint((3, 2), Relation.GE, 2)]
+        box = ((0, 1), (0, 3))
+        lp = solve_lp((2, 2), rows, box)
+        assert _tighten(box, lp, 2) == (((0, 1), (0, 1)), 1)
+        assert _tighten(box, lp, 100) == (box, 0)
+        assert _tighten(box, lp, 100)[0] is box
 
 
 class TestNodeLimit:

@@ -1,6 +1,8 @@
 """Property-based suites: staircase shape, filter laws, bound monotonicity,
 backend agreement, and format round-trips on randomly drawn inputs."""
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,13 @@ from hypothesis import strategies as st
 from biopt.algorithms import SharedBounds, sequential_boip
 from biopt.errors import BoundRegression
 from biopt.instances import SplitMix64, format_instance, parse_instance
-from biopt.ipsolve import BranchAndBoundBackend, EnumerationBackend, ExtraConstraint
+import biopt.ipsolve
+from biopt.ipsolve import (
+    BranchAndBoundBackend,
+    EnumerationBackend,
+    ExtraConstraint,
+    _branch_and_bound,
+)
 from biopt.model import (
     LinearConstraint,
     ObjectiveOrder,
@@ -241,6 +249,87 @@ class TestPooledSweepAgreement:
                 assert evaluate(problem, got.solution.assignment) == got.solution.outcome
                 found.append(got.solution.outcome)
                 cap = got.solution.outcome.component(order.last)
+
+
+@st.composite
+def boxed_ips(draw):
+    """A small integer program over general integer boxes reaching below
+    zero, with costs of both signs and one or two rows that an integer
+    point of the box satisfies."""
+    n = draw(st.integers(2, 4))
+    bounds, point = [], []
+    for _ in range(n):
+        lo = draw(st.integers(-4, 1))
+        bounds.append((lo, lo + draw(st.integers(1, 5))))
+        point.append(draw(st.integers(*bounds[-1])))
+    rows = []
+    for _ in range(draw(st.integers(1, 2))):
+        coeffs = tuple(draw(st.integers(-5, 5)) for _ in range(n))
+        relation = draw(st.sampled_from(RELATIONS))
+        rhs = sum(c * v for c, v in zip(coeffs, point))
+        if relation is not Relation.EQ:
+            slack = draw(st.integers(0, 4))
+            rhs += slack if relation is Relation.LE else -slack
+        rows.append(LinearConstraint(coeffs, relation, rhs))
+    costs = tuple(draw(st.integers(-7, 7)) for _ in range(n))
+    return costs, tuple(rows), tuple(bounds)
+
+
+class TestReducedCostTightening:
+    """Branch and bound cuts each branching node's box from its LP's reduced
+    costs; with a cutoff and a seeded incumbent it must still agree with a
+    scan of the lattice."""
+
+    def test_agrees_with_enumeration(self, monkeypatch):
+        moves = {"upper": 0, "lower": 0}  # bounds tightened, by side
+        real = biopt.ipsolve._tighten
+
+        def spy(box, lp, limit):
+            cut, moved = real(box, lp, limit)
+            for (lo, hi), (new_lo, new_hi) in zip(box, cut):
+                moves["upper"] += new_hi < hi
+                moves["lower"] += new_lo > lo
+            return cut, moved
+
+        monkeypatch.setattr(biopt.ipsolve, "_tighten", spy)
+        counted: list[int] = []
+
+        @given(
+            boxed_ips(),
+            st.one_of(st.none(), st.integers(-1, 6)),
+            st.one_of(st.none(), st.integers(0, 50)),
+        )
+        @settings(deadline=None, max_examples=300, database=None)
+        def check(ip, offset, seed):
+            # the cutoff sits at ``offset`` from the optimum, and the
+            # incumbent is a feasible point below it, drawn by ``seed``
+            costs, rows, bounds = ip
+            points = [
+                (sum(c * v for c, v in zip(costs, x)), x)
+                for x in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
+                if all(row.satisfied_by(x) for row in rows)
+            ]
+            best = min(value for value, _ in points)
+            cutoff = None if offset is None else best + offset
+            below = sorted(p for p in points if cutoff is None or p[0] < cutoff)
+            incumbent = None
+            if seed is not None and below:
+                incumbent = below[seed % len(below)]
+            found = _branch_and_bound(costs, rows, bounds, cutoff, incumbent=incumbent)
+            counted.append(found.work.tightened)
+            if not below:
+                assert (found.value, found.assignment) == (None, None)
+                return
+            assert found.value == best
+            x = found.assignment
+            assert all(row.satisfied_by(x) for row in rows)
+            assert all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds))
+            assert sum(c * v for c, v in zip(costs, x)) == best
+
+        check()
+        assert sum(counted) == moves["upper"] + moves["lower"]
+        # both sides of the rule must fire, or half of it goes untested
+        assert moves["upper"] > 0 and moves["lower"] > 0
 
 
 @st.composite

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from biopt.errors import BioptError
 from biopt.model import LinearConstraint, Relation
 from biopt.simplex import LpResult, SolveStatus, solve_lp
 from tests.conftest import tightened
