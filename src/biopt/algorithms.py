@@ -10,15 +10,21 @@ one objective and tightens the cap to the value just found.
   solve.
 * ``splitting_boip`` — the f1 range [f1min, f1max] (obtained from the two
   endpoint lexicographic solves) is cut into integer slices that hold
-  similar shares of the front (``_knee_slices``).  Each worker sweeps its slice ``[lo, hi]`` east to west: minimize
-  (f2, f1) under f1 < cap, starting from ``cap = hi + 1`` (``f1max`` for
-  the last slice, whose east end is already known), and stops right after
-  the first find with f1 < lo.  Any point dominating a find would satisfy
-  the same cap and win the solve, so every find is a global front point;
-  the last find of each slice is the first of its western neighbour.  The
-  first slice stops when it re-finds the west endpoint, so no slice ends
-  on an infeasible solve.  The merge deduplicates by outcome and applies
-  no dominance filter.
+  similar shares of the front (``_knee_slices``).  Each worker sweeps its
+  slice ``[lo, hi]`` east to west: minimize (f2, f1) under f1 < cap,
+  starting from ``cap = hi + 1`` (``f1max`` for the last slice, whose east
+  end is already known), and stops after the first solve that finds
+  nothing at f1 >= lo.  Any point dominating a find would satisfy the
+  same cap and win the solve, so every find is a global front point.  A
+  slice's first find ``W`` is the front point of greatest f1 below the next
+  slice's ``lo``, so every point the next slice has to find has f2 <
+  ``W.f2``: each slice passes ``W.f2`` east through a ``SharedBounds``
+  store, and the next slice reads it before each solve as a cap on f2.
+  Its closing solve then proves the rest of its slice empty instead of
+  finding ``W`` again; read too late, the cap costs only that repeated
+  find.  The westernmost slice is capped by the west endpoint from the
+  start.  The merge deduplicates by outcome and applies no dominance
+  filter.
 * ``meeting_boip`` — two workers sweep from opposite ends, each bounding
   its own trailing objective, and additionally pruning with the *other*
   worker's latest published bound (read fresh before every solve,
@@ -36,9 +42,9 @@ the staircase validation and is treated as a solver bug — and its
 The parallel workers are forked processes, the only way CPython runs them
 in parallel, except splitting's west slice: the calling process, which has
 just solved the endpoints on that slice's backend, sweeps it itself while
-the other slices run forked.  ``SharedBounds`` is the only mutable state
-the meeting workers share.  It lives in shared memory, and each cell is
-owned by one writer and enforces monotone non-increase.
+the other slices run forked.  ``SharedBounds`` stores are the only
+mutable state the workers share.  They live in shared memory, and each
+cell is owned by one writer and enforces monotone non-increase.
 """
 
 from __future__ import annotations
@@ -78,26 +84,30 @@ class SharedBounds:
     regressions as hard errors, since the owning sweep only ever tightens
     its own bound and a regression means a logic bug somewhere.
 
-    Backed by shared memory, so forked worker processes see each other's
-    writes.
+    Backed by two int64 cells of one anonymous shared mapping, so forked
+    worker processes see each other's writes, and one lock, so no read
+    sees a half-written cell.
     """
 
     def __init__(self) -> None:
-        self._cells = (
-            multiprocessing.Value("q", _NO_BOUND),
-            multiprocessing.Value("q", _NO_BOUND),
-        )
+        # imported on first use, to keep `import biopt` cheap
+        import mmap
 
-    def _cell(self, index: int):
+        self._cells = memoryview(mmap.mmap(-1, 16)).cast("q")
+        self._cells[0] = self._cells[1] = _NO_BOUND
+        self._lock = multiprocessing.get_context("fork").Lock()
+
+    @staticmethod
+    def _slot(index: int) -> int:
         if index not in (1, 2):
             raise ValueError("bound index must be 1 or 2")
-        return self._cells[index - 1]
+        return index - 1
 
     def read(self, index: int) -> Optional[int]:
         """Current cap on objective ``index``; None while unset."""
-        cell = self._cell(index)
-        with cell.get_lock():
-            value = cell.value
+        slot = self._slot(index)
+        with self._lock:
+            value = self._cells[slot]
         return None if value >= _NO_BOUND else value
 
     def publish(self, index: int, value: int) -> None:
@@ -106,13 +116,13 @@ class SharedBounds:
             raise TypeError("bounds are integers")
         if abs(value) >= _BOUND_RANGE:
             raise BioptError(f"bound {value} outside the shared-store range")
-        cell = self._cell(index)
-        with cell.get_lock():
-            if value > cell.value:
+        slot = self._slot(index)
+        with self._lock:
+            if value > self._cells[slot]:
                 raise BoundRegression(
-                    f"bound l{index} would increase from {cell.value} to {value}"
+                    f"bound l{index} would increase from {self._cells[slot]} to {value}"
                 )
-            cell.value = value
+            self._cells[slot] = value
 
     @property
     def l1(self) -> Optional[int]:
@@ -200,6 +210,7 @@ def _sweep(
     stop: Optional[int] = None,
     store: Optional[SharedBounds] = None,
     delays: Optional[DelaySpec] = None,
+    hand_off: Optional[SharedBounds] = None,
     check: Optional[Callable[[], None]] = None,
 ) -> _SweepOutcome:
     """The core recursion: lex-minimize under a tightening strict cap on f_own.
@@ -214,8 +225,10 @@ def _sweep(
     first find below it, or at once if it starts there.  With a
     ``store`` it re-reads the other objective's cap before every solve and
     publishes its own after every find, napping from
-    ``delays.sleeper(own)`` before each store access.  It calls ``check``,
-    if given, before each solve.
+    ``delays.sleeper(own)`` before each store access.  With a
+    ``hand_off`` store it publishes there, right after its first find, that
+    find's value of the other objective.  It calls ``check``, if given,
+    before each solve.
     """
     order = ObjectiveOrder.F1_FIRST if own == 2 else ObjectiveOrder.F2_FIRST
     other = 3 - own
@@ -252,6 +265,8 @@ def _sweep(
             if nap is not None:
                 nap()
             store.publish(own, cap)
+        if hand_off is not None and feasible == 1:
+            hand_off.publish(other, res.solution.outcome.component(other))
     elapsed = time.perf_counter() - start
     return _SweepOutcome(tuple(found), feasible, infeasible, elapsed, work)
 
@@ -357,9 +372,14 @@ def splitting_boip(
     f1max from the (f2, f1) optimum.  Each slice ``[lo, hi]`` of it is
     swept east to west under a strict f1 cap, so every find is a global
     front point; the union with the two endpoint solutions needs no
-    dominance filter.  The endpoint solves count in the run's solves and
-    work, but not in ``worker_elapsed``, which lists the slices from west
-    to east.
+    dominance filter.  Each slice publishes the f2 of its first find to
+    the next slice east, which caps f2 below it from its next solve on, so
+    that slice's closing solve is infeasible instead of finding that point
+    again; the westernmost slice starts under the west endpoint's f2.  A
+    cap that arrives late costs a repeated find, never a point, so the IP
+    solves of a run do not depend on the schedule.  The endpoint solves
+    count in the run's solves and work, but not in ``worker_elapsed``,
+    which lists the slices from west to east.
 
     The backends take the slices from east to west, so the last one, warm
     from the endpoint solves, takes the west slice and sweeps it here (the
@@ -392,12 +412,20 @@ def splitting_boip(
     f1_min, f1_max = west.solution.outcome.f1, east.solution.outcome.f1
     slices = _knee_slices(problem, west.solution.outcome, east.solution.outcome, t)
     jobs = []
+    hand_off = None  # the store of the next non-empty slice east
     for (lo, hi), engine in zip(reversed(slices), engines):
         if lo <= hi:
             # the east endpoint is known, so the last slice starts west of
-            # it; the first slice stops as soon as it re-finds the west one
+            # it; no slice searches west of the west endpoint, where
+            # nothing lies
             cap = f1_max if hi == f1_max else hi + 1
-            jobs.append((_sweep, (problem, engine, 1, cap, max(lo, f1_min + 1))))
+            stop = max(lo, f1_min + 1)
+            store = SharedBounds()
+            jobs.append((_sweep, (problem, engine, 1, cap, stop, store, None, hand_off)))
+            hand_off = store
+    # the last slice is never empty; the westernmost one's western
+    # neighbour is the west endpoint
+    hand_off.publish(2, west.solution.outcome.f2)
     sweeps = _run_parallel(jobs, here=True)[::-1]  # west to east
     done = iter(sweeps)
     elapsed = tuple(next(done).elapsed if lo <= hi else 0.0 for lo, hi in slices)

@@ -66,8 +66,9 @@ points among every integral LP point its searches have met, pruned or
 not, for its current problem.  A point that dominates another satisfies
 every cap and cutoff the other does, at no larger combined value, so the
 dominated one is never needed.  Each solve starts from the pooled point
-with the lowest ``W * f_lead + f_last`` that satisfies all its rows,
-checked in integers, and lies strictly below its cutoff.  An earlier
+with the lowest ``W * f_lead + f_last`` that satisfies its cap rows,
+checked in integers (every pooled point meets the problem's own rows),
+and lies strictly below its cutoff.  An earlier
 solve of a sweep has often met the next solve's optimum already.  The
 optima of its solves are front points, and a solve whose caps on both
 objectives would leave room only for points dominating one of them is
@@ -375,7 +376,12 @@ class IncumbentStaircase:
         cutoff: Optional[int],
     ) -> Optional[tuple[int, tuple[int, ...]]]:
         """The pooled ``(costs . x, x)`` of least value that satisfies every
-        row and lies strictly below ``cutoff``, or None."""
+        row in ``rows`` and lies strictly below ``cutoff``, or None.
+
+        Pass only the rows a search adds to ``problem.constraints``, such
+        as its caps: every pooled point is an integer point of the
+        problem, inside its variable box and on its own rows already.
+        """
         ranked = sorted(
             (sum(c * v for c, v in zip(costs, x)), x) for _, _, x in self._points
         )
@@ -444,7 +450,8 @@ def solve_lex(
     )
     cutoff = None if cap is None else weight * cap + low
     trailing = [e for e in extras if e.objective_index != order.first]
-    rows = problem.constraints + _extras_to_rows(problem, trailing)
+    cap_rows = _extras_to_rows(problem, trailing)
+    rows = problem.constraints + cap_rows
     if start is not None and not start.fits(costs, rows):
         start = None
     seed = record = None
@@ -456,7 +463,7 @@ def solve_lex(
             caps = (cap, last_cap) if order.first == 1 else (last_cap, cap)
             if pool.rules_out(*caps):
                 return LexResult(SolveStatus.INFEASIBLE, None, Work(nodes=1))
-        seed, record = pool.best(costs, rows, cutoff), pool.add
+        seed, record = pool.best(costs, cap_rows, cutoff), pool.add
     found = _branch_and_bound(costs, rows, box, cutoff, start, seed, record)
     root = found.root if found.root.is_optimal else None
     if found.assignment is None:

@@ -4,7 +4,10 @@ import multiprocessing
 import pickle
 import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +123,83 @@ class TestSharedBounds:
         store = SharedBounds()
         with pytest.raises(TypeError):
             store.publish(1, 1.5)
+
+    def test_writes_cross_a_fork_both_ways(self):
+        store = SharedBounds()
+        child = multiprocessing.get_context("fork").Process(
+            target=_double_l2_into_l1, args=(store,)
+        )
+        child.start()
+        store.publish(2, -4)
+        child.join(10)
+        assert child.exitcode == 0  # the child read the parent's l2
+        assert store.l1 == -8  # and the parent reads the child's l1
+
+    def test_readers_see_only_published_values_in_order(self):
+        # one writer and three readers, more processes than cores; values
+        # are multiples of 2**32 + 1, so a read that mixed the halves of two
+        # of them would not be one
+        store = SharedBounds()
+        values = [k * _STRIDE for k in range(20_000, 0, -1)]
+        ctx = multiprocessing.get_context("fork")
+        readers = [
+            ctx.Process(target=_watch_l1, args=(store, values[-1])) for _ in range(3)
+        ]
+        try:
+            for reader in readers:
+                reader.start()
+            for value in values:
+                store.publish(1, value)
+            for reader in readers:
+                reader.join(20)
+            assert [reader.exitcode for reader in readers] == [0, 0, 0]
+        finally:
+            for reader in readers:
+                if reader.is_alive():
+                    reader.terminate()
+                    reader.join()
+
+    def test_needs_no_ctypes(self):
+        code = (
+            "import sys\n"
+            "from biopt import SharedBounds\n"
+            "SharedBounds().publish(1, 3)\n"
+            "print('ctypes' in sys.modules)\n"
+        )
+        src = str(Path(biopt.algorithms.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+
+_STRIDE = 2**32 + 1
+
+
+def _watch_l1(store, last):
+    """Read l1 until it reads ``last``; fail on a value that no publish
+    wrote or that rises."""
+    seen = None
+    deadline = time.monotonic() + 15.0
+    while seen != last:
+        value = store.l1
+        if value is not None:
+            assert value % _STRIDE == 0, value
+            assert seen is None or value <= seen, (seen, value)
+            seen = value
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"l1 stopped at {seen}")
+
+
+def _double_l2_into_l1(store):
+    """Wait for the other process's l2, then publish twice it as l1."""
+    deadline = time.monotonic() + 5.0
+    while store.l2 is None:
+        if time.monotonic() > deadline:
+            raise TimeoutError("l2 never arrived")
+        time.sleep(0.001)
+    store.publish(1, 2 * store.l2)
 
 
 class TestRunStats:
@@ -382,22 +462,56 @@ class TestSplitting:
     def test_every_sweep_find_is_on_the_front(self, three_outcomes, monkeypatch):
         # f1 range [1, 12] splits into [1, 6] and [7, 12].  The second
         # slice sweeps west under f1 < 12, where (1, 5) beats (10, 7) on
-        # f2, so the dominated outcome is never found.  The slices are
-        # independent, so they may run one after another in this process,
-        # where the backends' records reach this test.
+        # f2, so the dominated outcome is never found.  The slices may run
+        # one after another in this process, east first, where the
+        # backends' records reach this test.
         monkeypatch.setattr(
             biopt.algorithms, "_run_parallel", lambda jobs, here=False: [f(*a) for f, a in jobs]
         )
         backends = (_Recording(), _Recording())
         front, stats = splitting_boip(three_outcomes, backends=backends, t=2)
         finds = [o for b in backends for o in b.outcomes if o is not None]
-        assert len(finds) == 4  # both endpoints, then one find per slice
+        assert len(finds) == 3  # both endpoints, then the east slice's
         assert set(finds) <= {OutcomeVector(1, 5), OutcomeVector(12, 1)}
         assert outcomes_of(front) == {OutcomeVector(1, 5), OutcomeVector(12, 1)}
         assert stats.pareto_size == 2
-        # endpoints (2) + one find per slice, each ending below its slice
-        assert stats.feasible_solves == 4
-        assert stats.infeasible_solves == 0
+        # the east slice ran before the west one published a cap, so it
+        # ends on a find below its slice; the west slice runs under
+        # f2 < 5, the west endpoint's, and ends on an infeasible solve
+        assert stats.feasible_solves == 3
+        assert stats.infeasible_solves == 1
+
+    @pytest.mark.parametrize("west_first", [True, False])
+    def test_closing_solve_in_both_orders(self, cover, monkeypatch, west_first):
+        # the slices run one after another in this process.  Run after
+        # the west slice, the east slice reads the f2 of the west slice's
+        # first find and closes on an infeasible solve; run before it, the
+        # east slice closes by finding that point itself.
+        def in_order(jobs, here=False):
+            ordered = list(reversed(jobs)) if west_first else list(jobs)
+            results = {id(args): f(*args) for f, args in ordered}
+            return [results[id(args)] for _, args in jobs]
+
+        monkeypatch.setattr(biopt.algorithms, "_run_parallel", in_order)
+        # instances whose west slice holds front points besides the west
+        # endpoint, so that the west slice has a find to pass east
+        instances = {
+            "cover": cover,
+            **{f"knapsack-10-{seed}": generate(GeneratorSpec("knapsack", 10, seed))
+               for seed in (1, 4, 6)},
+        }
+        for name, problem in instances.items():
+            east, west = _Recording(), _Recording()  # west solves the endpoints
+            front, stats = splitting_boip(problem, backends=(east, west), t=2)
+            assert front.outcomes() == brute_force_pareto(problem).outcomes(), name
+            first_west_find = west.outcomes[2]
+            assert first_west_find is not None, name
+            if west_first:
+                assert east.outcomes[-1] is None, name
+            else:
+                assert east.outcomes[-1] == first_west_find, name
+            assert west.outcomes[-1] is None, name  # under the west endpoint's f2
+            assert stats.infeasible_solves == (2 if west_first else 1), name
 
     def test_infeasible(self):
         front, stats = splitting_boip(infeasible_problem())
@@ -436,9 +550,18 @@ class TestSplitting:
                 front, stats = splitting_boip(problem, backends=backends, t=t)
                 assert outcomes_of(front) == set(oracle.outcomes())
                 assert stats.pareto_size == len(oracle)
-                # each slice's closing find repeats a point found elsewhere
-                assert stats.ip_solves <= stats.pareto_size + t
-                assert stats.infeasible_solves == (0 if len(oracle) else 1)
+                # one closing solve per slice that ran: the westernmost runs
+                # under the west endpoint's f2 cap and ends infeasible; any
+                # other ends infeasible, or repeats its western neighbour's
+                # first find if it closed before reading that find's f2
+                if len(oracle) < 2:
+                    assert stats.infeasible_solves == 1 - len(oracle)
+                    continue
+                outcomes = oracle.outcomes()
+                slices = _knee_slices(problem, outcomes[0], outcomes[-1], t)
+                ran = sum(lo <= hi for lo, hi in slices)
+                assert stats.ip_solves == stats.pareto_size + ran <= stats.pareto_size + t
+                assert 1 <= stats.infeasible_solves <= ran
 
 
 class TestMeeting:
@@ -676,7 +799,8 @@ class TestSplittingInCaller:
         backends = (_Recording(), _Recording())
         splitting_boip(cover, backends=backends, t=2)
         assert backends[0].results == []  # filled in its forked worker only
-        assert len(backends[1].results) == 4  # both endpoints, then two finds
+        # both endpoints, a find and the infeasible closing solve
+        assert len(backends[1].results) == 4
 
 
 class TestTwoSidedCover:

@@ -384,6 +384,15 @@ class TestIncumbentStaircase:
         assert res.solution == Solution((1, 2), OutcomeVector(1, 2))
         assert res.node_count >= 1  # the root LP still ran to prove it
 
+    def test_pooled_point_that_breaks_a_cap_is_not_seeded(self, cover):
+        # (0, 3) leads (f1, f2) but breaks f2 < 3; seeded, the search would
+        # have nothing to beat it and return it
+        pool = IncumbentStaircase(cover)
+        for x in [(0, 3), (2, 1)]:
+            pool.add(x)
+        res = solve_lex(cover, ObjectiveOrder.F1_FIRST, [ExtraConstraint(2, 3)], pool=pool)
+        assert res.solution.outcome == OutcomeVector(1, 2)
+
     def test_rules_out_caps_beside_a_front_point(self, cover):
         pool = IncumbentStaircase(cover)
         pool.mark_front(OutcomeVector(1, 2))
