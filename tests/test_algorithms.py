@@ -487,10 +487,10 @@ class TestSplitting:
         # the west slice, the east slice reads the f2 of the west slice's
         # first find and closes on an infeasible solve; run before it, the
         # east slice closes by finding that point itself.
-        def in_order(jobs, here=False):
-            ordered = list(reversed(jobs)) if west_first else list(jobs)
-            results = {id(args): f(*args) for f, args in ordered}
-            return [results[id(args)] for _, args in jobs]
+        def in_order(jobs, here=False):  # jobs are listed east to west
+            if west_first:
+                return [f(*args) for f, args in reversed(jobs)][::-1]
+            return [f(*args) for f, args in jobs]
 
         monkeypatch.setattr(biopt.algorithms, "_run_parallel", in_order)
         # instances whose west slice holds front points besides the west
