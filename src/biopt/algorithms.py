@@ -133,6 +133,16 @@ class SharedBounds:
         return self.read(2)
 
 
+def _offer(store: SharedBounds, index: int, value: int) -> None:
+    """Publish ``value`` to ``store`` when the store can hold it.
+
+    A cap that is never published costs its reader work, never a point:
+    every reader must already cope with caps that arrive late.
+    """
+    if abs(value) < _BOUND_RANGE:
+        store.publish(index, value)
+
+
 @dataclass(frozen=True)
 class DelaySpec:
     """Deterministic random sleeps injected before every store access.
@@ -227,8 +237,9 @@ def _sweep(
     publishes its own after every find, napping from
     ``delays.sleeper(own)`` before each store access.  With a
     ``hand_off`` store it publishes there, right after its first find, that
-    find's value of the other objective.  It calls ``check``, if given,
-    before each solve.
+    find's value of the other objective.  A value outside the stores'
+    range is not published; its reader just goes without that cap.  It
+    calls ``check``, if given, before each solve.
     """
     order = ObjectiveOrder.F1_FIRST if own == 2 else ObjectiveOrder.F2_FIRST
     other = 3 - own
@@ -264,9 +275,9 @@ def _sweep(
         if store is not None:
             if nap is not None:
                 nap()
-            store.publish(own, cap)
+            _offer(store, own, cap)
         if hand_off is not None and feasible == 1:
-            hand_off.publish(other, res.solution.outcome.component(other))
+            _offer(hand_off, other, res.solution.outcome.component(other))
     elapsed = time.perf_counter() - start
     return _SweepOutcome(tuple(found), feasible, infeasible, elapsed, work)
 
@@ -425,7 +436,7 @@ def splitting_boip(
             hand_off = store
     # the last slice is never empty; the westernmost one's western
     # neighbour is the west endpoint
-    hand_off.publish(2, west.solution.outcome.f2)
+    _offer(hand_off, 2, west.solution.outcome.f2)
     sweeps = _run_parallel(jobs, here=True)[::-1]  # west to east
     done = iter(sweeps)
     elapsed = tuple(next(done).elapsed if lo <= hi else 0.0 for lo, hi in slices)

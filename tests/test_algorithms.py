@@ -140,7 +140,7 @@ class TestSharedBounds:
         # are multiples of 2**32 + 1, so a read that mixed the halves of two
         # of them would not be one
         store = SharedBounds()
-        values = [k * _STRIDE for k in range(20_000, 0, -1)]
+        values = [k * _STRIDE for k in range(2_000, 0, -1)]
         ctx = multiprocessing.get_context("fork")
         readers = [
             ctx.Process(target=_watch_l1, args=(store, values[-1])) for _ in range(3)
@@ -550,11 +550,14 @@ class TestSplitting:
                 front, stats = splitting_boip(problem, backends=backends, t=t)
                 assert outcomes_of(front) == set(oracle.outcomes())
                 assert stats.pareto_size == len(oracle)
+                assert stats.ip_solves <= stats.pareto_size + t
                 # one closing solve per slice that ran: the westernmost runs
                 # under the west endpoint's f2 cap and ends infeasible; any
                 # other ends infeasible, or repeats its western neighbour's
                 # first find if it closed before reading that find's f2
                 if len(oracle) < 2:
+                    # the infeasible west solve, or both endpoint solves
+                    assert stats.ip_solves == stats.pareto_size + 1
                     assert stats.infeasible_solves == 1 - len(oracle)
                     continue
                 outcomes = oracle.outcomes()
@@ -847,3 +850,26 @@ class TestCrossAlgorithmAgreement:
             assert outcomes_of(seq) == oracle
             assert outcomes_of(split) == oracle
             assert outcomes_of(meet) == oracle
+
+    def test_objective_values_beyond_the_store_range(self):
+        # f1 or f2 values of about 2**62 cannot be shared through
+        # SharedBounds; the parallel runs go without those caps
+        big = 2**62
+        for objectives in (
+            [(big, 1, 2), (-1, -big, -3)],
+            [(3, 1, 2), (-1, -big, -2 * big)],
+            [(-big, 1, -2), (1, big, 3)],
+        ):
+            problem = build_problem(
+                num_vars=3,
+                objectives=objectives,
+                constraints=[LinearConstraint((1, 1, 1), Relation.LE, 2)],
+                var_bounds=[(0, 1)] * 3,
+            )
+            seq, _ = sequential_boip(problem)
+            assert outcomes_of(seq) == set(brute_force_pareto(problem).outcomes())
+            for t in (1, 2, 3):
+                split, _ = splitting_boip(problem, t=t)
+                assert split.outcomes() == seq.outcomes(), (objectives, t)
+            meet, _ = meeting_boip(problem)
+            assert meet.outcomes() == seq.outcomes(), objectives
