@@ -9,22 +9,22 @@ one objective and tightens the cap to the value just found.
   Exactly one subproblem per front point plus the terminating infeasible
   solve.
 * ``splitting_boip`` — the f1 range [f1min, f1max] (obtained from the two
-  endpoint lexicographic solves) is cut into integer slices that hold
-  similar shares of the front (``_knee_slices``).  Each worker sweeps its
-  slice ``[lo, hi]`` east to west: minimize (f2, f1) under f1 < cap,
-  starting from ``cap = hi + 1`` (``f1max`` for the last slice, whose east
-  end is already known), and stops after the first solve that finds
-  nothing at f1 >= lo.  Any point dominating a find would satisfy the
-  same cap and win the solve, so every find is a global front point.  A
-  slice's first find ``W`` is the front point of greatest f1 below the next
-  slice's ``lo``, so every point the next slice has to find has f2 <
-  ``W.f2``: each slice passes ``W.f2`` east through a ``SharedBounds``
-  store, and the next slice reads it before each solve as a cap on f2.
-  Its closing solve then proves the rest of its slice empty instead of
-  finding ``W`` again; read too late, the cap costs only that repeated
-  find.  The westernmost slice is capped by the west endpoint from the
-  start.  The merge deduplicates by outcome and applies no dominance
-  filter.
+  endpoint lexicographic solves) is cut into a west and an east slice that
+  hold similar shares of the front (``_knee_cut``).  Each of the two
+  workers sweeps its slice ``[lo, hi]`` east to west: minimize (f2, f1)
+  under f1 < cap, starting from ``cap = hi + 1`` (``f1max`` for the east
+  slice, whose east end is already known), and stops after the first
+  solve that finds nothing at f1 >= lo.  Any point dominating a find
+  would satisfy the same cap and win the solve, so every find is a
+  global front point.  The west slice's first find ``W`` is the front
+  point of greatest f1 below the east slice's ``lo``, so every point the
+  east slice has to find has f2 < ``W.f2``: the west slice passes
+  ``W.f2`` east through a ``SharedBounds`` store, and the east slice
+  reads it before each solve as a cap on f2.  Its closing solve then
+  proves the rest of its slice empty instead of finding ``W`` again;
+  read too late, the cap costs only that repeated find.  Both slices are
+  capped by the west endpoint's f2 from the start.  The merge
+  deduplicates by outcome and applies no dominance filter.
 * ``meeting_boip`` — two workers sweep from opposite ends, each bounding
   its own trailing objective, and additionally pruning with the *other*
   worker's latest published bound (read fresh before every solve,
@@ -42,7 +42,7 @@ the staircase validation and is treated as a solver bug — and its
 The parallel workers are forked processes, the only way CPython runs them
 in parallel, except splitting's west slice: the calling process, which has
 just solved the endpoints on that slice's backend, sweeps it itself while
-the other slices run forked.  ``SharedBounds`` stores are the only
+the east slice runs forked.  ``SharedBounds`` stores are the only
 mutable state the workers share.  They live in shared memory, and each
 cell is owned by one writer and enforces monotone non-increase.
 """
@@ -195,8 +195,8 @@ class _SweepOutcome:
     work: Work
 
 
-def _default_backends(n: int) -> tuple[SolverBackend, ...]:
-    return tuple(BranchAndBoundBackend() for _ in range(n))
+def _default_backends() -> tuple[SolverBackend, ...]:
+    return (BranchAndBoundBackend(), BranchAndBoundBackend())
 
 
 # ---------------------------------------------------------------------------
@@ -317,57 +317,32 @@ def _finish(
 # range splitting
 # ---------------------------------------------------------------------------
 
-def _slices(f1_min: int, f1_max: int, t: int) -> tuple[tuple[int, int], ...]:
-    """Cut [f1_min, f1_max] into ``t`` near-equal inclusive integer slices.
-
-    Each of the first t-1 slices spans w = floor(range/t) values; the last
-    absorbs the remainder, so the slices always partition the range.  A
-    slice with lo > hi is empty (when the range has fewer values than t).
-    """
-    width = (f1_max - f1_min + 1) // t
-    return tuple(
-        (f1_min + i * width, f1_min + (i + 1) * width - 1) for i in range(t - 1)
-    ) + ((f1_min + (t - 1) * width, f1_max),)
-
-
-def _knee_slices(
-    problem: Problem, west: OutcomeVector, east: OutcomeVector, t: int
-) -> tuple[tuple[int, int], ...]:
-    """Cut [west.f1, east.f1] into ``t`` slices with similar shares of the
-    front between the two endpoints.
+def _knee_cut(problem: Problem, west: OutcomeVector, east: OutcomeVector) -> int:
+    """The last f1 of the west slice of [west.f1, east.f1], cut so that both
+    slices hold similar shares of the front; needs ``west.f1 < east.f1``.
 
     Scale the endpoints' box to the unit square, with ``u`` the scaled f1
     and ``v`` the scaled f2: the front runs from (0, 1) to (1, 0), and up
-    to a point (u, v) its L1 length is ``u + 1 - v``, so the line
-    ``u - v = 2k/t - 1`` marks the k-th of ``t`` equal parts.  A front that
-    bulges toward the ideal point crosses that line between two estimates:
-    east of where the LP relaxation's front crosses it (the least f1 of
-    the relaxation on the line's east side, one cold LP), and west of where
-    the chord between the endpoints crosses it (``u = k/t``, the
-    equal-width cut).  Cut k lands halfway between them.  Every slice
-    keeps at least one value; a range of fewer than ``t`` values is cut by
-    ``_slices``.
+    to a point (u, v) its L1 length is ``u + 1 - v``, so the line ``u = v``
+    halves it.  A front that bulges toward the ideal point crosses that
+    line between two estimates: east of where the LP relaxation's front
+    crosses it (the least f1 of the relaxation on the line's east side, one
+    cold LP), and west of where the chord between the endpoints crosses it
+    (the f1 midpoint).  The cut lands halfway between them, and leaves
+    each slice at least one value.
     """
     f1_min, f1_max = west.f1, east.f1
-    even = _slices(f1_min, f1_max, t)
-    if f1_max - f1_min + 1 < t:
-        return even
     r1, r2 = f1_max - f1_min, west.f2 - east.f2
     c1, c2 = problem.objective(1), problem.objective(2)
-    # t*r2*(f1 - f1_min) - t*r1*(f2 - east.f2) >= (2k - t)*r1*r2
-    coeffs = tuple(t * (r2 * a - r1 * b) for a, b in zip(c1, c2))
-    base = t * (r2 * f1_min - r1 * east.f2)
-    bounds = [f1_min - 1]
-    for k in range(1, t):
-        row = LinearConstraint(coeffs, Relation.GE, (2 * k - t) * r1 * r2 + base)
-        lp = solve_lp(c1, (*problem.constraints, row), problem.var_bounds)
-        chord = even[k - 1][1]
-        # the east endpoint meets every row, so the LP is feasible
-        assert lp.objective is not None
-        cut = (math.floor(lp.objective) + chord) // 2
-        bounds.append(min(max(cut, bounds[-1] + 1), f1_max - t + k))
-    bounds.append(f1_max)
-    return tuple((lo + 1, hi) for lo, hi in zip(bounds, bounds[1:]))
+    # u >= v:  r2*(f1 - f1_min) >= r1*(f2 - east.f2)
+    coeffs = tuple(r2 * a - r1 * b for a, b in zip(c1, c2))
+    row = LinearConstraint(coeffs, Relation.GE, r2 * f1_min - r1 * east.f2)
+    lp = solve_lp(c1, (*problem.constraints, row), problem.var_bounds)
+    # the east endpoint meets the row, so the LP is feasible
+    assert lp.objective is not None
+    chord = f1_min + (r1 + 1) // 2 - 1
+    cut = (math.floor(lp.objective) + chord) // 2
+    return min(max(cut, f1_min), f1_max - 1)
 
 
 def splitting_boip(
@@ -376,41 +351,46 @@ def splitting_boip(
     t: int = 2,
     executor: str = "process",
 ) -> tuple[ParetoSet, RunStats]:
-    """Enumerate the front by splitting the f1 range across ``t`` workers.
+    """Enumerate the front by splitting the f1 range between two workers.
 
     The range [f1min, f1max] comes from the two lexicographic endpoint
-    solves, run here on the last backend: f1min from the (f1, f2) optimum,
-    f1max from the (f2, f1) optimum.  Each slice ``[lo, hi]`` of it is
-    swept east to west under a strict f1 cap, so every find is a global
-    front point; the union with the two endpoint solutions needs no
-    dominance filter.  Each slice publishes the f2 of its first find to
-    the next slice east, which caps f2 below it from its next solve on, so
-    that slice's closing solve is infeasible instead of finding that point
-    again; the westernmost slice starts under the west endpoint's f2.  A
-    cap that arrives late costs a repeated find, never a point, so the IP
-    solves of a run do not depend on the schedule.  The endpoint solves
-    count in the run's solves and work, but not in ``worker_elapsed``,
-    which lists the slices from west to east.
+    solves, run here on the second backend: f1min from the (f1, f2)
+    optimum, f1max from the (f2, f1) optimum.  ``_knee_cut`` cuts it into
+    a west slice [f1min, cut] and an east slice [cut + 1, f1max].  Each
+    slice is swept east to west under a strict f1 cap, so every find is a
+    global front point; the union with the two endpoint solutions needs no
+    dominance filter.  Both slices start under the west endpoint's f2,
+    which every other front point undercuts.  The west slice publishes the
+    f2 of its first find to the east slice, which caps f2 below it from
+    its next solve on, so the east slice's closing solve is infeasible
+    instead of finding that point again.  A cap that arrives late costs a
+    repeated find, never a point, so the IP solves of a run do not depend
+    on the schedule.  The endpoint solves count in the run's solves and
+    work, but not in ``worker_elapsed``, which lists the west slice, then
+    the east slice, and is empty when no slice runs: for an infeasible
+    problem, or a front of one point.
 
-    The backends take the slices from east to west, so the last one, warm
-    from the endpoint solves, takes the west slice and sweeps it here (the
-    next slice east, when that one is empty), while the other slices run
-    on forked workers.  It keeps the root LPs and incumbent pool of all its
-    solves afterwards.  It already solved the endpoints here, so a backend
-    that kills its process stops the caller either way.
+    The east slice runs on the first backend in a forked worker.  The
+    second, warm from the endpoint solves, sweeps the west slice here and
+    keeps the root LPs and incumbent pool of all its solves afterwards.
+    It already solved the endpoints here, so a backend that kills its
+    process stops the caller either way.
+
+    ``t`` and ``executor`` stay only for callers that still pass
+    ``t=2, executor="process"``; any other value raises ``ValueError``.
     """
     _check_executor(executor)
-    if t < 1:
-        raise ValueError("worker count must be positive")
-    engines = tuple(backends) if backends is not None else _default_backends(t)
-    if len(engines) != t:
-        raise ValueError(f"expected {t} backends, got {len(engines)}")
+    if t != 2:
+        raise ValueError(f"splitting runs two workers, not {t}")
+    engines = tuple(backends) if backends is not None else _default_backends()
+    if len(engines) != 2:
+        raise ValueError(f"splitting needs exactly two backends, got {len(engines)}")
     began = time.perf_counter()
-    west = engines[-1].solve_lex(problem, ObjectiveOrder.F1_FIRST)
+    west = engines[1].solve_lex(problem, ObjectiveOrder.F1_FIRST)
     if not west.is_optimal:
         ends = _SweepOutcome((), 0, 1, time.perf_counter() - began, west.work)
         return _finish((ends,), ())
-    east = engines[-1].solve_lex(problem, ObjectiveOrder.F2_FIRST)
+    east = engines[1].solve_lex(problem, ObjectiveOrder.F2_FIRST)
     assert west.solution is not None and east.solution is not None
     ends = _SweepOutcome(
         (west.solution, east.solution),
@@ -419,28 +399,24 @@ def splitting_boip(
         time.perf_counter() - began,
         west.work + east.work,
     )
+    w, e = west.solution.outcome, east.solution.outcome
+    if w.f1 == e.f1:
+        return _finish((ends,), ())  # one point is the whole front
 
-    f1_min, f1_max = west.solution.outcome.f1, east.solution.outcome.f1
-    slices = _knee_slices(problem, west.solution.outcome, east.solution.outcome, t)
-    jobs = []
-    hand_off = None  # the store of the next non-empty slice east
-    for (lo, hi), engine in zip(reversed(slices), engines):
-        if lo <= hi:
-            # the east endpoint is known, so the last slice starts west of
-            # it; no slice searches west of the west endpoint, where
-            # nothing lies
-            cap = f1_max if hi == f1_max else hi + 1
-            stop = max(lo, f1_min + 1)
-            store = SharedBounds()
-            jobs.append((_sweep, (problem, engine, 1, cap, stop, store, None, hand_off)))
-            hand_off = store
-    # the last slice is never empty; the westernmost one's western
-    # neighbour is the west endpoint
-    _offer(hand_off, 2, west.solution.outcome.f2)
-    sweeps = _run_parallel(jobs, here=True)[::-1]  # west to east
-    done = iter(sweeps)
-    elapsed = tuple(next(done).elapsed if lo <= hi else 0.0 for lo, hi in slices)
-    return _finish((ends, *sweeps), elapsed)
+    cut = _knee_cut(problem, w, e)
+    east_store, west_store = SharedBounds(), SharedBounds()
+    _offer(east_store, 2, w.f2)
+    _offer(west_store, 2, w.f2)
+    # the east endpoint is known, so the east slice starts west of it;
+    # nothing lies west of the west endpoint
+    jobs = [
+        (_sweep, (problem, engines[0], 1, e.f1, cut + 1, east_store)),
+        (_sweep, (problem, engines[1], 1, cut + 1, w.f1 + 1, west_store, None, east_store)),
+    ]
+    east_sweep, west_sweep = _run_parallel(jobs, here=True)
+    return _finish(
+        (ends, west_sweep, east_sweep), (west_sweep.elapsed, east_sweep.elapsed)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +439,7 @@ def meeting_boip(
     of that guarantee.
     """
     _check_executor(executor)
-    engines = tuple(backends) if backends is not None else _default_backends(2)
+    engines = tuple(backends) if backends is not None else _default_backends()
     if len(engines) != 2:
         raise ValueError("meeting needs exactly two backends")
     store = bounds if bounds is not None else SharedBounds()

@@ -14,12 +14,13 @@ questionable number.
 
 CSV schema (header mandatory, one row per run)::
 
-    family,size,seed,algorithm,threads,elapsed_ms,ip_solves,pareto_size,nodes,lps,pivots,flips,verified
+    family,size,seed,algorithm,threads,elapsed_ms,ip_solves,pareto_size,nodes,lps,pivots,flips,tightened,verified
 
-``nodes``, ``lps``, ``pivots`` and ``flips`` are the fields of the run's
-``RunStats.work``: its branch-and-bound nodes and LP solves, and the
-simplex pivots and bound flips of those LPs; ``brute`` writes 0 for them
-and for ``ip_solves``.  ``verified`` is ``true`` when the oracle
+``nodes`` to ``tightened`` are the fields of the run's ``RunStats.work``
+(``WORK_COLUMNS``): its branch-and-bound nodes and LP solves, the simplex
+pivots and bound flips of those LPs, and the column bounds that
+reduced-cost tightening moved; ``brute`` writes 0 for them and for
+``ip_solves``.  ``verified`` is ``true`` when the oracle
 cross-check ran (a mismatch never reaches the file), empty when the
 instance was too large to check.
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -166,6 +167,9 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
     return records
 
 
+# the counters of ``Work``, in its field order
+WORK_COLUMNS = tuple(field.name for field in fields(Work))
+
 CSV_COLUMNS = (
     "family",
     "size",
@@ -175,10 +179,7 @@ CSV_COLUMNS = (
     "elapsed_ms",
     "ip_solves",
     "pareto_size",
-    "nodes",
-    "lps",
-    "pivots",
-    "flips",
+    *WORK_COLUMNS,
     "verified",
 )
 
@@ -199,10 +200,7 @@ def write_csv(records: Sequence[BenchRecord], destination) -> None:
                     f"{rec.elapsed_ms:.3f}",
                     rec.ip_solves,
                     rec.pareto_size,
-                    rec.work.nodes,
-                    rec.work.lps,
-                    rec.work.pivots,
-                    rec.work.flips,
+                    *(getattr(rec.work, name) for name in WORK_COLUMNS),
                     verified,
                 )
             )

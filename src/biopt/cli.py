@@ -20,6 +20,7 @@ from biopt.algorithms import RUNNERS
 from biopt.bench import (
     ALGORITHMS,
     THREADS,
+    WORK_COLUMNS,
     BenchConfig,
     render_summary,
     run_algorithm,
@@ -119,12 +120,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     sys.stdout.write(format_result(problem, front))
+    counters = " ".join(f"{name}={getattr(stats.work, name)}" for name in WORK_COLUMNS)
     print(
         f"algorithm={algorithm} points={len(front)} "
-        f"ip_solves={stats.ip_solves} elapsed_ms={elapsed_ms:.3f} "
-        f"nodes={stats.work.nodes} lps={stats.work.lps} "
-        f"pivots={stats.work.pivots} flips={stats.work.flips} "
-        f"tightened={stats.work.tightened}",
+        f"ip_solves={stats.ip_solves} elapsed_ms={elapsed_ms:.3f} {counters}",
         file=sys.stderr,
     )
     return EXIT_OK if len(front) > 0 else EXIT_EMPTY_FRONT

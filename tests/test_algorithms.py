@@ -17,9 +17,8 @@ from biopt.algorithms import (
     DelaySpec,
     RunStats,
     SharedBounds,
-    _knee_slices,
+    _knee_cut,
     _run_parallel,
-    _slices,
     _sweep,
     meeting_boip,
     sequential_boip,
@@ -398,42 +397,33 @@ class TestSequential:
 
 
 class TestSplitRange:
-    # the cover's f1 range is [0, 3]; its endpoint outcomes (0, 3) and
-    # (3, 0) are checked by TestSplitting.test_cover_process
-    def test_cover_two_workers(self):
-        assert _slices(0, 3, 2) == ((0, 1), (2, 3))
-
-    def test_cover_one_worker(self):
-        assert _slices(0, 3, 1) == ((0, 3),)
-
-    def test_remainder_goes_to_last(self):
-        assert _slices(0, 3, 3) == ((0, 0), (1, 1), (2, 3))
-
-    def test_single_value_range_leaves_first_interval_empty(self):
-        intervals = _slices(2, 2, 2)
-        assert intervals == ((2, 1), (2, 2))
-        lo, hi = intervals[0]
-        assert lo > hi  # empty slice marker
+    def test_cover_two_workers(self, cover):
+        # the cover's f1 range is [0, 3], between its endpoint outcomes
+        # (0, 3) and (3, 0), which TestSplitting.test_cover_process checks;
+        # the cut leaves [0, 1] to the west slice and [2, 3] to the east
+        assert _knee_cut(cover, OutcomeVector(0, 3), OutcomeVector(3, 0)) == 1
 
     def test_worker_count_validated(self, cover):
-        with pytest.raises(ValueError):
-            splitting_boip(cover, backends=(), t=0)
+        for t in (0, 1, 3):
+            with pytest.raises(ValueError, match="two workers"):
+                splitting_boip(cover, t=t)
+        for count in (1, 3):
+            backends = tuple(BranchAndBoundBackend() for _ in range(count))
+            with pytest.raises(ValueError, match="two backends"):
+                splitting_boip(cover, backends=backends)
 
     def test_knee_slices_partition_the_range(self):
+        # both slices [west.f1, cut] and [cut + 1, east.f1] keep a value
+        checked = 0
         for seed in range(40):
             problem = random_tiny_problem(random.Random(6100 + seed))
             outcomes = brute_force_pareto(problem).outcomes()
             if len(outcomes) < 2:
                 continue
             west, east = outcomes[0], outcomes[-1]
-            for t in (2, 3, 4):
-                slices = _knee_slices(problem, west, east, t)
-                if east.f1 - west.f1 + 1 < t:
-                    assert slices == _slices(west.f1, east.f1, t)
-                    continue
-                assert slices[0][0] == west.f1 and slices[-1][1] == east.f1
-                assert all(lo <= hi for lo, hi in slices)
-                assert all(a[1] + 1 == b[0] for a, b in zip(slices, slices[1:]))
+            assert west.f1 <= _knee_cut(problem, west, east) < east.f1, seed
+            checked += 1
+        assert checked == 10
 
     def test_knee_cut_lands_west_of_the_midpoint(self):
         # a gate instance whose front bulges toward the ideal point: the
@@ -441,10 +431,22 @@ class TestSplitRange:
         problem = generate(GeneratorSpec("knapsack", 24, 1))
         outcomes = sequential_boip(problem)[0].outcomes()
         west, east = outcomes[0], outcomes[-1]
-        (_, cut), _ = _knee_slices(problem, west, east, 2)
-        (_, mid), _ = _slices(west.f1, east.f1, 2)
+        cut = _knee_cut(problem, west, east)
+        mid = west.f1 + (east.f1 - west.f1 + 1) // 2 - 1
         assert sum(o.f1 <= mid for o in outcomes) == 10
         assert 6 <= sum(o.f1 <= cut for o in outcomes) <= 8
+
+
+def _serial(west_first):
+    """A ``_run_parallel`` that runs splitting's two slices one after the
+    other in this process, where the backends' records reach the test."""
+
+    def run(jobs, here=False):  # jobs are listed east, west
+        if west_first:
+            return [f(*args) for f, args in reversed(jobs)][::-1]
+        return [f(*args) for f, args in jobs]
+
+    return run
 
 
 class TestSplitting:
@@ -460,26 +462,35 @@ class TestSplitting:
         assert stats.ip_solves == stats.feasible_solves + stats.infeasible_solves
 
     def test_every_sweep_find_is_on_the_front(self, three_outcomes, monkeypatch):
-        # f1 range [1, 12] splits into [1, 6] and [7, 12].  The second
-        # slice sweeps west under f1 < 12, where (1, 5) beats (10, 7) on
-        # f2, so the dominated outcome is never found.  The slices may run
-        # one after another in this process, east first, where the
-        # backends' records reach this test.
-        monkeypatch.setattr(
-            biopt.algorithms, "_run_parallel", lambda jobs, here=False: [f(*a) for f, a in jobs]
-        )
+        # f1 range [1, 12] splits into a west and an east slice.  The
+        # east slice sweeps west under f1 < 12, where (1, 5) beats
+        # (10, 7) on f2, so the dominated outcome is never found.  The
+        # slices may run one after another in this process, east first,
+        # where the backends' records reach this test.
+        monkeypatch.setattr(biopt.algorithms, "_run_parallel", _serial(False))
         backends = (_Recording(), _Recording())
         front, stats = splitting_boip(three_outcomes, backends=backends, t=2)
         finds = [o for b in backends for o in b.outcomes if o is not None]
-        assert len(finds) == 3  # both endpoints, then the east slice's
-        assert set(finds) <= {OutcomeVector(1, 5), OutcomeVector(12, 1)}
+        assert finds == [OutcomeVector(1, 5), OutcomeVector(12, 1)]  # the endpoints
         assert outcomes_of(front) == {OutcomeVector(1, 5), OutcomeVector(12, 1)}
         assert stats.pareto_size == 2
-        # the east slice ran before the west one published a cap, so it
-        # ends on a find below its slice; the west slice runs under
-        # f2 < 5, the west endpoint's, and ends on an infeasible solve
-        assert stats.feasible_solves == 3
-        assert stats.infeasible_solves == 1
+        # both slices run under f2 < 5, the west endpoint's, and neither
+        # holds a front point, so each ends on an infeasible solve
+        assert stats.feasible_solves == 2
+        assert stats.infeasible_solves == 2
+
+    @pytest.mark.parametrize("west_first", [True, False])
+    def test_east_slice_closes_infeasible_in_both_orders(
+        self, three_outcomes, monkeypatch, west_first
+    ):
+        # the west slice holds no front point but the west endpoint, so it
+        # has no find to pass east; the east slice still starts under the
+        # west endpoint's f2 and proves its slice empty at once
+        monkeypatch.setattr(biopt.algorithms, "_run_parallel", _serial(west_first))
+        east, west = _Recording(), _Recording()
+        splitting_boip(three_outcomes, backends=(east, west))
+        assert east.outcomes == [None]
+        assert west.outcomes == [OutcomeVector(1, 5), OutcomeVector(12, 1), None]
 
     @pytest.mark.parametrize("west_first", [True, False])
     def test_closing_solve_in_both_orders(self, cover, monkeypatch, west_first):
@@ -521,6 +532,8 @@ class TestSplitting:
         assert stats.worker_elapsed == ()
 
     def test_empty_slice_skipped(self):
+        # a front of one point leaves nothing between the endpoints to
+        # slice: the two endpoint solves are the whole run
         point = build_problem(
             num_vars=1,
             objectives=[(1,), (-1,)],
@@ -529,8 +542,8 @@ class TestSplitting:
         )
         front, stats = splitting_boip(point, t=2)
         assert outcomes_of(front) == {OutcomeVector(2, -2)}
-        assert stats.worker_elapsed[0] == 0.0  # empty slice never ran
-        assert stats.worker_elapsed[1] > 0.0
+        assert stats.ip_solves == stats.feasible_solves == 2
+        assert stats.worker_elapsed == ()
 
     def test_backend_count_validated(self, cover):
         with pytest.raises(ValueError):
@@ -541,30 +554,40 @@ class TestSplitting:
             with pytest.raises(ValueError):
                 splitting_boip(cover, executor=executor)
 
-    def test_matches_oracle_on_random_instances(self):
+    def test_matches_oracle_on_random_instances(self, monkeypatch):
+        # each run under real forks, then with the slices one after the
+        # other in both orders
         for seed in range(25):
             problem = random_tiny_problem(random.Random(5100 + seed))
             oracle = brute_force_pareto(problem)
-            for t in (1, 2, 3, 4):
-                backends = tuple(BranchAndBoundBackend() for _ in range(t))
-                front, stats = splitting_boip(problem, backends=backends, t=t)
-                assert outcomes_of(front) == set(oracle.outcomes())
-                assert stats.pareto_size == len(oracle)
-                assert stats.ip_solves <= stats.pareto_size + t
-                # one closing solve per slice that ran: the westernmost runs
-                # under the west endpoint's f2 cap and ends infeasible; any
-                # other ends infeasible, or repeats its western neighbour's
-                # first find if it closed before reading that find's f2
+            outcomes = oracle.outcomes()
+            for order in ("fork", "west first", "east first"):
+                with monkeypatch.context() as patch:
+                    if order != "fork":
+                        serial = _serial(order == "west first")
+                        patch.setattr(biopt.algorithms, "_run_parallel", serial)
+                    front, stats = splitting_boip(problem, t=2)
+                label = (seed, order)
+                assert front.outcomes() == outcomes, label
+                assert stats.pareto_size == len(oracle), label
                 if len(oracle) < 2:
                     # the infeasible west solve, or both endpoint solves
-                    assert stats.ip_solves == stats.pareto_size + 1
-                    assert stats.infeasible_solves == 1 - len(oracle)
+                    assert stats.ip_solves == stats.pareto_size + 1, label
+                    assert stats.infeasible_solves == 1 - len(oracle), label
                     continue
-                outcomes = oracle.outcomes()
-                slices = _knee_slices(problem, outcomes[0], outcomes[-1], t)
-                ran = sum(lo <= hi for lo, hi in slices)
-                assert stats.ip_solves == stats.pareto_size + ran <= stats.pareto_size + t
-                assert 1 <= stats.infeasible_solves <= ran
+                # one closing solve per slice: the west slice runs under the
+                # west endpoint's f2 and ends infeasible; the east slice
+                # ends infeasible, or repeats the west slice's first find
+                # if it closed before reading that find's f2
+                assert stats.ip_solves == stats.pareto_size + 2, label
+                cut = _knee_cut(problem, outcomes[0], outcomes[-1])
+                west_has_a_find = any(o.f1 <= cut for o in outcomes[1:])
+                if order == "fork":
+                    assert 1 <= stats.infeasible_solves <= 2, label
+                elif order == "west first" or not west_has_a_find:
+                    assert stats.infeasible_solves == 2, label
+                else:
+                    assert stats.infeasible_solves == 1, label
 
 
 class TestMeeting:
@@ -868,8 +891,7 @@ class TestCrossAlgorithmAgreement:
             )
             seq, _ = sequential_boip(problem)
             assert outcomes_of(seq) == set(brute_force_pareto(problem).outcomes())
-            for t in (1, 2, 3):
-                split, _ = splitting_boip(problem, t=t)
-                assert split.outcomes() == seq.outcomes(), (objectives, t)
+            split, _ = splitting_boip(problem, t=2)
+            assert split.outcomes() == seq.outcomes(), objectives
             meet, _ = meeting_boip(problem)
             assert meet.outcomes() == seq.outcomes(), objectives

@@ -127,7 +127,9 @@ class TestCsv:
         with target.open(newline="", encoding="utf-8") as source:
             rows = list(csv.reader(source))
         assert rows[0] == list(CSV_COLUMNS)
-        assert CSV_COLUMNS[-5:] == ("nodes", "lps", "pivots", "flips", "verified")
+        assert CSV_COLUMNS[-6:] == (
+            "nodes", "lps", "pivots", "flips", "tightened", "verified"
+        )
         assert len(rows) == 1 + len(records)
         for row, rec in zip(rows[1:], records):
             cell = dict(zip(CSV_COLUMNS, row))
@@ -138,6 +140,7 @@ class TestCsv:
             work = rec.work
             assert (int(cell["nodes"]), int(cell["lps"])) == (work.nodes, work.lps)
             assert (int(cell["pivots"]), int(cell["flips"])) == (work.pivots, work.flips)
+            assert int(cell["tightened"]) == work.tightened
             assert work.nodes >= work.lps >= rec.ip_solves > 0
             assert work.pivots > 0
 
@@ -147,8 +150,8 @@ class TestCsv:
         write_csv(records, target)
         with target.open(newline="", encoding="utf-8") as source:
             (row,) = list(csv.DictReader(source))
-        counters = ("ip_solves", "nodes", "lps", "pivots", "flips")
-        assert [row[name] for name in counters] == ["0"] * 5
+        counters = ("ip_solves", "nodes", "lps", "pivots", "flips", "tightened")
+        assert [row[name] for name in counters] == ["0"] * 6
 
     def test_unverified_cell_is_empty(self, tmp_path):
         records = run_bench(
