@@ -221,6 +221,7 @@ def _sweep(
     store: Optional[SharedBounds] = None,
     delays: Optional[DelaySpec] = None,
     hand_off: Optional[SharedBounds] = None,
+    publish: bool = True,
     check: Optional[Callable[[], None]] = None,
 ) -> _SweepOutcome:
     """The core recursion: lex-minimize under a tightening strict cap on f_own.
@@ -233,8 +234,8 @@ def _sweep(
     solve's root LP restarts from that solve's.  The sweep ends on an
     infeasible solve, or once ``cap`` is below ``stop``: right after the
     first find below it, or at once if it starts there.  With a
-    ``store`` it re-reads the other objective's cap before every solve and
-    publishes its own after every find, napping from
+    ``store`` it re-reads the other objective's cap before every solve and,
+    with ``publish``, publishes its own after every find, napping from
     ``delays.sleeper(own)`` before each store access.  With a
     ``hand_off`` store it publishes there, right after its first find, that
     find's value of the other objective.  A value outside the stores'
@@ -272,7 +273,7 @@ def _sweep(
         feasible += 1
         found.append(res.solution)
         cap = res.solution.outcome.component(own)
-        if store is not None:
+        if store is not None and publish:
             if nap is not None:
                 nap()
             _offer(store, own, cap)
@@ -363,9 +364,11 @@ def splitting_boip(
     which every other front point undercuts.  The west slice publishes the
     f2 of its first find to the east slice, which caps f2 below it from
     its next solve on, so the east slice's closing solve is infeasible
-    instead of finding that point again.  A cap that arrives late costs a
-    repeated find, never a point, so the IP solves of a run do not depend
-    on the schedule.  The endpoint solves count in the run's solves and
+    instead of finding that point again.  That f2 and the west endpoint's
+    are the only caps the slices share: neither publishes its own f1 caps,
+    which nothing reads.  A cap that arrives late costs a repeated find,
+    never a point, so the IP solves of a run do not depend on the
+    schedule.  The endpoint solves count in the run's solves and
     work, but not in ``worker_elapsed``, which lists the west slice, then
     the east slice, and is empty when no slice runs: for an infeasible
     problem, or a front of one point.
@@ -409,10 +412,9 @@ def splitting_boip(
     _offer(west_store, 2, w.f2)
     # the east endpoint is known, so the east slice starts west of it;
     # nothing lies west of the west endpoint
-    jobs = [
-        (_sweep, (problem, engines[0], 1, e.f1, cut + 1, east_store)),
-        (_sweep, (problem, engines[1], 1, cut + 1, w.f1 + 1, west_store, None, east_store)),
-    ]
+    east_args = (problem, engines[0], 1, e.f1, cut + 1, east_store, None, None, False)
+    west_args = (problem, engines[1], 1, cut + 1, w.f1 + 1, west_store, None, east_store, False)
+    jobs = [(_sweep, east_args), (_sweep, west_args)]
     east_sweep, west_sweep = _run_parallel(jobs, here=True)
     return _finish(
         (ends, west_sweep, east_sweep), (west_sweep.elapsed, east_sweep.elapsed)

@@ -10,7 +10,11 @@ primary backend is an exact branch and bound:
   restarts from a given optimal LP whose rows differ from its own only in
   right-hand sides.  Cold and warm LPs run the same bounded dual simplex
   (see ``biopt.simplex``);
-* branching on the most fractional variable, ties to the lowest index;
+* branching on the most fractional variable, ties to the lowest index.
+  The decision is read from the basic rows of the node LP's final tableau,
+  in integers (``LpResult.most_fractional``), and an integral LP point as
+  integers (``LpResult.integral_point``), so no node builds a ``Fraction``
+  point;
 * pruning with ``ceil(lp_bound) >= incumbent`` (sound because objectives
   take integer values on integer points), re-checking the inherited parent
   bound before paying for a node's LP;
@@ -81,8 +85,7 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from math import ceil, floor
+from math import ceil
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from biopt.errors import BioptError, BudgetExceeded, NodeLimitExceeded
@@ -214,21 +217,6 @@ class _Minimized(NamedTuple):
     work: Work
 
 
-def _most_fractional(x: Sequence[Fraction]) -> Optional[int]:
-    """Index of the variable farthest from integrality, or None if integral."""
-    best_j: Optional[int] = None
-    best_num, best_den = 0, 1  # distance best_num / best_den
-    for j, v in enumerate(x):
-        den = v.denominator
-        if den == 1:
-            continue
-        rest = v.numerator % den  # v - floor(v) == rest / den
-        num = min(rest, den - rest)
-        if num * best_den > best_num * den:
-            best_num, best_den, best_j = num, den, j
-    return best_j
-
-
 def _tighten(
     box: tuple[tuple[int, int], ...], lp: LpResult, limit: int
 ) -> tuple[tuple[tuple[int, int], ...], int]:
@@ -314,22 +302,22 @@ def _branch_and_bound(
             root_lp = lp
         if not lp.is_optimal:
             continue
-        assert lp.objective is not None and lp.x is not None
-        j = _most_fractional(lp.x)
-        if j is None:
-            point = tuple(v.numerator for v in lp.x)
+        assert lp.objective is not None
+        branch = lp.most_fractional()
+        if branch is None:
+            point = lp.integral_point()
             if record is not None:
                 record(point)
         lower = ceil(lp.objective)
         if best_value is not None and lower >= best_value:
             continue
-        if j is None:  # an integral point below the incumbent
+        if branch is None:  # an integral point below the incumbent
             best_value, best_x = lower, point
             continue
         if best_value is not None:
             node_bounds, moved = _tighten(node_bounds, lp, best_value - 1)
             tightened += moved
-        split = floor(lp.x[j])
+        j, split = branch
         lo_j, hi_j = node_bounds[j]
         down = node_bounds[:j] + ((lo_j, split),) + node_bounds[j + 1:]
         up = node_bounds[:j] + ((split + 1, hi_j),) + node_bounds[j + 1:]

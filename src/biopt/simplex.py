@@ -8,8 +8,9 @@ tableau row is kept as a list of integer numerators with one shared positive
 integer denominator, gcd-reduced after every pivot.  The last entry of a
 row is the numerator of its basic variable's current value over that same
 denominator, and ratio tests compare integer ratios by cross-multiplication,
-so no ``Fraction`` is built inside the simplex loop; only the returned point
-and objective are materialized as ``Fraction``.
+so no ``Fraction`` is built inside the simplex loop.  A solve makes only
+its objective a ``Fraction``: the point ``LpResult.x`` is built on first
+read, and branch and bound reads its decision from the basic rows instead.
 
 Formulation notes:
 
@@ -85,6 +86,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from itertools import count
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
@@ -108,11 +111,11 @@ class LpResult:
     re-optimizes from that basis.  ``pivots`` counts the basis changes of
     this solve alone and ``flips`` the nonbasic columns it moved from one
     bound to the other inside a simplex iteration; none of the three takes
-    part in comparisons.
+    part in comparisons.  ``x`` is built from the final tableau on first
+    read.
     """
 
     status: SolveStatus
-    x: tuple[Fraction, ...] | None = None
     objective: Fraction | None = None
     restart: _Restart | None = field(default=None, compare=False, repr=False)
     pivots: int = field(default=0, compare=False)
@@ -122,6 +125,62 @@ class LpResult:
     def is_optimal(self) -> bool:
         return self.status is SolveStatus.OPTIMAL
 
+    @cached_property
+    def x(self) -> tuple[Fraction, ...] | None:
+        """The optimal point, or None unless optimal."""
+        if self.restart is None:
+            return None
+        return tuple(Fraction(v, d) for v, d in self._values())
+
+    def _final(self) -> _Restart:
+        if self.restart is None:
+            raise ValueError("only an optimal LpResult has a final tableau")
+        return self.restart
+
+    def _values(self) -> list[tuple[int, int]]:
+        """``x`` as pairs ``(v, d)``, each the value ``v / d``."""
+        base = self._final()
+        tab, bounds = base.tableau, base.bounds
+        at_upper = _VarState.AT_UPPER
+        out = [(hi if s is at_upper else lo, 1) for (lo, hi), s in zip(bounds, tab.state)]
+        for row, d, b in zip(tab.rows, tab.dens, tab.basis):
+            if b < len(bounds):
+                out[b] = (bounds[b][0] * d + row[-1], d)
+        return out
+
+    def most_fractional(self) -> tuple[int, int] | None:
+        """``(j, floor(x[j]))`` for the ``j`` farthest from integrality,
+        ties to the lowest index, or None when ``x`` is integral.
+
+        Nonbasic columns sit at integer bounds, so only the basic rows are
+        read.  A basic value ``v / d`` is ``min(r, d - r) / d`` from an
+        integer, for ``r = v mod d``.
+        """
+        base = self._final()
+        tab, bounds = base.tableau, base.bounds
+        n = best_j = len(bounds)
+        best_r, best_d, best_v = 0, 1, 0
+        for row, d, b in zip(tab.rows, tab.dens, tab.basis):
+            if b >= n or d == 1:
+                continue
+            v = bounds[b][0] * d + row[-1]
+            r = v % d
+            if not r:
+                continue
+            if d - r < r:
+                r = d - r
+            far, near = r * best_d, best_r * d
+            if far > near or (far == near and b < best_j):
+                best_j, best_r, best_d, best_v = b, r, d, v
+        return None if best_j == n else (best_j, best_v // best_d)
+
+    def integral_point(self) -> tuple[int, ...]:
+        """``x`` as integers; raises ``ValueError`` unless it is integral."""
+        values = self._values()
+        if any(v % d for v, d in values):
+            raise ValueError("x is fractional")
+        return tuple(v // d for v, d in values)
+
     def fits(self, costs: Sequence[int], rows: Sequence[LinearConstraint]) -> bool:
         """Can ``solve_lp(costs, rows, bounds, start=self)`` restart from here?
 
@@ -130,7 +189,11 @@ class LpResult:
         sides.
         """
         base = self.restart
-        if base is None or tuple(costs) != base.costs or len(rows) != len(base.rows):
+        if base is None:
+            return False
+        if rows is base.rows and costs is base.costs:  # a branch-and-bound child
+            return True
+        if tuple(costs) != base.costs or len(rows) != len(base.rows):
             return False
         return all(
             new is old or (new.coeffs == old.coeffs and new.relation is old.relation)
@@ -145,10 +208,8 @@ class LpResult:
         sits at its lower bound when its reduced cost is positive and at its
         upper bound when it is negative.
         """
-        if self.restart is None:
-            raise ValueError("only an optimal LpResult has reduced costs")
-        tab = self.restart.tableau
-        return tab.onums[: len(self.restart.bounds)], tab.oden
+        base = self._final()
+        return base.tableau.onums[: len(base.bounds)], base.tableau.oden
 
 
 class _VarState(Enum):
@@ -244,13 +305,12 @@ class _Tableau:
         feasible under any change of bounds.  Returns False, leaving the
         tableau half moved, when a new box is empty.
         """
-        for j, (new, old) in enumerate(zip(bounds, old_bounds)):
-            if new == old:
-                continue
-            lo, hi = new
+        changed = [j for j, new, old in zip(count(), bounds, old_bounds) if new != old]
+        for j in changed:
+            lo, hi = bounds[j]
             if hi < lo:
                 return False
-            old_lo, old_hi = old
+            old_lo, old_hi = old_bounds[j]
             self.upper[j] = hi - lo
             state = self.state[j]
             if state is _VarState.BASIC:
@@ -267,42 +327,36 @@ class _Tableau:
 
     # -- inspection ----------------------------------------------------
 
-    def point(
+    def objective(
         self, bounds: Sequence[tuple[int, int]], costs: Sequence[int]
-    ) -> tuple[tuple[Fraction, ...], Fraction]:
-        """Values of the structural columns in original coordinates, and
-        their cost.
+    ) -> Fraction:
+        """The cost of the current point in original coordinates.
 
-        Only basic columns can be fractional, and each distinct integral
-        value is made a ``Fraction`` once.  The cost is summed in integers
-        alone, as one numerator over a running denominator (the least
-        common multiple of the denominators of the costed basic values so
-        far), and made a ``Fraction`` once at the end.
+        It is summed in integers alone, as one numerator over a running
+        denominator (the least common multiple of the denominators of the
+        costed basic values so far), and made a ``Fraction`` once at the
+        end.
         """
         n = len(bounds)
-        basic = _VarState.BASIC
-        ints = [
-            hi if s is _VarState.AT_UPPER else lo
-            for (lo, hi), s in zip(bounds, self.state)
-        ]
-        num = sum(c * v for c, v, s in zip(costs, ints, self.state) if s is not basic)
+        basic, at_upper = _VarState.BASIC, _VarState.AT_UPPER
+        num = 0
+        for c, (lo, hi), s in zip(costs, bounds, self.state):
+            if c and s is not basic:
+                num += c * (hi if s is at_upper else lo)
         den = 1
-        as_fraction = {v: Fraction(v) for v in set(ints)}
-        out = [as_fraction[v] for v in ints]
         for row, d, b in zip(self.rows, self.dens, self.basis):
             if b < n:
-                v = bounds[b][0] * d + row[-1]  # the value is v / d
-                out[b] = Fraction(v, d)
                 c = costs[b]
                 if not c:
                     continue
+                v = bounds[b][0] * d + row[-1]  # the value is v / d
                 if d == den:
                     num += c * v
                 else:
                     g = gcd(den, d)
                     num = num * (d // g) + c * v * (den // g)
                     den = den // g * d
-        return tuple(out), Fraction(num, den)
+        return Fraction(num, den)
 
     # -- pivoting ------------------------------------------------------
 
@@ -391,29 +445,15 @@ class _Tableau:
                 best_r, best_b = i, b
         return best_r
 
-    def dual_ratio_test(
-        self, r: int, below: bool
-    ) -> tuple[Optional[int], list[int]]:
-        """Long-step ratio test for leaving row ``r``: ``(entering, flips)``.
-
-        Eligible columns can move off their bound in the direction that
-        pushes row ``r``'s basic value back toward the violated bound (up
-        when ``below``).  They are passed in order of least
-        ``|d_j / a_rj|``, compared by cross-multiplication, ties to the
-        lowest index.  A column with an upper bound ``u_j`` is passed, and
-        listed in ``flips``, while the row's remaining scaled violation
-        ``slope`` exceeds ``|a_rj| * u_j``; passing it lowers ``slope`` by
-        that much.  The first column that cannot be passed enters.  When
-        the least ratio is zero, that column enters with no flips (the
-        plain dual Bland step).  ``entering`` is None, and the LP
-        infeasible, when no column is eligible or every one is passed.
-        """
+    def _least_ratio(
+        self, row: list[int], below: bool, eligible: Optional[list[int]] = None
+    ) -> tuple[int, int, int]:
+        """``(j, |d_j|, |a_rj|)`` for the eligible column of least ratio
+        (``j`` is -1 if none is), appending every eligible column, in index
+        order, to ``eligible`` when one is given."""
         upper, onums = self.upper, self.onums
         basic, at_lower = _VarState.BASIC, _VarState.AT_LOWER
-        row = self.rows[r]
-        eligible: list[int] = []  # in index order
-        best = -1  # position in eligible of the least ratio
-        best_d, best_a = 0, 1
+        best, best_d, best_a = -1, 0, 1
         for j, (a, s) in enumerate(zip(row, self.state)):
             if not a or s is basic:
                 continue
@@ -427,33 +467,57 @@ class _Tableau:
                 d = -d
             if a < 0:
                 a = -a
+            # a strict < keeps the lowest index among equal ratios
             if best < 0 or d * best_a < best_d * a:
-                best, best_d, best_a = len(eligible), d, a
-            eligible.append(j)
+                best, best_d, best_a = j, d, a
+            if eligible is not None:
+                eligible.append(j)
+        return best, best_d, best_a
+
+    def dual_ratio_test(
+        self, r: int, below: bool
+    ) -> tuple[Optional[int], list[int]]:
+        """Long-step ratio test for leaving row ``r``: ``(entering, flips)``.
+
+        Eligible columns can move off their bound in the direction that
+        pushes row ``r``'s basic value back toward the violated bound (up
+        when ``below``).  They are passed in order of least
+        ``|d_j / a_rj|``, ties to the lowest index, as the module docstring
+        describes; ``flips`` lists the passed ones.  ``entering`` is None,
+        and the LP infeasible, when no column is eligible or every one is
+        passed.  The least ratio's column usually enters, so the list of
+        eligible columns is built only once one is passed.
+        """
+        upper, onums = self.upper, self.onums
+        row = self.rows[r]
+        j, best_d, best_a = self._least_ratio(row, below)
         flips: list[int] = []
-        if best < 0:
+        if j < 0:
             return None, flips
         if not best_d:
-            return eligible[best], flips
+            return j, flips
         if below:
             slope = -row[-1]
         else:
             slope = row[-1] - upper[self.basis[r]] * self.dens[r]
+        eligible: Optional[list[int]] = None
         while True:
-            j = eligible.pop(best)
             u = upper[j]
             if u is None or slope <= best_a * u:
                 return j, flips
             flips.append(j)
             slope -= best_a * u
+            if eligible is None:
+                eligible = []
+                self._least_ratio(row, below, eligible)
+            eligible.remove(j)
             if not eligible:
                 return None, flips
-            # a strict < keeps the lowest index among equal ratios
-            best = -1
-            for k, j in enumerate(eligible):
-                d, a = abs(onums[j]), abs(row[j])
-                if best < 0 or d * best_a < best_d * a:
-                    best, best_d, best_a = k, d, a
+            j = -1
+            for k in eligible:
+                d, a = abs(onums[k]), abs(row[k])
+                if j < 0 or d * best_a < best_d * a:
+                    j, best_d, best_a = k, d, a
 
     def run_dual(self) -> bool:
         """Bounded dual simplex from a dual feasible basis.
@@ -487,8 +551,8 @@ class _Restart(NamedTuple):
 
 def _optimal(restart: _Restart) -> LpResult:
     tab = restart.tableau
-    x, objective = tab.point(restart.bounds, restart.costs)
-    return LpResult(SolveStatus.OPTIMAL, x, objective, restart, tab.pivots, tab.flips)
+    objective = tab.objective(restart.bounds, restart.costs)
+    return LpResult(SolveStatus.OPTIMAL, objective, restart, tab.pivots, tab.flips)
 
 
 def _infeasible(tab: _Tableau) -> LpResult:

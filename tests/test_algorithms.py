@@ -396,6 +396,24 @@ class TestSequential:
             assert stats.feasible_solves == len(front)
 
 
+    @pytest.mark.parametrize(
+        "family, size, seeds, expected",
+        [
+            ("knapsack", 24, range(5, 7), Work(791, 791, 850, 246, 672)),
+            ("assignment", 6, range(1, 4), Work(296, 296, 591, 97, 432)),
+            ("knapsack", 24, range(1, 11), Work(8305, 8305, 8362, 1711, 6497)),
+        ],
+    )
+    def test_work_is_pinned(self, family, size, seeds, expected):
+        # the sequential search is deterministic: a change to branching,
+        # pricing or tightening that alters any node shows up here
+        work = Work()
+        for seed in seeds:
+            _, stats = sequential_boip(generate(GeneratorSpec(family, size, seed)))
+            work += stats.work
+        assert work == expected
+
+
 class TestSplitRange:
     def test_cover_two_workers(self, cover):
         # the cover's f1 range is [0, 3], between its endpoint outcomes
@@ -523,6 +541,40 @@ class TestSplitting:
                 assert east.outcomes[-1] == first_west_find, name
             assert west.outcomes[-1] is None, name  # under the west endpoint's f2
             assert stats.infeasible_solves == (2 if west_first else 1), name
+
+    def test_only_meeting_publishes_f1_caps(self, cover, monkeypatch):
+        # nothing reads a splitting store's f1 cell, so no slice writes it;
+        # a slice publishes only f2 caps: the west endpoint's into both
+        # stores, then the west slice's first find into the east store.
+        # Run serially, a meeting run's first sweep finds the whole front
+        # and publishes its own cap after every find, and the second
+        # closes at once: each order writes the cell of the sweep run first
+        published = []
+        publish = SharedBounds.publish
+
+        def spy(store, index, value):
+            published.append(index)
+            publish(store, index, value)
+
+        monkeypatch.setattr(SharedBounds, "publish", spy)
+        instances = {
+            "cover": cover,
+            **{f"knapsack-10-{seed}": generate(GeneratorSpec("knapsack", 10, seed))
+               for seed in (1, 4)},
+        }
+        meeting_cells = set()
+        for west_first in (True, False):
+            monkeypatch.setattr(biopt.algorithms, "_run_parallel", _serial(west_first))
+            for name, problem in instances.items():
+                published.clear()
+                splitting_boip(problem)
+                assert published == [2, 2, 2], (name, west_first)
+            published.clear()
+            front, _ = meeting_boip(cover)
+            first = 2 if west_first else 1  # the jobs run in reverse
+            assert published == [first] * len(front)
+            meeting_cells.add(first)
+        assert meeting_cells == {1, 2}
 
     def test_infeasible(self):
         front, stats = splitting_boip(infeasible_problem())

@@ -2,6 +2,8 @@
 backend agreement, and format round-trips on randomly drawn inputs."""
 
 import itertools
+from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 from hypothesis import assume, given, settings
@@ -570,6 +572,81 @@ class TestWarmStart:
         warm = solve_lp(costs, moved, bounds, start=parent)
         cold = solve_lp(costs, moved, bounds)
         assert (warm.status, warm.objective) == (cold.status, cold.objective)
+
+
+def most_fractional_reference(x):
+    """``(j, floor(x[j]))`` for the entry of ``x`` farthest from an
+    integer, ties to the lowest index, or None when all are integers."""
+    best, distance = None, Fraction(0)
+    for j, v in enumerate(x):
+        gap = min(v - floor(v), ceil(v) - v)
+        if gap > distance:
+            best, distance = j, gap
+    return None if best is None else (best, floor(x[best]))
+
+
+class TestBranchingQuery:
+    """Branch and bound's decision, read from the final tableau in
+    integers, must match the one a ``Fraction`` point gives."""
+
+    @staticmethod
+    def check_query(lp, costs, rows, bounds):
+        x = lp.x
+        assert x is lp.x  # built once, on first read
+        for con in rows:
+            assert con.satisfied_by(x)
+        for v, (lo, hi) in zip(x, bounds):
+            assert lo <= v <= hi
+        assert sum(c * v for c, v in zip(costs, x)) == lp.objective
+        expected = most_fractional_reference(x)
+        assert lp.most_fractional() == expected
+        if expected is None:
+            assert lp.integral_point() == tuple(v.numerator for v in x)
+        else:
+            with pytest.raises(ValueError):
+                lp.integral_point()
+        return expected
+
+    def test_cold_and_warm_child_lps(self):
+        seen = {"fractional": 0, "tie": 0, "integral": 0}
+
+        @given(
+            st.one_of(random_lps(), boxed_lps()),
+            st.lists(st.integers(0, 7), max_size=3),
+        )
+        @settings(deadline=None, max_examples=400, database=None)
+        def check(lp, picks):
+            costs, rows, bounds = lp
+            parent = solve_lp(costs, rows, bounds)
+            assume(parent.is_optimal)
+            for pick in [None] + picks:
+                if pick is not None:  # a warm child, as branch and bound makes
+                    child_bounds = tightened(parent.x, bounds, pick)
+                    if child_bounds is None:
+                        return
+                    warm = solve_lp(costs, rows, child_bounds, start=parent)
+                    if not warm.is_optimal:
+                        return
+                    parent, bounds = warm, child_bounds
+                expected = self.check_query(parent, costs, rows, bounds)
+                if expected is None:
+                    seen["integral"] += 1
+                    continue
+                seen["fractional"] += 1
+                j, _ = expected
+                gap = min(parent.x[j] % 1, -parent.x[j] % 1)
+                if any(min(v % 1, -v % 1) == gap for v in parent.x[j + 1:]):
+                    seen["tie"] += 1
+
+        check()
+        # ties to the lowest index must be exercised, not just possible
+        assert all(count > 0 for count in seen.values()), seen
+
+    def test_infeasible_lp_has_no_point(self):
+        lp = solve_lp((1,), (LinearConstraint((1,), Relation.GE, 2),), ((0, 1),))
+        assert lp.x is None
+        with pytest.raises(ValueError):
+            lp.most_fractional()
 
 
 class TestSequentialShape:
