@@ -42,9 +42,14 @@ the staircase validation and is treated as a solver bug — and its
 The parallel workers are forked processes, the only way CPython runs them
 in parallel, except splitting's west slice: the calling process, which has
 just solved the endpoints on that slice's backend, sweeps it itself while
-the east slice runs forked.  ``SharedBounds`` stores are the only
-mutable state the workers share.  They live in shared memory, and each
-cell is owned by one writer and enforces monotone non-increase.
+the east slice runs forked.  Each job is a zero-argument callable, a
+``_sweep`` with its arguments bound.  ``SharedBounds`` stores, which each
+run makes for itself, are the only mutable state the workers share.  They
+live in shared memory, and each cell is owned by one writer and enforces
+monotone non-increase.
+
+``biopt.bench.ALGORITHMS`` is the one table of these three algorithms and
+the brute-force oracle: name, command-line spelling, worker count and run.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ import random
 import time
 import traceback
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from biopt.errors import BioptError, BoundRegression
@@ -123,14 +129,6 @@ class SharedBounds:
                     f"bound l{index} would increase from {self._cells[slot]} to {value}"
                 )
             self._cells[slot] = value
-
-    @property
-    def l1(self) -> Optional[int]:
-        return self.read(1)
-
-    @property
-    def l2(self) -> Optional[int]:
-        return self.read(2)
 
 
 def _offer(store: SharedBounds, index: int, value: int) -> None:
@@ -216,6 +214,7 @@ def _sweep(
     problem: Problem,
     backend: SolverBackend,
     own: int,
+    *,
     cap: Optional[int] = None,
     stop: Optional[int] = None,
     store: Optional[SharedBounds] = None,
@@ -412,10 +411,15 @@ def splitting_boip(
     _offer(west_store, 2, w.f2)
     # the east endpoint is known, so the east slice starts west of it;
     # nothing lies west of the west endpoint
-    east_args = (problem, engines[0], 1, e.f1, cut + 1, east_store, None, None, False)
-    west_args = (problem, engines[1], 1, cut + 1, w.f1 + 1, west_store, None, east_store, False)
-    jobs = [(_sweep, east_args), (_sweep, west_args)]
-    east_sweep, west_sweep = _run_parallel(jobs, here=True)
+    east_job = partial(
+        _sweep, problem, engines[0], 1, cap=e.f1, stop=cut + 1, store=east_store,
+        publish=False,
+    )
+    west_job = partial(
+        _sweep, problem, engines[1], 1, cap=cut + 1, stop=w.f1 + 1, store=west_store,
+        hand_off=east_store, publish=False,
+    )
+    east_sweep, west_sweep = _run_parallel([east_job, west_job], here=True)
     return _finish(
         (ends, west_sweep, east_sweep), (west_sweep.elapsed, east_sweep.elapsed)
     )
@@ -428,15 +432,16 @@ def splitting_boip(
 def meeting_boip(
     problem: Problem,
     backends: Optional[Sequence[SolverBackend]] = None,
-    bounds: Optional[SharedBounds] = None,
     executor: str = "process",
     delays: Optional[DelaySpec] = None,
 ) -> tuple[ParetoSet, RunStats]:
     """Enumerate the front with two opposed sweeps sharing monotone bounds.
 
-    The union of the two harvests, deduplicated by outcome, is the complete
-    front under every read/write interleaving; worker 2's representative is
-    kept when both workers find the same outcome.  No dominance filter is
+    The two sweeps share one ``SharedBounds`` store made for the run, and
+    nap from ``delays``, if given, before each store access.  The union of
+    the two harvests, deduplicated by outcome, is the complete front under
+    every read/write interleaving; worker 2's representative is kept when
+    both workers find the same outcome.  No dominance filter is
     applied — the staircase validation in ParetoSet doubles as a hard check
     of that guarantee.
     """
@@ -444,27 +449,12 @@ def meeting_boip(
     engines = tuple(backends) if backends is not None else _default_backends()
     if len(engines) != 2:
         raise ValueError("meeting needs exactly two backends")
-    store = bounds if bounds is not None else SharedBounds()
-    if store.l1 is not None or store.l2 is not None:
-        raise ValueError("meeting needs a fresh SharedBounds store")
-    jobs = [
-        (_sweep, (problem, engines[0], 1, None, None, store, delays)),
-        (_sweep, (problem, engines[1], 2, None, None, store, delays)),
-    ]
-    sweeps = _run_parallel(jobs)
+    store = SharedBounds()
+    sweeps = _run_parallel([
+        partial(_sweep, problem, engines[0], 1, store=store, delays=delays),
+        partial(_sweep, problem, engines[1], 2, store=store, delays=delays),
+    ])
     return _finish(sweeps, tuple(sweep.elapsed for sweep in sweeps))
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-# Every enumeration algorithm by name, called as ``run(problem)``.
-RUNNERS: dict[str, Callable[[Problem], tuple[ParetoSet, RunStats]]] = {
-    "sequential": sequential_boip,
-    "splitting": splitting_boip,
-    "meeting": meeting_boip,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -478,17 +468,17 @@ def _check_executor(executor: str) -> None:
         raise ValueError(f"unknown executor {executor!r} (only 'process')")
 
 
-def _pipe_runner(conn, fn, args) -> None:
+def _pipe_runner(conn, job) -> None:
     try:
-        conn.send(("ok", fn(*args)))
+        conn.send(("ok", job()))
     except BaseException:  # noqa: BLE001 — the parent re-raises with context
         conn.send(("error", traceback.format_exc()))
     finally:
         conn.close()
 
 
-def _run_parallel(jobs: Sequence[tuple], here: bool = False) -> list:
-    """Run (fn, args) jobs on forked worker processes; propagate failures.
+def _run_parallel(jobs: Sequence[Callable], here: bool = False) -> list:
+    """Run zero-argument jobs on forked worker processes; propagate failures.
 
     With ``here`` the last job runs in this process instead, called with a
     ``check`` keyword that polls the workers' result pipes without
@@ -522,16 +512,15 @@ def _run_parallel(jobs: Sequence[tuple], here: bool = False) -> list:
     finished = False
     try:
         forked = jobs[:-1] if here else jobs
-        for i, (fn, args) in enumerate(forked):
+        for i, job in enumerate(forked):
             parent, child = ctx.Pipe(duplex=False)
             pending[parent] = i
-            proc = ctx.Process(target=_pipe_runner, args=(child, fn, args))
+            proc = ctx.Process(target=_pipe_runner, args=(child, job))
             proc.start()
             child.close()
             procs.append(proc)
         if here and jobs:
-            fn, args = jobs[-1]
-            results[-1] = fn(*args, check=lambda: collect(wait(list(pending), 0)))
+            results[-1] = jobs[-1](check=lambda: collect(wait(list(pending), 0)))
         while pending:
             collect(wait(list(pending)))
         finished = True

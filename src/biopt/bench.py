@@ -3,14 +3,15 @@
 The protocol: for every (family, size) cell, run seeds 1..reps through each
 configured algorithm, timing wall-clock elapsed around the algorithm call
 only (instance generation, oracle cross-checks, and I/O are outside the
-timed region).  One untimed warm-up run per cell precedes the timed reps so
-first-touch effects don't pollute short runs.  Cells run strictly one at a
-time — parallelism exists only inside the splitting/meeting runs themselves.
+timed region).  One untimed warm-up run per cell, of the first configured
+algorithm on seed 1, precedes the timed reps so first-touch effects don't
+pollute short runs.  Cells run strictly one at a time — parallelism exists
+only inside the splitting/meeting runs themselves.
 
-When an instance is small enough for exhaustive enumeration, every
-algorithm result is cross-checked against the brute-force oracle; a
-mismatch aborts the whole benchmark loudly rather than recording a
-questionable number.
+When an instance's variable box is within the oracle's default budget
+(``oracle.DEFAULT_MAX_POINTS``, 10^7 points), every algorithm result is
+cross-checked against the brute-force oracle; a mismatch aborts the whole
+benchmark loudly rather than recording a questionable number.
 
 CSV schema (header mandatory, one row per run)::
 
@@ -24,8 +25,9 @@ reduced-cost tightening moved; ``brute`` writes 0 for them and for
 cross-check ran (a mismatch never reaches the file), empty when the
 instance was too large to check.
 
-``run_algorithm`` and ``THREADS`` are the one dispatch from an algorithm
-name to its run and its worker count, for this harness and the CLI alike.
+``ALGORITHMS`` is the one table of the algorithms: each name's
+``biopt solve --alg`` spelling, worker count and run, for this harness and
+the CLI alike.
 """
 
 from __future__ import annotations
@@ -35,18 +37,39 @@ import statistics
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from biopt.algorithms import RUNNERS, RunStats
+from biopt.algorithms import RunStats, meeting_boip, sequential_boip, splitting_boip
 from biopt.errors import BioptError
 from biopt.instances import FAMILIES, GeneratorSpec, generate
 from biopt.ipsolve import Work
 from biopt.model import ParetoSet, Problem
-from biopt.oracle import DEFAULT_MAX_POINTS, EnumerationBudget, brute_force_pareto
+from biopt.oracle import DEFAULT_MAX_POINTS, brute_force_pareto
 
-ALGORITHMS = (*RUNNERS, "brute")
-# worker count of each algorithm
-THREADS = {"sequential": 1, "brute": 1, "splitting": 2, "meeting": 2}
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One enumeration algorithm: its ``--alg`` spelling, its worker count,
+    and its run, called as ``run(problem)``."""
+
+    flag: str
+    workers: int
+    run: Callable[[Problem], tuple[ParetoSet, RunStats]]
+
+
+def _brute(problem: Problem) -> tuple[ParetoSet, RunStats]:
+    """The oracle's front, and all-zero work: it makes no IP solves."""
+    front = brute_force_pareto(problem)
+    return front, RunStats(0, 0, (), len(front))
+
+
+# every algorithm by name; "brute" is the oracle the others are checked against
+ALGORITHMS: dict[str, Algorithm] = {
+    "sequential": Algorithm("seq", 1, sequential_boip),
+    "splitting": Algorithm("split", 2, splitting_boip),
+    "meeting": Algorithm("meet", 2, meeting_boip),
+    "brute": Algorithm("brute", 1, _brute),
+}
 
 
 @dataclass(frozen=True)
@@ -56,10 +79,8 @@ class BenchConfig:
     families: tuple[str, ...]
     sizes: tuple[int, ...]
     reps: int = 10
-    algorithms: tuple[str, ...] = ALGORITHMS
+    algorithms: tuple[str, ...] = tuple(ALGORITHMS)
     time_limit_s: Optional[float] = None
-    oracle_max_box: int = 10**7
-    warmup: bool = True
 
     def __post_init__(self) -> None:
         if self.reps < 1:
@@ -101,39 +122,21 @@ class BenchRecord:
             raise ValueError("elapsed time cannot be negative")
 
 
-def run_algorithm(
-    algorithm: str, problem: Problem, oracle_budget: int = DEFAULT_MAX_POINTS
-) -> tuple[ParetoSet, RunStats]:
-    """Run one algorithm; return its front and work accounting (all zero
-    for brute force, which makes no IP solves)."""
-    if algorithm == "brute":
-        front = brute_force_pareto(problem, EnumerationBudget(oracle_budget))
-        return front, RunStats(0, 0, (), len(front))
-    if algorithm not in RUNNERS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return RUNNERS[algorithm](problem)
-
-
 def run_bench(config: BenchConfig) -> list[BenchRecord]:
     """Execute the whole benchmark grid; abort loudly on any oracle mismatch."""
     records: list[BenchRecord] = []
     for family in config.families:
         for size in config.sizes:
-            if config.warmup:
-                problem = generate(GeneratorSpec(family, size, 1))
-                run_algorithm(config.algorithms[0], problem, config.oracle_max_box)
+            problem = generate(GeneratorSpec(family, size, 1))
+            ALGORITHMS[config.algorithms[0]].run(problem)  # untimed warm-up
             for seed in range(1, config.reps + 1):
                 problem = generate(GeneratorSpec(family, size, seed))
                 oracle: Optional[ParetoSet] = None
-                if problem.box_size() <= config.oracle_max_box:
-                    oracle = brute_force_pareto(
-                        problem, EnumerationBudget(config.oracle_max_box)
-                    )
+                if problem.box_size() <= DEFAULT_MAX_POINTS:
+                    oracle = brute_force_pareto(problem)
                 for algorithm in config.algorithms:
                     start = time.perf_counter()
-                    front, stats = run_algorithm(
-                        algorithm, problem, config.oracle_max_box
-                    )
+                    front, stats = ALGORITHMS[algorithm].run(problem)
                     # round to the CSV's precision here so summaries computed
                     # from records and from the emitted file agree exactly
                     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
@@ -155,7 +158,7 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
                             size=size,
                             seed=seed,
                             algorithm=algorithm,
-                            threads=THREADS[algorithm],
+                            threads=ALGORITHMS[algorithm].workers,
                             elapsed_ms=elapsed_ms,
                             ip_solves=stats.ip_solves,
                             pareto_size=len(front),

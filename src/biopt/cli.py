@@ -16,14 +16,11 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from biopt.algorithms import RUNNERS
 from biopt.bench import (
     ALGORITHMS,
-    THREADS,
     WORK_COLUMNS,
     BenchConfig,
     render_summary,
-    run_algorithm,
     run_bench,
     summarize,
     write_csv,
@@ -44,13 +41,6 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_EMPTY_FRONT = 3
 EXIT_MISMATCH = 4
-
-_ALG_NAMES = {
-    "seq": "sequential",
-    "split": "splitting",
-    "meet": "meeting",
-    "brute": "brute",
-}
 
 
 def _usage_error(message: str) -> int:
@@ -99,12 +89,13 @@ def _load_instance(path: str) -> tuple[Optional[object], int]:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    algorithm = _ALG_NAMES[args.alg]
-    workers = THREADS[algorithm]
-    if args.threads is not None and args.threads != workers:
-        if workers == 1:
+    algorithm, alg = next(
+        (name, alg) for name, alg in ALGORITHMS.items() if alg.flag == args.alg
+    )
+    if args.threads is not None and args.threads != alg.workers:
+        if alg.workers == 1:
             return _usage_error(f"--alg {args.alg} runs single-threaded; use --threads 1")
-        return _usage_error(f"--alg {args.alg} requires --threads {workers}")
+        return _usage_error(f"--alg {args.alg} requires --threads {alg.workers}")
 
     problem, status = _load_instance(args.file)
     if problem is None:
@@ -112,7 +103,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     start = time.perf_counter()
     try:
-        front, stats = run_algorithm(algorithm, problem)
+        front, stats = alg.run(problem)
     except BudgetExceeded as bad:
         return _usage_error(str(bad))
     except BioptError as bad:
@@ -141,7 +132,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     try:
         oracle = brute_force_pareto(problem, budget)
-        fronts = {name: run(problem)[0] for name, run in RUNNERS.items()}
+        fronts = {
+            name: alg.run(problem)[0]
+            for name, alg in ALGORITHMS.items()
+            if name != "brute"  # the oracle itself
+        }
     except BioptError as bad:
         return _runtime_error(str(bad))
 
@@ -203,8 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(handler=cmd_gen)
 
     solve = commands.add_parser("solve", help="enumerate the Pareto front of a file")
-    solve.add_argument("--alg", required=True, choices=sorted(_ALG_NAMES))
-    solve.add_argument("--threads", type=int, help="1 for seq/brute, 2 for split/meet")
+    solve.add_argument(
+        "--alg", required=True, choices=sorted(alg.flag for alg in ALGORITHMS.values())
+    )
+    workers = ", ".join(f"{alg.workers} for {alg.flag}" for alg in ALGORITHMS.values())
+    solve.add_argument("--threads", type=int, help=f"worker count: {workers}")
     solve.add_argument("file")
     solve.set_defaults(handler=cmd_solve)
 
@@ -219,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", nargs="+", required=True, type=int)
     bench.add_argument("--reps", type=int, default=10)
     bench.add_argument(
-        "--algs", nargs="+", default=list(ALGORITHMS), choices=ALGORITHMS
+        "--algs", nargs="+", default=list(ALGORITHMS), choices=tuple(ALGORITHMS)
     )
     bench.add_argument("--time-limit", type=float, help="per-run time limit in seconds")
     bench.add_argument("--out", default="bench.csv", help="CSV output path")

@@ -32,9 +32,8 @@ primary backend is an exact branch and bound:
 * an optional initial incumbent, a known integer point below the cutoff:
   the search starts from its value and point, so it only prunes more and
   still proves optimality;
-* a node cap (default 10^7, overridable through the ``BIOPT_NODE_LIMIT``
-  environment variable) that raises instead of ever returning an unproven
-  answer.
+* a node cap, ``NODE_LIMIT`` (10^7), read when each search starts, that
+  raises instead of ever returning an unproven answer.
 
 ``solve_lex`` is one branch and bound on ``W * f_lead + f_last``.  Over
 the variable box, ``f_last = c . x`` lies in ``[L, L + W - 1]`` with
@@ -82,13 +81,12 @@ after the two workers both found the same point.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from math import ceil
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from biopt.errors import BioptError, BudgetExceeded, NodeLimitExceeded
+from biopt.errors import BudgetExceeded, NodeLimitExceeded
 from biopt.model import (
     LinearConstraint,
     ObjectiveOrder,
@@ -101,21 +99,8 @@ from biopt.model import (
 from biopt.oracle import iter_feasible
 from biopt.simplex import LpResult, SolveStatus, solve_lp
 
-DEFAULT_NODE_LIMIT = 10_000_000
-NODE_LIMIT_ENV = "BIOPT_NODE_LIMIT"
-
-
-def _node_limit_from_env() -> int:
-    raw = os.environ.get(NODE_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_NODE_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError as exc:
-        raise BioptError(f"{NODE_LIMIT_ENV} must be an integer, got {raw!r}") from exc
-    if limit < 1:
-        raise BioptError(f"{NODE_LIMIT_ENV} must be positive, got {limit}")
-    return limit
+# branch-and-bound nodes per search before NodeLimitExceeded
+NODE_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -272,7 +257,7 @@ def _branch_and_bound(
     search meets, before the bound test may prune it.  The root LP
     restarts from ``start`` when one is given.
     """
-    limit = _node_limit_from_env()
+    limit = NODE_LIMIT
     costs = tuple(costs)
     rows = tuple(rows)
     root = tuple((int(lo), int(hi)) for lo, hi in bounds)
@@ -468,9 +453,8 @@ class BranchAndBoundBackend(SolverBackend):
     The backend keeps the last optimal root LP of each objective order and
     restarts the next solve of that order from it, and it keeps the
     incumbent staircase of the problem it last solved, starting afresh
-    whenever the problem changes; so it belongs to one worker.  The node
-    cap comes from ``BIOPT_NODE_LIMIT`` or the built-in default at solve
-    time.
+    whenever the problem changes; so it belongs to one worker.  Each search
+    reads the node cap ``NODE_LIMIT`` when it starts.
     """
 
     def __init__(self) -> None:

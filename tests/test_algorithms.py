@@ -7,13 +7,13 @@ import random
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from conftest import random_tiny_problem
 from biopt.algorithms import (
-    RUNNERS,
     DelaySpec,
     RunStats,
     SharedBounds,
@@ -26,6 +26,7 @@ from biopt.algorithms import (
 )
 import biopt.algorithms
 import biopt.ipsolve
+from biopt.bench import ALGORITHMS
 from biopt.errors import BioptError, BoundRegression
 from biopt.instances import GeneratorSpec, generate
 from biopt.ipsolve import (
@@ -78,29 +79,28 @@ class TestSharedBounds:
         store = SharedBounds()
         assert store.read(1) is None
         assert store.read(2) is None
-        assert store.l1 is None and store.l2 is None
 
     def test_publish_then_read(self):
         store = SharedBounds()
         store.publish(1, 7)
-        assert store.l1 == 7
-        assert store.l2 is None
+        assert store.read(1) == 7
+        assert store.read(2) is None
         store.publish(2, -3)
-        assert store.l2 == -3
+        assert store.read(2) == -3
 
     def test_tightening_and_equal_rewrites_allowed(self):
         store = SharedBounds()
         store.publish(1, 10)
         store.publish(1, 10)
         store.publish(1, 4)
-        assert store.l1 == 4
+        assert store.read(1) == 4
 
     def test_regression_is_a_hard_error(self):
         store = SharedBounds()
         store.publish(2, 5)
         with pytest.raises(BoundRegression):
             store.publish(2, 6)
-        assert store.l2 == 5  # rejected write leaves the cell untouched
+        assert store.read(2) == 5  # rejected write leaves the cell untouched
 
     def test_range_guard(self):
         store = SharedBounds()
@@ -109,7 +109,7 @@ class TestSharedBounds:
         with pytest.raises(BioptError):
             store.publish(1, -(2**61))
         store.publish(1, 2**61 - 1)
-        assert store.l1 == 2**61 - 1
+        assert store.read(1) == 2**61 - 1
 
     def test_bad_index(self):
         store = SharedBounds()
@@ -132,7 +132,7 @@ class TestSharedBounds:
         store.publish(2, -4)
         child.join(10)
         assert child.exitcode == 0  # the child read the parent's l2
-        assert store.l1 == -8  # and the parent reads the child's l1
+        assert store.read(1) == -8  # and the parent reads the child's l1
 
     def test_readers_see_only_published_values_in_order(self):
         # one writer and three readers, more processes than cores; values
@@ -182,7 +182,7 @@ def _watch_l1(store, last):
     seen = None
     deadline = time.monotonic() + 15.0
     while seen != last:
-        value = store.l1
+        value = store.read(1)
         if value is not None:
             assert value % _STRIDE == 0, value
             assert seen is None or value <= seen, (seen, value)
@@ -194,11 +194,11 @@ def _watch_l1(store, last):
 def _double_l2_into_l1(store):
     """Wait for the other process's l2, then publish twice it as l1."""
     deadline = time.monotonic() + 5.0
-    while store.l2 is None:
+    while store.read(2) is None:
         if time.monotonic() > deadline:
             raise TimeoutError("l2 never arrived")
         time.sleep(0.001)
-    store.publish(1, 2 * store.l2)
+    store.publish(1, 2 * store.read(2))
 
 
 class TestRunStats:
@@ -208,10 +208,10 @@ class TestRunStats:
         assert stats.pareto_size == 4
         assert stats.work == Work(0, 0, 0, 0)
 
-    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    @pytest.mark.parametrize("name", sorted(set(ALGORITHMS) - {"brute"}))
     def test_work_counters_cover_every_solve(self, name, knapsack):
         # every IP solve runs at least one node, and every node at most one LP
-        _, stats = RUNNERS[name](knapsack)
+        _, stats = ALGORITHMS[name].run(knapsack)
         assert stats.work.nodes >= stats.work.lps >= stats.ip_solves > 0
 
     def test_counters_sum_the_solves(self, knapsack):
@@ -241,7 +241,7 @@ class TestRunStats:
         # backends' records reach this test; for meeting that is the legal
         # schedule in which worker 1 finishes before worker 2 starts
         monkeypatch.setattr(
-            biopt.algorithms, "_run_parallel", lambda jobs, here=False: [f(*a) for f, a in jobs]
+            biopt.algorithms, "_run_parallel", lambda jobs, here=False: [job() for job in jobs]
         )
         for label, problem in sweep_instances(cover, knapsack, three_outcomes).items():
             backends = (_Recording(), _Recording())
@@ -461,8 +461,8 @@ def _serial(west_first):
 
     def run(jobs, here=False):  # jobs are listed east, west
         if west_first:
-            return [f(*args) for f, args in reversed(jobs)][::-1]
-        return [f(*args) for f, args in jobs]
+            return [job() for job in reversed(jobs)][::-1]
+        return [job() for job in jobs]
 
     return run
 
@@ -518,8 +518,8 @@ class TestSplitting:
         # east slice closes by finding that point itself.
         def in_order(jobs, here=False):  # jobs are listed east to west
             if west_first:
-                return [f(*args) for f, args in reversed(jobs)][::-1]
-            return [f(*args) for f, args in jobs]
+                return [job() for job in reversed(jobs)][::-1]
+            return [job() for job in jobs]
 
         monkeypatch.setattr(biopt.algorithms, "_run_parallel", in_order)
         # instances whose west slice holds front points besides the west
@@ -666,12 +666,6 @@ class TestMeeting:
         assert len(front) == 0
         assert stats.feasible_solves == 0
         assert stats.infeasible_solves == 2  # one closing probe per worker
-
-    def test_requires_fresh_store(self, cover):
-        used = SharedBounds()
-        used.publish(1, 2)
-        with pytest.raises(ValueError):
-            meeting_boip(cover, bounds=used)
 
     def test_backend_count_validated(self, cover):
         with pytest.raises(ValueError):
@@ -829,18 +823,18 @@ class TestFailFast:
     def test_first_failure_ends_the_run(self):
         start = time.perf_counter()
         with pytest.raises(BioptError, match="early failure"):
-            _run_parallel([(_sleep, (3.0,)), (_fail_at_once, ())])
+            _run_parallel([partial(_sleep, 3.0), _fail_at_once])
         assert time.perf_counter() - start < 1.5  # not after the 3 s sleep
         assert multiprocessing.active_children() == []
 
     def test_results_keep_job_order(self):
-        jobs = [(_sleep, (0.2,)), (_sleep, (0.0,))]
+        jobs = [partial(_sleep, 0.2), partial(_sleep, 0.0)]
         assert _run_parallel(jobs) == [0.2, 0.0]
         assert multiprocessing.active_children() == []
 
     def test_exit_without_a_result_fails_the_run(self):
         with pytest.raises(BioptError, match="exited without reporting"):
-            _run_parallel([(os._exit, (3,)), (_sleep, (0.0,))])
+            _run_parallel([partial(os._exit, 3), partial(_sleep, 0.0)])
         assert multiprocessing.active_children() == []
 
 

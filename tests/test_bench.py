@@ -2,10 +2,10 @@
 
 import csv
 import statistics
+from dataclasses import replace
 
 import pytest
 
-import biopt.bench as bench_module
 from biopt.bench import (
     ALGORITHMS,
     BenchConfig,
@@ -25,8 +25,7 @@ def tiny_config(**overrides):
         families=("knapsack",),
         sizes=(5,),
         reps=2,
-        algorithms=ALGORITHMS,
-        warmup=False,
+        algorithms=tuple(ALGORITHMS),
     )
     base.update(overrides)
     return BenchConfig(**base)
@@ -52,7 +51,8 @@ class TestBenchConfig:
     def test_defaults(self):
         config = BenchConfig(families=("knapsack",), sizes=(4,))
         assert config.reps == 10
-        assert config.algorithms == ALGORITHMS
+        assert config.algorithms == ("sequential", "splitting", "meeting", "brute")
+        assert config.algorithms == tuple(ALGORITHMS)
 
 
 class TestBenchRecord:
@@ -88,20 +88,18 @@ class TestRunBench:
             assert rec.ip_solves == rec.pareto_size + 1
 
     def test_oracle_skipped_when_too_large(self):
+        # knapsack-24's box of 2^24 points exceeds the oracle's 10^7 budget
         records = run_bench(
-            tiny_config(reps=1, algorithms=("sequential",), oracle_max_box=4)
+            tiny_config(sizes=(24,), reps=1, algorithms=("sequential",))
         )
         assert records[0].verified is None
 
     def test_mismatch_aborts_loudly(self, monkeypatch):
-        real = bench_module.run_algorithm
+        def corrupted(problem):
+            return ParetoSet(()), 0  # drop every point
 
-        def corrupted(algorithm, problem, oracle_budget):
-            if algorithm == "meeting":
-                return ParetoSet(()), 0  # drop every point
-            return real(algorithm, problem, oracle_budget)
-
-        monkeypatch.setattr(bench_module, "run_algorithm", corrupted)
+        meeting = replace(ALGORITHMS["meeting"], run=corrupted)
+        monkeypatch.setitem(ALGORITHMS, "meeting", meeting)
         with pytest.raises(BioptError, match="disagrees"):
             run_bench(tiny_config(reps=1, algorithms=("sequential", "meeting")))
 
@@ -112,11 +110,6 @@ class TestRunBench:
         assert records[0].timed_out is True
         # the run itself still completed and carries the real numbers
         assert records[0].pareto_size >= 1
-
-    def test_warmup_adds_no_records(self):
-        cold = run_bench(tiny_config(reps=1, algorithms=("sequential",)))
-        warm = run_bench(tiny_config(reps=1, algorithms=("sequential",), warmup=True))
-        assert len(cold) == len(warm) == 1
 
 
 class TestCsv:
@@ -155,7 +148,7 @@ class TestCsv:
 
     def test_unverified_cell_is_empty(self, tmp_path):
         records = run_bench(
-            tiny_config(reps=1, algorithms=("sequential",), oracle_max_box=4)
+            tiny_config(sizes=(24,), reps=1, algorithms=("sequential",))
         )
         target = tmp_path / "bench.csv"
         write_csv(records, target)

@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line frontend and its exit codes."""
 
 import csv
+import multiprocessing
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from biopt.algorithms import RUNNERS
+import biopt.ipsolve
+from biopt.bench import ALGORITHMS
 from biopt.cli import (
     EXIT_EMPTY_FRONT,
     EXIT_MISMATCH,
@@ -151,6 +154,20 @@ class TestSolve:
         assert main(["solve", "--alg", "meet", "--threads", "1", cover_file]) == EXIT_USAGE
         assert main(["solve", "--alg", "seq", "--threads", "2", cover_file]) == EXIT_USAGE
 
+    def test_alg_choices_are_the_table_flags(self, cover_file, capsys):
+        assert main(["solve", "--alg", "bogus", cover_file]) == EXIT_USAGE
+        choices = re.search(r"choose from (.*)\)", capsys.readouterr().err).group(1)
+        assert re.findall(r"\w+", choices) == sorted(a.flag for a in ALGORITHMS.values())
+
+    @pytest.mark.parametrize("name", list(ALGORITHMS))
+    def test_threads_contract_from_the_table(self, name, cover_file, capsys):
+        flag, workers = ALGORITHMS[name].flag, ALGORITHMS[name].workers
+        argv = ["solve", "--alg", flag, "--threads"]
+        assert main(argv + [str(workers), cover_file]) == EXIT_OK
+        assert capsys.readouterr().out == T1_RESULT
+        for threads in {0, 1, 2, 3} - {workers}:
+            assert main(argv + [str(threads), cover_file]) == EXIT_USAGE
+
     def test_empty_front_exit_code(self, infeasible_file, capsys):
         code = main(["solve", "--alg", "seq", infeasible_file])
         assert code == EXIT_EMPTY_FRONT
@@ -168,12 +185,16 @@ class TestSolve:
     def test_missing_file(self, tmp_path):
         assert main(["solve", "--alg", "seq", str(tmp_path / "nope.boip")]) == EXIT_RUNTIME
 
-    def test_node_limit_failure(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BIOPT_NODE_LIMIT", "1")
+    @pytest.mark.parametrize("alg", ["seq", "split", "meet"])
+    def test_node_limit_failure(self, alg, monkeypatch, capsys):
+        # meeting trips the limit in a forked worker, which inherits the
+        # patched constant
+        monkeypatch.setattr(biopt.ipsolve, "NODE_LIMIT", 1)
         golden = GOLDEN / "knapsack-n3-s42.boip"  # fractional LP, needs branching
-        code = main(["solve", "--alg", "seq", str(golden)])
+        code = main(["solve", "--alg", alg, str(golden)])
         assert code == EXIT_RUNTIME
         assert "node" in capsys.readouterr().err.lower()
+        assert multiprocessing.active_children() == []
 
     def test_determinism_of_seq_and_brute_output(self, cover_file, capsys):
         outputs = []
@@ -207,7 +228,8 @@ class TestVerify:
         def broken(problem):
             return ParetoSet(()), None
 
-        monkeypatch.setitem(RUNNERS, "sequential", broken)
+        sequential = replace(ALGORITHMS["sequential"], run=broken)
+        monkeypatch.setitem(ALGORITHMS, "sequential", sequential)
         code = main(["verify", cover_file])
         assert code == EXIT_MISMATCH
         out = capsys.readouterr().out

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from biopt.errors import BioptError, BudgetExceeded, NodeLimitExceeded
+from biopt.errors import BudgetExceeded, NodeLimitExceeded
 from biopt.instances import GeneratorSpec, generate
+import biopt.ipsolve
 from biopt.ipsolve import (
-    DEFAULT_NODE_LIMIT,
-    NODE_LIMIT_ENV,
+    NODE_LIMIT,
     BranchAndBoundBackend,
     EnumerationBackend,
     ExtraConstraint,
@@ -290,35 +290,20 @@ class TestNodeLimit:
         # the exact node count of the search passes; one node fewer raises
         nodes = solve_single(fractional_problem(), 1).node_count
         assert nodes > 1
-        monkeypatch.setenv(NODE_LIMIT_ENV, str(nodes))
+        monkeypatch.setattr(biopt.ipsolve, "NODE_LIMIT", nodes)
         assert solve_single(fractional_problem(), 1).node_count == nodes
-        monkeypatch.setenv(NODE_LIMIT_ENV, str(nodes - 1))
+        monkeypatch.setattr(biopt.ipsolve, "NODE_LIMIT", nodes - 1)
         with pytest.raises(NodeLimitExceeded):
             solve_single(fractional_problem(), 1)
 
     def test_backend_limit(self, monkeypatch):
-        monkeypatch.setenv(NODE_LIMIT_ENV, "1")
+        monkeypatch.setattr(biopt.ipsolve, "NODE_LIMIT", 1)
         backend = BranchAndBoundBackend()
         with pytest.raises(NodeLimitExceeded):
             backend.solve_lex(fractional_problem(), ObjectiveOrder.F1_FIRST)
 
     def test_default_limit_constant(self):
-        assert DEFAULT_NODE_LIMIT == 10_000_000
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(NODE_LIMIT_ENV, "1")
-        with pytest.raises(NodeLimitExceeded):
-            solve_single(fractional_problem(), 1)
-
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv(NODE_LIMIT_ENV, "lots")
-        with pytest.raises(BioptError, match="must be an integer"):
-            solve_single(fractional_problem(), 1)
-
-    def test_env_nonpositive(self, monkeypatch):
-        monkeypatch.setenv(NODE_LIMIT_ENV, "0")
-        with pytest.raises(BioptError, match="positive"):
-            solve_single(fractional_problem(), 1)
+        assert NODE_LIMIT == 10_000_000
 
 
 class TestEnumerationGuard:
