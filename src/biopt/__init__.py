@@ -40,7 +40,6 @@ from biopt.errors import (
 from biopt.ipsolve import (
     BranchAndBoundBackend,
     EnumerationBackend,
-    ExtraConstraint,
     LexResult,
     SolverBackend,
     Work,
@@ -91,7 +90,6 @@ __all__ = [
     "BudgetExceeded",
     "EnumerationBackend",
     "EnumerationBudget",
-    "ExtraConstraint",
     "LexResult",
     "LinearConstraint",
     "LpResult",

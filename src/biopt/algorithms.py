@@ -22,9 +22,10 @@ one objective and tightens the cap to the value just found.
   ``W.f2`` east through a ``SharedBounds`` store, and the east slice
   reads it before each solve as a cap on f2.  Its closing solve then
   proves the rest of its slice empty instead of finding ``W`` again;
-  read too late, the cap costs only that repeated find.  Both slices are
-  capped by the west endpoint's f2 from the start.  The merge
-  deduplicates by outcome and applies no dominance filter.
+  read too late, the cap costs only that repeated find.  Both slices
+  also carry the fixed cap f2 < the west endpoint's f2, which every other
+  front point meets.  The merge deduplicates by outcome and applies no
+  dominance filter.
 * ``meeting_boip`` — two workers sweep from opposite ends, each bounding
   its own trailing objective, and additionally pruning with the *other*
   worker's latest published bound (read fresh before every solve,
@@ -43,10 +44,10 @@ The parallel workers are forked processes, the only way CPython runs them
 in parallel, except splitting's west slice: the calling process, which has
 just solved the endpoints on that slice's backend, sweeps it itself while
 the east slice runs forked.  Each job is a zero-argument callable, a
-``_sweep`` with its arguments bound.  ``SharedBounds`` stores, which each
-run makes for itself, are the only mutable state the workers share.  They
-live in shared memory, and each cell is owned by one writer and enforces
-monotone non-increase.
+``_sweep`` with its arguments bound.  A ``SharedBounds`` store, one per
+parallel run, is the only mutable state the workers share.  It lives in
+shared memory, and each cell is owned by one writer and enforces monotone
+non-increase.
 
 ``biopt.bench.ALGORITHMS`` is the one table of these three algorithms and
 the brute-force oracle: name, command-line spelling, worker count and run.
@@ -64,7 +65,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from biopt.errors import BioptError, BoundRegression
-from biopt.ipsolve import BranchAndBoundBackend, ExtraConstraint, SolverBackend, Work
+from biopt.ipsolve import BranchAndBoundBackend, Caps, SolverBackend, Work
 from biopt.model import (
     LinearConstraint,
     ObjectiveOrder,
@@ -215,7 +216,7 @@ def _sweep(
     backend: SolverBackend,
     own: int,
     *,
-    cap: Optional[int] = None,
+    caps: Caps = (None, None),
     stop: Optional[int] = None,
     store: Optional[SharedBounds] = None,
     delays: Optional[DelaySpec] = None,
@@ -227,13 +228,15 @@ def _sweep(
 
     ``own=2`` runs order (f1, f2) capping f2, walking the front west to
     east; ``own=1`` runs (f2, f1) capping f1, walking it east to west.
-    Every find tightens ``cap`` to its own objective value.  With no
-    ``cap`` the sweep starts from one that every point of the variable box
-    meets, so its first solve already carries the cap row and the next
-    solve's root LP restarts from that solve's.  The sweep ends on an
-    infeasible solve, or once ``cap`` is below ``stop``: right after the
-    first find below it, or at once if it starts there.  With a
-    ``store`` it re-reads the other objective's cap before every solve and,
+    ``caps`` are the strict (f1, f2) caps of its first solve.  Every find
+    tightens the own cap to its own objective value.  With no own cap the
+    sweep starts from one that every point of the variable box meets, so
+    its first solve already carries the cap row and the next solve's root
+    LP restarts from that solve's.  The other objective's cap stays fixed.
+    The sweep ends on an infeasible solve, or once the own cap is below
+    ``stop``: right after the first find below it, or at once if it starts
+    there.  With a ``store`` it re-reads the other objective's cap before
+    every solve, and uses it where it is tighter than the fixed one, and,
     with ``publish``, publishes its own after every find, napping from
     ``delays.sleeper(own)`` before each store access.  With a
     ``hand_off`` store it publishes there, right after its first find, that
@@ -245,6 +248,7 @@ def _sweep(
     other = 3 - own
     nap = delays.sleeper(own) if delays is not None else None
     start = time.perf_counter()
+    cap, fixed = caps[own - 1], caps[other - 1]
     if cap is None:
         cap = 1 + sum(
             max(c * lo, c * hi)
@@ -256,14 +260,15 @@ def _sweep(
     while stop is None or cap >= stop:
         if check is not None:
             check()
-        extras = [ExtraConstraint(own, cap)]
+        other_cap = fixed
         if store is not None:
             if nap is not None:
                 nap()
-            other_cap = store.read(other)
-            if other_cap is not None:
-                extras.append(ExtraConstraint(other, other_cap))
-        res = backend.solve_lex(problem, order, extras)
+            read = store.read(other)
+            if read is not None and (other_cap is None or read < other_cap):
+                other_cap = read
+        pair = (cap, other_cap) if own == 1 else (other_cap, cap)
+        res = backend.solve_lex(problem, order, pair)
         work += res.work
         if not res.is_optimal:
             infeasible += 1
@@ -359,18 +364,18 @@ def splitting_boip(
     a west slice [f1min, cut] and an east slice [cut + 1, f1max].  Each
     slice is swept east to west under a strict f1 cap, so every find is a
     global front point; the union with the two endpoint solutions needs no
-    dominance filter.  Both slices start under the west endpoint's f2,
-    which every other front point undercuts.  The west slice publishes the
-    f2 of its first find to the east slice, which caps f2 below it from
-    its next solve on, so the east slice's closing solve is infeasible
-    instead of finding that point again.  That f2 and the west endpoint's
-    are the only caps the slices share: neither publishes its own f1 caps,
-    which nothing reads.  A cap that arrives late costs a repeated find,
-    never a point, so the IP solves of a run do not depend on the
-    schedule.  The endpoint solves count in the run's solves and
-    work, but not in ``worker_elapsed``, which lists the west slice, then
-    the east slice, and is empty when no slice runs: for an infeasible
-    problem, or a front of one point.
+    dominance filter.  Both slices start under the fixed cap f2 < the west
+    endpoint's f2, which every other front point undercuts.  Through the
+    run's one ``SharedBounds`` store the west slice publishes the f2 of
+    its first find to the east slice, which caps f2 below it from its next
+    solve on, so the east slice's closing solve is infeasible instead of
+    finding that point again.  That f2 is the only cap the slices share:
+    neither publishes its own f1 caps, which nothing reads.  A cap that
+    arrives late costs a repeated find, never a point, so the IP solves of
+    a run do not depend on the schedule.  The endpoint solves count in the
+    run's solves and work, but not in ``worker_elapsed``, which lists the
+    west slice, then the east slice, and is empty when no slice runs: for
+    an infeasible problem, or a front of one point.
 
     The east slice runs on the first backend in a forked worker.  The
     second, warm from the endpoint solves, sweeps the west slice here and
@@ -388,11 +393,12 @@ def splitting_boip(
     if len(engines) != 2:
         raise ValueError(f"splitting needs exactly two backends, got {len(engines)}")
     began = time.perf_counter()
-    west = engines[1].solve_lex(problem, ObjectiveOrder.F1_FIRST)
+    # caps always go positionally: a backend may name or default them otherwise
+    west = engines[1].solve_lex(problem, ObjectiveOrder.F1_FIRST, (None, None))
     if not west.is_optimal:
         ends = _SweepOutcome((), 0, 1, time.perf_counter() - began, west.work)
         return _finish((ends,), ())
-    east = engines[1].solve_lex(problem, ObjectiveOrder.F2_FIRST)
+    east = engines[1].solve_lex(problem, ObjectiveOrder.F2_FIRST, (None, None))
     assert west.solution is not None and east.solution is not None
     ends = _SweepOutcome(
         (west.solution, east.solution),
@@ -406,18 +412,16 @@ def splitting_boip(
         return _finish((ends,), ())  # one point is the whole front
 
     cut = _knee_cut(problem, w, e)
-    east_store, west_store = SharedBounds(), SharedBounds()
-    _offer(east_store, 2, w.f2)
-    _offer(west_store, 2, w.f2)
+    east_store = SharedBounds()
     # the east endpoint is known, so the east slice starts west of it;
-    # nothing lies west of the west endpoint
+    # every other front point has f2 < w.f2
     east_job = partial(
-        _sweep, problem, engines[0], 1, cap=e.f1, stop=cut + 1, store=east_store,
-        publish=False,
+        _sweep, problem, engines[0], 1, caps=(e.f1, w.f2), stop=cut + 1,
+        store=east_store, publish=False,
     )
     west_job = partial(
-        _sweep, problem, engines[1], 1, cap=cut + 1, stop=w.f1 + 1, store=west_store,
-        hand_off=east_store, publish=False,
+        _sweep, problem, engines[1], 1, caps=(cut + 1, w.f2), stop=w.f1 + 1,
+        hand_off=east_store,
     )
     east_sweep, west_sweep = _run_parallel([east_job, west_job], here=True)
     return _finish(

@@ -50,14 +50,14 @@ question by scanning the feasible lattice directly, giving an independent
 cross-check; both backends must agree on outcome vectors because the
 lexicographic optimum is unique in outcome space.
 
-Epsilon bounds are expressed as ``ExtraConstraint(objective_index,
-strict_upper)`` meaning ``f_index < strict_upper``.  In ``solve_lex`` a
-bound ``f_lead < c`` on the leading objective never becomes an LP row: the
-tightest one becomes the cutoff ``W * c + L``, since ``f_lead <= c - 1``
-puts the combined objective at most at ``W * (c - 1) + L + W - 1``, and
-``f_lead >= c`` at least at ``W * c + L``.  Every other bound is realized
-exactly as the row ``f_index <= strict_upper - 1``, since all data is
-integer.
+Epsilon bounds travel as a pair ``caps = (c1, c2)`` of strict caps,
+``f_i < c_i``, with ``None`` for no cap; a cap that is not an ``int``
+raises ``TypeError``.  In ``solve_lex`` the cap ``f_lead < c`` on the
+leading objective never becomes an LP row: it becomes the cutoff ``W * c
++ L``, since ``f_lead <= c - 1`` puts the combined objective at most at
+``W * (c - 1) + L + W - 1``, and ``f_lead >= c`` at least at ``W * c +
+L``.  The cap on the trailing objective is realized exactly as the row
+``f_last <= c - 1``, since all data is integer.
 
 ``BranchAndBoundBackend`` keeps, per objective order, the optimal root LP
 of its last solve.  Consecutive solves of a sweep differ only in the
@@ -69,7 +69,7 @@ points among every integral LP point its searches have met, pruned or
 not, for its current problem.  A point that dominates another satisfies
 every cap and cutoff the other does, at no larger combined value, so the
 dominated one is never needed.  Each solve starts from the pooled point
-with the lowest ``W * f_lead + f_last`` that satisfies its cap rows,
+with the lowest ``W * f_lead + f_last`` that satisfies its cap row,
 checked in integers (every pooled point meets the problem's own rows),
 and lies strictly below its cutoff.  An earlier
 solve of a sweep has often met the next solve's optimum already.  The
@@ -102,31 +102,8 @@ from biopt.simplex import LpResult, SolveStatus, solve_lp
 # branch-and-bound nodes per search before NodeLimitExceeded
 NODE_LIMIT = 10_000_000
 
-
-@dataclass(frozen=True)
-class ExtraConstraint:
-    """A strict epsilon bound ``f_index < strict_upper`` on one objective.
-
-    With integer data the bound is enforced exactly: as the row
-    ``f_index <= strict_upper - 1``, or as a branch-and-bound cutoff when
-    ``solve_lex`` ranks that objective first.
-    """
-
-    objective_index: int
-    strict_upper: int
-
-    def __post_init__(self) -> None:
-        if self.objective_index not in (1, 2):
-            raise ValueError("objective_index must be 1 or 2")
-        if not isinstance(self.strict_upper, int):
-            raise TypeError("strict_upper must be int")
-
-    def as_row(self, problem: Problem) -> LinearConstraint:
-        return LinearConstraint(
-            problem.objective(self.objective_index),
-            Relation.LE,
-            self.strict_upper - 1,
-        )
+# strict caps (f1 < c1, f2 < c2); None for no cap
+Caps = tuple[Optional[int], Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -188,9 +165,10 @@ class SolverBackend(ABC):
         self,
         problem: Problem,
         order: ObjectiveOrder,
-        extras: Sequence[ExtraConstraint] = (),
+        caps: Caps = (None, None),
     ) -> LexResult:
-        """Lexicographically minimize the objectives in ``order``."""
+        """Lexicographically minimize the objectives in ``order`` under the
+        strict ``caps``."""
 
 
 class _Minimized(NamedTuple):
@@ -383,32 +361,39 @@ class IncumbentStaircase:
         )
 
 
-def _extras_to_rows(
-    problem: Problem, extras: Sequence[ExtraConstraint]
+def _cap_rows(
+    problem: Problem, caps: Caps, skip: int = 0
 ) -> tuple[LinearConstraint, ...]:
-    return tuple(e.as_row(problem) for e in extras)
+    """The rows ``f_i <= c_i - 1`` of the set caps but objective ``skip``'s."""
+    if not all(cap is None or isinstance(cap, int) for cap in caps):
+        raise TypeError("caps must be int or None")
+    return tuple(
+        LinearConstraint(problem.objective(i), Relation.LE, cap - 1)
+        for i, cap in enumerate(caps, 1)
+        if cap is not None and i != skip
+    )
 
 
 def solve_lex(
     problem: Problem,
     order: ObjectiveOrder,
-    extras: Sequence[ExtraConstraint] = (),
+    caps: Caps = (None, None),
     start: Optional[LpResult] = None,
     pool: Optional[IncumbentStaircase] = None,
 ) -> LexResult:
     """Lexicographic minimization by one branch and bound on
     ``W * f_lead + f_last``.
 
-    The tightest bound ``extras`` put on the leading objective becomes the
-    cutoff.  The root LP restarts from ``start`` when its costs and rows
-    fit this solve's (see ``LpResult.fits``), and runs cold otherwise.
-    With a ``pool`` of ``problem``'s integer points the search starts from
-    its best point that fits this solve (``IncumbentStaircase.best``), and
-    every integral LP point the search meets joins the pool.  When the
-    pool's front points rule out both caps together
-    (``IncumbentStaircase.rules_out``), the solve reports infeasible at
-    once, as a root node pruned before its LP; an optimum joins the
-    pool's front points.
+    The cap ``caps`` puts on the leading objective becomes the cutoff, and
+    the one on the trailing objective the one cap row.  The root LP
+    restarts from ``start`` when its costs and rows fit this solve's (see
+    ``LpResult.fits``), and runs cold otherwise.  With a ``pool`` of
+    ``problem``'s integer points the search starts from its best point
+    that fits this solve (``IncumbentStaircase.best``), and every integral
+    LP point the search meets joins the pool.  When the pool's front
+    points rule out both caps together (``IncumbentStaircase.rules_out``),
+    the solve reports infeasible at once, as a root node pruned before its
+    LP; an optimum joins the pool's front points.
     """
     box = problem.var_bounds
     last = problem.objective(order.last)
@@ -417,13 +402,9 @@ def solve_lex(
     costs = tuple(
         weight * a + b for a, b in zip(problem.objective(order.first), last)
     )
-    cap = min(
-        (e.strict_upper for e in extras if e.objective_index == order.first),
-        default=None,
-    )
+    cap_rows = _cap_rows(problem, caps, skip=order.first)
+    cap = caps[order.first - 1]
     cutoff = None if cap is None else weight * cap + low
-    trailing = [e for e in extras if e.objective_index != order.first]
-    cap_rows = _extras_to_rows(problem, trailing)
     rows = problem.constraints + cap_rows
     if start is not None and not start.fits(costs, rows):
         start = None
@@ -431,11 +412,8 @@ def solve_lex(
     if pool is not None:
         if pool.problem is not problem:
             raise ValueError("pool holds the points of another problem")
-        last_cap = min((e.strict_upper for e in trailing), default=None)
-        if cap is not None and last_cap is not None:
-            caps = (cap, last_cap) if order.first == 1 else (last_cap, cap)
-            if pool.rules_out(*caps):
-                return LexResult(SolveStatus.INFEASIBLE, None, Work(nodes=1))
+        if None not in caps and pool.rules_out(*caps):
+            return LexResult(SolveStatus.INFEASIBLE, None, Work(nodes=1))
         seed, record = pool.best(costs, cap_rows, cutoff), pool.add
     found = _branch_and_bound(costs, rows, box, cutoff, start, seed, record)
     root = found.root if found.root.is_optimal else None
@@ -465,12 +443,12 @@ class BranchAndBoundBackend(SolverBackend):
         self,
         problem: Problem,
         order: ObjectiveOrder,
-        extras: Sequence[ExtraConstraint] = (),
+        caps: Caps = (None, None),
     ) -> LexResult:
         if self._pool is None or self._pool.problem is not problem:
             self._pool = IncumbentStaircase(problem)
         result = solve_lex(
-            problem, order, extras, start=self._roots.get(order), pool=self._pool
+            problem, order, caps, start=self._roots.get(order), pool=self._pool
         )
         if result.root is not None:
             self._roots[order] = result.root
@@ -494,15 +472,13 @@ class EnumerationBackend(SolverBackend):
         self,
         problem: Problem,
         order: ObjectiveOrder,
-        extras: Sequence[ExtraConstraint] = (),
+        caps: Caps = (None, None),
     ) -> LexResult:
+        rows = _cap_rows(problem, caps)
         size = problem.box_size()
         if size > self.max_points:
             raise BudgetExceeded(size, self.max_points)
-        augmented = replace(
-            problem,
-            constraints=problem.constraints + _extras_to_rows(problem, extras),
-        )
+        augmented = replace(problem, constraints=problem.constraints + rows)
         best_key: Optional[tuple[int, int]] = None
         best: Optional[Solution] = None
         visited = 0

@@ -32,7 +32,6 @@ from biopt.instances import GeneratorSpec, generate
 from biopt.ipsolve import (
     BranchAndBoundBackend,
     EnumerationBackend,
-    ExtraConstraint,
     SolverBackend,
     Work,
 )
@@ -226,8 +225,7 @@ class TestRunStats:
             for c, (lo, hi) in zip(knapsack.objective(2), knapsack.var_bounds)
         )
         for _ in range(stats.ip_solves):
-            extras = (ExtraConstraint(2, cap),)
-            res = backend.solve_lex(knapsack, ObjectiveOrder.F1_FIRST, extras)
+            res = backend.solve_lex(knapsack, ObjectiveOrder.F1_FIRST, (None, cap))
             work += res.work
             cap = res.solution.outcome.f2 if res.is_optimal else None
         assert stats.work == work
@@ -310,11 +308,11 @@ class TestRootRestart:
 
     def test_backends_share_no_root(self, cover, cold_lps):
         first, second = BranchAndBoundBackend(), BranchAndBoundBackend()
-        first.solve_lex(cover, ObjectiveOrder.F1_FIRST, [ExtraConstraint(2, 3)])
+        first.solve_lex(cover, ObjectiveOrder.F1_FIRST, (None, 3))
         assert len(cold_lps) == 1
-        first.solve_lex(cover, ObjectiveOrder.F1_FIRST, [ExtraConstraint(2, 2)])
+        first.solve_lex(cover, ObjectiveOrder.F1_FIRST, (None, 2))
         assert len(cold_lps) == 1  # restarted from its own root
-        second.solve_lex(cover, ObjectiveOrder.F1_FIRST, [ExtraConstraint(2, 2)])
+        second.solve_lex(cover, ObjectiveOrder.F1_FIRST, (None, 2))
         assert len(cold_lps) == 2  # nothing cached for this backend
 
     def test_ip_solve_counts_unchanged(self, cover, knapsack, three_outcomes):
@@ -544,8 +542,8 @@ class TestSplitting:
 
     def test_only_meeting_publishes_f1_caps(self, cover, monkeypatch):
         # nothing reads a splitting store's f1 cell, so no slice writes it;
-        # a slice publishes only f2 caps: the west endpoint's into both
-        # stores, then the west slice's first find into the east store.
+        # the one f2 write is the west slice's first find, handed east; the
+        # west endpoint's f2 is a fixed cap of both slices, not a store value.
         # Run serially, a meeting run's first sweep finds the whole front
         # and publishes its own cap after every find, and the second
         # closes at once: each order writes the cell of the sweep run first
@@ -568,13 +566,54 @@ class TestSplitting:
             for name, problem in instances.items():
                 published.clear()
                 splitting_boip(problem)
-                assert published == [2, 2, 2], (name, west_first)
+                assert published == [2], (name, west_first)
             published.clear()
             front, _ = meeting_boip(cover)
             first = 2 if west_first else 1  # the jobs run in reverse
             assert published == [first] * len(front)
             meeting_cells.add(first)
         assert meeting_cells == {1, 2}
+
+    @pytest.mark.parametrize("west_first", [True, False])
+    def test_one_store_per_run(self, cover, three_outcomes, monkeypatch, west_first):
+        # the west endpoint's f2 is a fixed cap of both slices, so a run
+        # makes one store, for the hand-off, and only the east slice reads
+        # it: once before each of its solves
+        made, reads = [], []
+        init, read = SharedBounds.__init__, SharedBounds.read
+
+        def spy_init(store):
+            made.append(store)
+            init(store)
+
+        def spy_read(store, index):
+            reads.append(index)
+            return read(store, index)
+
+        monkeypatch.setattr(SharedBounds, "__init__", spy_init)
+        monkeypatch.setattr(SharedBounds, "read", spy_read)
+        monkeypatch.setattr(biopt.algorithms, "_run_parallel", _serial(west_first))
+        instances = {
+            "cover": cover,
+            "three": three_outcomes,
+            **{f"knapsack-10-{seed}": generate(GeneratorSpec("knapsack", 10, seed))
+               for seed in (1, 4)},
+        }
+        for name, problem in instances.items():
+            made.clear()
+            reads.clear()
+            east, west = _Recording(), _Recording()
+            _, stats = splitting_boip(problem, backends=(east, west))
+            assert len(made) == 1, name
+            assert reads == [2] * len(east.results), name  # none from the west
+            assert stats.ip_solves == stats.pareto_size + 2, name
+        made.clear()
+        point = build_problem(
+            num_vars=1, objectives=[(1,), (-1,)], constraints=[], var_bounds=[(2, 2)]
+        )
+        front, _ = splitting_boip(point)
+        assert len(front) == 1
+        assert made == []
 
     def test_infeasible(self):
         front, stats = splitting_boip(infeasible_problem())
@@ -746,11 +785,19 @@ class _Recording(SolverBackend):
         self.results = []
         self.outcomes = []
 
-    def solve_lex(self, problem, order, extras=()):
-        res = self.inner.solve_lex(problem, order, extras)
+    def solve_lex(self, problem, order, caps=(None, None)):
+        res = self.inner.solve_lex(problem, order, caps)
         self.results.append(res)
         self.outcomes.append(res.solution.outcome if res.is_optimal else None)
         return res
+
+
+class _ExtrasBackend(BranchAndBoundBackend):
+    """Branch and bound behind the override that perfbench's test backends
+    keep, which names the caps ``extras`` and defaults them to ``()``."""
+
+    def solve_lex(self, problem, order, extras=()):
+        return super().solve_lex(problem, order, extras)
 
 
 class _Boom(SolverBackend):
@@ -761,10 +808,10 @@ class _Boom(SolverBackend):
         self.inner = BranchAndBoundBackend()
         self.home = os.getpid()
 
-    def solve_lex(self, problem, order, extras=()):
+    def solve_lex(self, problem, order, caps=(None, None)):
         if os.getpid() != self.home:
             raise RuntimeError("boom")
-        return self.inner.solve_lex(problem, order, extras)
+        return self.inner.solve_lex(problem, order, caps)
 
 
 class TestWorkerFailure:
@@ -790,10 +837,10 @@ class _SweepNapping(SolverBackend):
         self.inner = BranchAndBoundBackend()
         self.seconds = seconds
 
-    def solve_lex(self, problem, order, extras=()):
-        if extras:
+    def solve_lex(self, problem, order, caps=(None, None)):
+        if caps != (None, None):
             time.sleep(self.seconds)
-        return self.inner.solve_lex(problem, order, extras)
+        return self.inner.solve_lex(problem, order, caps)
 
 
 class _SweepRaising(SolverBackend):
@@ -804,10 +851,10 @@ class _SweepRaising(SolverBackend):
         self.inner = BranchAndBoundBackend()
         self.error = error
 
-    def solve_lex(self, problem, order, extras=()):
-        if extras:
+    def solve_lex(self, problem, order, caps=(None, None)):
+        if caps != (None, None):
             raise self.error
-        return self.inner.solve_lex(problem, order, extras)
+        return self.inner.solve_lex(problem, order, caps)
 
 
 def _sleep(seconds):
@@ -919,6 +966,20 @@ class TestCrossAlgorithmAgreement:
             assert outcomes_of(seq) == oracle
             assert outcomes_of(split) == oracle
             assert outcomes_of(meet) == oracle
+
+    def test_backend_that_names_the_caps_otherwise(self, cover, three_outcomes):
+        # every solve gets its caps positionally, so an override that names
+        # and defaults its third parameter as perfbench's test backends do
+        # still receives them
+        for problem in (cover, three_outcomes, generate(GeneratorSpec("knapsack", 10, 1))):
+            oracle = brute_force_pareto(problem).outcomes()
+            pair = (_ExtrasBackend(), _ExtrasBackend())
+            for front, _ in (
+                sequential_boip(problem, _ExtrasBackend()),
+                splitting_boip(problem, backends=pair),
+                meeting_boip(problem, backends=pair),
+            ):
+                assert front.outcomes() == oracle
 
     def test_objective_values_beyond_the_store_range(self):
         # f1 or f2 values of about 2**62 cannot be shared through

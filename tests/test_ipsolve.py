@@ -12,11 +12,11 @@ from biopt.ipsolve import (
     NODE_LIMIT,
     BranchAndBoundBackend,
     EnumerationBackend,
-    ExtraConstraint,
     IncumbentStaircase,
     LexResult,
     Work,
     _branch_and_bound,
+    _cap_rows,
     _tighten,
     solve_lex,
 )
@@ -40,15 +40,15 @@ BACKENDS = [BranchAndBoundBackend(), EnumerationBackend()]
 BACKEND_IDS = ["bnb", "enum"]
 
 
-def _rows_and_box(problem, extras, branch_bounds):
-    rows = problem.constraints + tuple(e.as_row(problem) for e in extras)
+def _rows_and_box(problem, caps, branch_bounds):
+    rows = problem.constraints + _cap_rows(problem, caps)
     box = problem.var_bounds if branch_bounds is None else tuple(branch_bounds)
     return rows, box
 
 
-def solve_single(problem, objective_index, extras=(), branch_bounds=None):
-    """Minimize one objective by branch and bound, every extra as a row."""
-    rows, box = _rows_and_box(problem, extras, branch_bounds)
+def solve_single(problem, objective_index, caps=(None, None), branch_bounds=None):
+    """Minimize one objective by branch and bound, every cap as a row."""
+    rows, box = _rows_and_box(problem, caps, branch_bounds)
     res = _branch_and_bound(problem.objective(objective_index), rows, box)
     if res.value is None:
         return LexResult(SolveStatus.INFEASIBLE, None, res.work)
@@ -56,9 +56,9 @@ def solve_single(problem, objective_index, extras=(), branch_bounds=None):
     return LexResult(SolveStatus.OPTIMAL, solution, res.work)
 
 
-def solve_lp_relaxation(problem, objective, extras=(), branch_bounds=None):
+def solve_lp_relaxation(problem, objective, caps=(None, None), branch_bounds=None):
     """The LP relaxation of one integer objective vector over the box."""
-    rows, box = _rows_and_box(problem, extras, branch_bounds)
+    rows, box = _rows_and_box(problem, caps, branch_bounds)
     return solve_lp(objective, rows, box)
 
 
@@ -103,11 +103,11 @@ class TestSolveSingle:
 
     def test_extra_strict_upper(self, cover):
         # f2 < 2, i.e. x2 <= 1, pushes the f1 optimum to 2
-        res = solve_single(cover, 1, extras=[ExtraConstraint(2, 2)])
+        res = solve_single(cover, 1, caps=(None, 2))
         assert res.solution.outcome.f1 == 2
 
     def test_infeasible_extras(self, cover):
-        res = solve_single(cover, 1, extras=[ExtraConstraint(2, 0), ExtraConstraint(1, 0)])
+        res = solve_single(cover, 1, caps=(0, 0))
         assert res.status is SolveStatus.INFEASIBLE
 
     def test_branch_bounds_shrink_the_box(self, cover):
@@ -136,15 +136,11 @@ class TestSolveLexBackends:
         assert res.solution.outcome == OutcomeVector(3, 0)
 
     def test_epsilon_bound_moves_the_point(self, cover, backend):
-        res = backend.solve_lex(
-            cover, ObjectiveOrder.F1_FIRST, extras=[ExtraConstraint(2, 3)]
-        )
+        res = backend.solve_lex(cover, ObjectiveOrder.F1_FIRST, (None, 3))
         assert res.solution.outcome == OutcomeVector(1, 2)
 
     def test_infeasible(self, cover, backend):
-        res = backend.solve_lex(
-            cover, ObjectiveOrder.F1_FIRST, extras=[ExtraConstraint(1, 0), ExtraConstraint(2, 0)]
-        )
+        res = backend.solve_lex(cover, ObjectiveOrder.F1_FIRST, (0, 0))
         assert res.status is SolveStatus.INFEASIBLE
         assert res.solution is None
 
@@ -195,23 +191,22 @@ class TestWeight:
     def test_cutoff_keeps_the_point_just_below_it(self):
         # f1 < 1 admits (0, 1), whose combined value W * 0 + 1 sits one
         # below the cutoff W * 1 + L = 2
-        res = solve_lex(extremes_problem(), ObjectiveOrder.F1_FIRST, [ExtraConstraint(1, 1)])
+        res = solve_lex(extremes_problem(), ObjectiveOrder.F1_FIRST, (1, None))
         assert res.solution.outcome == OutcomeVector(0, 1)
 
     def test_cutoff_drops_the_point_at_it(self):
         # with f2 < 1 only (1, -1) is left; its combined value W * 1 + L
         # equals the cutoff of f1 < 1, so nothing is below it
-        extras = [ExtraConstraint(1, 1), ExtraConstraint(2, 1)]
-        res = solve_lex(extremes_problem(), ObjectiveOrder.F1_FIRST, extras)
+        res = solve_lex(extremes_problem(), ObjectiveOrder.F1_FIRST, (1, 1))
         assert res.status is SolveStatus.INFEASIBLE
 
     @pytest.mark.parametrize("order", list(ObjectiveOrder))
     @pytest.mark.parametrize("cap", [None, 0, 1, 2])
     def test_agrees_with_enumeration(self, order, cap):
         p = extremes_problem()
-        extras = [] if cap is None else [ExtraConstraint(order.first, cap)]
-        a = solve_lex(p, order, extras)
-        b = EnumerationBackend().solve_lex(p, order, extras)
+        caps = (cap, None) if order.first == 1 else (None, cap)
+        a = solve_lex(p, order, caps)
+        b = EnumerationBackend().solve_lex(p, order, caps)
         assert (a.status, a.solution and a.solution.outcome) == (
             b.status,
             b.solution and b.solution.outcome,
@@ -229,7 +224,7 @@ class TestLpRelaxation:
         assert lp.objective == 2
 
     def test_extras_apply(self, cover):
-        lp = solve_lp_relaxation(cover, cover.objective(1), extras=[ExtraConstraint(2, 2)])
+        lp = solve_lp_relaxation(cover, cover.objective(1), caps=(None, 2))
         assert lp.objective == 2
 
     def test_arbitrary_vector(self, cover):
@@ -319,16 +314,13 @@ class TestEnumerationGuard:
         assert res.lp_count == 0
 
 
-class TestExtraConstraintType:
-    def test_validates_index(self):
-        with pytest.raises(ValueError):
-            ExtraConstraint(3, 5)
-
-    def test_as_row(self, cover):
-        row = ExtraConstraint(2, 4).as_row(cover)
-        assert row.coeffs == (0, 1)
-        assert row.relation is Relation.LE
-        assert row.rhs == 3
+@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+@pytest.mark.parametrize("order", list(ObjectiveOrder))
+@pytest.mark.parametrize("caps", [(2.0, None), (None, 2.0)], ids=["f1", "f2"])
+def test_float_cap_raises(cover, backend, order, caps):
+    # a float cap would reach the cutoff W * cap + L and the pruning tests
+    with pytest.raises(TypeError):
+        backend.solve_lex(cover, order, caps)
 
 
 def cover_on(box):
@@ -365,7 +357,7 @@ class TestIncumbentStaircase:
     def test_seeded_point_is_returned_as_proven(self, cover):
         pool = IncumbentStaircase(cover)
         pool.add((1, 2))
-        res = solve_lex(cover, ObjectiveOrder.F1_FIRST, [ExtraConstraint(2, 3)], pool=pool)
+        res = solve_lex(cover, ObjectiveOrder.F1_FIRST, (None, 3), pool=pool)
         assert res.solution == Solution((1, 2), OutcomeVector(1, 2))
         assert res.node_count >= 1  # the root LP still ran to prove it
 
@@ -375,7 +367,7 @@ class TestIncumbentStaircase:
         pool = IncumbentStaircase(cover)
         for x in [(0, 3), (2, 1)]:
             pool.add(x)
-        res = solve_lex(cover, ObjectiveOrder.F1_FIRST, [ExtraConstraint(2, 3)], pool=pool)
+        res = solve_lex(cover, ObjectiveOrder.F1_FIRST, (None, 3), pool=pool)
         assert res.solution.outcome == OutcomeVector(1, 2)
 
     def test_rules_out_caps_beside_a_front_point(self, cover):
@@ -390,22 +382,22 @@ class TestIncumbentStaircase:
     def test_solve_ruled_out_runs_no_lp(self, cover):
         backend = BranchAndBoundBackend()
         f1_first = ObjectiveOrder.F1_FIRST
-        found = backend.solve_lex(cover, f1_first, [ExtraConstraint(2, 3)])
+        found = backend.solve_lex(cover, f1_first, (None, 3))
         assert found.solution.outcome == OutcomeVector(1, 2)
-        beside = [ExtraConstraint(2, 2), ExtraConstraint(1, 2)]
+        beside = (2, 2)
         res = backend.solve_lex(cover, f1_first, beside)
         assert res == LexResult(SolveStatus.INFEASIBLE, None, Work(nodes=1))
         assert not EnumerationBackend().solve_lex(cover, f1_first, beside).is_optimal
-        again = [ExtraConstraint(2, 3), ExtraConstraint(1, 2)]
+        again = (2, 3)
         assert backend.solve_lex(cover, f1_first, again).solution.outcome == OutcomeVector(1, 2)
 
     def test_rule_out_reads_each_cap_as_its_objective(self, cover):
         # under (f2, f1) the cap on the leading objective is the one on f2
         backend = BranchAndBoundBackend()
         f2_first = ObjectiveOrder.F2_FIRST
-        found = backend.solve_lex(cover, f2_first, [ExtraConstraint(1, 3)])
+        found = backend.solve_lex(cover, f2_first, (3, None))
         assert found.solution.outcome == OutcomeVector(2, 1)
-        beside = [ExtraConstraint(1, 3), ExtraConstraint(2, 1)]  # f1 <= 2, f2 <= 0
+        beside = (3, 1)  # f1 <= 2, f2 <= 0
         assert backend.solve_lex(cover, f2_first, beside) == LexResult(
             SolveStatus.INFEASIBLE, None, Work(nodes=1)
         )
@@ -438,9 +430,9 @@ class TestIncumbentStaircase:
             for order in ObjectiveOrder:
                 own, cap, root = order.last, None, None
                 while True:
-                    extras = [] if cap is None else [ExtraConstraint(own, cap)]
-                    bare = solve_lex(problem, order, extras, start=root)
-                    pooled = solve_lex(problem, order, extras, start=root, pool=pool)
+                    caps = (cap, None) if own == 1 else (None, cap)
+                    bare = solve_lex(problem, order, caps, start=root)
+                    pooled = solve_lex(problem, order, caps, start=root, pool=pool)
                     assert pooled.status is bare.status
                     assert pooled.node_count <= bare.node_count
                     bare_total += bare.node_count

@@ -16,7 +16,6 @@ import biopt.ipsolve
 from biopt.ipsolve import (
     BranchAndBoundBackend,
     EnumerationBackend,
-    ExtraConstraint,
     _branch_and_bound,
 )
 from biopt.model import (
@@ -160,15 +159,13 @@ class TestBackendAgreement:
         )
 
 
-epsilon_bounds = st.lists(
-    st.builds(ExtraConstraint, st.sampled_from((1, 2)), st.integers(-30, 30)),
-    max_size=3,
-)
+optional_cap = st.one_of(st.none(), st.integers(-30, 30))
+epsilon_bounds = st.tuples(optional_cap, optional_cap)
 
 
-def _assert_backends_agree(problem, order, extras):
-    bnb = BranchAndBoundBackend().solve_lex(problem, order, extras)
-    enum = EnumerationBackend().solve_lex(problem, order, extras)
+def _assert_backends_agree(problem, order, caps):
+    bnb = BranchAndBoundBackend().solve_lex(problem, order, caps)
+    enum = EnumerationBackend().solve_lex(problem, order, caps)
     assert bnb.is_optimal == enum.is_optimal
     if bnb.is_optimal:
         assert bnb.solution.outcome == enum.solution.outcome
@@ -177,13 +174,13 @@ def _assert_backends_agree(problem, order, extras):
 
 
 class TestCutoffAgreement:
-    """Bounds on the leading objective act as a branch-and-bound cutoff,
-    not a row; the enumeration backend still applies every bound as a row."""
+    """The cap on the leading objective acts as a branch-and-bound cutoff,
+    not a row; the enumeration backend still applies every cap as a row."""
 
     @given(tiny_problems(), st.sampled_from(list(ObjectiveOrder)), epsilon_bounds)
     @settings(deadline=None, max_examples=200)
-    def test_random_bounds_on_both_objectives(self, problem, order, extras):
-        _assert_backends_agree(problem, order, extras)
+    def test_random_bounds_on_both_objectives(self, problem, order, caps):
+        _assert_backends_agree(problem, order, caps)
 
     @given(
         tiny_problems(),
@@ -192,15 +189,16 @@ class TestCutoffAgreement:
         epsilon_bounds,
     )
     @settings(deadline=None, max_examples=200)
-    def test_cutoff_around_the_leading_minimum(self, problem, order, offset, extras):
+    def test_cutoff_around_the_leading_minimum(self, problem, order, offset, caps):
         leads = [
             evaluate(problem, point).component(order.first)
             for point in iter_feasible(problem)
         ]
         assume(leads)
         # offset <= 0 leaves the leading objective no feasible value
-        cutoff = ExtraConstraint(order.first, min(leads) + offset)
-        result = _assert_backends_agree(problem, order, [cutoff, *extras])
+        cutoff = min(leads) + offset
+        caps = (cutoff, caps[1]) if order.first == 1 else (caps[0], cutoff)
+        result = _assert_backends_agree(problem, order, caps)
         if offset <= 0:
             assert not result.is_optimal
 
@@ -238,11 +236,9 @@ class TestPooledSweepAgreement:
                     k, d = lead_cap
                     near = found[k % len(found)] if found else None
                     lead_cap = None if near is None else near.component(order.first) + d
-                extras = [] if cap is None else [ExtraConstraint(order.last, cap)]
-                if lead_cap is not None:
-                    extras.append(ExtraConstraint(order.first, lead_cap))
-                got = bnb.solve_lex(problem, order, extras)
-                want = enum.solve_lex(problem, order, extras)
+                caps = (lead_cap, cap) if order.first == 1 else (cap, lead_cap)
+                got = bnb.solve_lex(problem, order, caps)
+                want = enum.solve_lex(problem, order, caps)
                 assert got.status is want.status
                 if not got.is_optimal:
                     continue
