@@ -40,12 +40,12 @@ outcome without any dominance filtering — a dominated point would crash
 the staircase validation and is treated as a solver bug — and its
 ``RunStats`` sums their solve counts and ``Work``.
 
-The parallel workers are forked processes, the only way CPython runs them
-in parallel, except splitting's west slice: the calling process, which has
-just solved the endpoints on that slice's backend, sweeps it itself while
-the east slice runs forked.  Each job is a zero-argument callable, a
+Each parallel run forks one worker process, the only way CPython runs
+two sweeps in parallel, and runs the other sweep in the calling process:
+meeting's worker 2, and splitting's west slice, whose backend has just
+solved the endpoints here.  ``_fork_beside`` runs the pair; each job is a
 ``_sweep`` with its arguments bound.  A ``SharedBounds`` store, one per
-parallel run, is the only mutable state the workers share.  It lives in
+parallel run, is the only mutable state the two share.  It lives in
 shared memory, and each cell is owned by one writer and enforces monotone
 non-increase.
 
@@ -423,7 +423,7 @@ def splitting_boip(
         _sweep, problem, engines[1], 1, caps=(cut + 1, w.f2), stop=w.f1 + 1,
         hand_off=east_store,
     )
-    east_sweep, west_sweep = _run_parallel([east_job, west_job], here=True)
+    east_sweep, west_sweep = _fork_beside(east_job, west_job)
     return _finish(
         (ends, west_sweep, east_sweep), (west_sweep.elapsed, east_sweep.elapsed)
     )
@@ -447,18 +447,22 @@ def meeting_boip(
     every read/write interleaving; worker 2's representative is kept when
     both workers find the same outcome.  No dominance filter is
     applied — the staircase validation in ParetoSet doubles as a hard check
-    of that guarantee.
+    of that guarantee.  ``worker_elapsed`` lists worker 1, then worker 2.
+
+    Worker 1 sweeps (f2, f1) on the first backend in a forked worker;
+    worker 2 sweeps (f1, f2) on the second here, so a backend that kills
+    its process stops the caller when it is the second.
     """
     _check_executor(executor)
     engines = tuple(backends) if backends is not None else _default_backends()
     if len(engines) != 2:
         raise ValueError("meeting needs exactly two backends")
     store = SharedBounds()
-    sweeps = _run_parallel([
+    first, second = _fork_beside(
         partial(_sweep, problem, engines[0], 1, store=store, delays=delays),
         partial(_sweep, problem, engines[1], 2, store=store, delays=delays),
-    ])
-    return _finish(sweeps, tuple(sweep.elapsed for sweep in sweeps))
+    )
+    return _finish((first, second), (first.elapsed, second.elapsed))
 
 
 # ---------------------------------------------------------------------------
@@ -481,58 +485,46 @@ def _pipe_runner(conn, job) -> None:
         conn.close()
 
 
-def _run_parallel(jobs: Sequence[Callable], here: bool = False) -> list:
-    """Run zero-argument jobs on forked worker processes; propagate failures.
+def _fork_beside(forked: Callable, own: Callable) -> tuple:
+    """Run ``forked`` on a forked worker process while ``own`` runs here.
 
-    With ``here`` the last job runs in this process instead, called with a
-    ``check`` keyword that polls the workers' result pipes without
-    blocking.  The first failure to arrive, a worker's error or its exit
-    without a result, is raised at once, also from ``check``; an exception
-    of this process's own job propagates as it is.  Whichever way the call
-    ends, the workers are terminated unless all have reported, and joined,
-    so none outlives it.
+    ``own`` is called with a ``check`` keyword that polls the worker's
+    result pipe without blocking.  The worker's error, or its exit without
+    a result, is raised as ``BioptError`` as soon as it arrives, also from
+    ``check``; an exception of ``own`` propagates as it is.  Whichever way
+    the call ends, the worker is terminated unless it has reported, and
+    joined, so it never outlives the call.  Returns the pair of results,
+    ``forked``'s first.
     """
-    # imported on first use, as ctx.Pipe does, to keep `import biopt` cheap
-    from multiprocessing.connection import wait
-
     ctx = multiprocessing.get_context("fork")
-    procs = []
-    pending = {}  # result pipe -> job index
-    results: list = [None] * len(jobs)
+    conn, child = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_pipe_runner, args=(child, forked))
+    proc.start()
+    child.close()
+    arrived: list = []  # the worker's result, once it has come
 
-    def collect(ready) -> None:
-        for conn in ready:
-            i = pending.pop(conn)
-            try:
-                tag, payload = conn.recv()
-            except EOFError:
-                tag, payload = "error", "worker exited without reporting"
-            finally:
-                conn.close()
-            if tag == "error":
-                raise BioptError(f"worker failed:\n{payload}")
-            results[i] = payload
+    def collect() -> None:
+        try:
+            tag, payload = conn.recv()
+        except EOFError:
+            tag, payload = "error", "worker exited without reporting"
+        if tag == "error":
+            raise BioptError(f"worker failed:\n{payload}")
+        arrived.append(payload)
+
+    def check() -> None:
+        if not arrived and conn.poll():
+            collect()
 
     finished = False
     try:
-        forked = jobs[:-1] if here else jobs
-        for i, job in enumerate(forked):
-            parent, child = ctx.Pipe(duplex=False)
-            pending[parent] = i
-            proc = ctx.Process(target=_pipe_runner, args=(child, job))
-            proc.start()
-            child.close()
-            procs.append(proc)
-        if here and jobs:
-            results[-1] = jobs[-1](check=lambda: collect(wait(list(pending), 0)))
-        while pending:
-            collect(wait(list(pending)))
+        mine = own(check=check)
+        if not arrived:
+            collect()
         finished = True
     finally:
-        for conn in pending:
-            conn.close()
-        for proc in procs:
-            if not finished:
-                proc.terminate()
-            proc.join()
-    return results
+        conn.close()
+        if not finished:
+            proc.terminate()
+        proc.join()
+    return arrived[0], mine

@@ -17,8 +17,8 @@ from biopt.algorithms import (
     DelaySpec,
     RunStats,
     SharedBounds,
+    _fork_beside,
     _knee_cut,
-    _run_parallel,
     _sweep,
     meeting_boip,
     sequential_boip,
@@ -28,7 +28,7 @@ import biopt.algorithms
 import biopt.ipsolve
 from biopt.bench import ALGORITHMS
 from biopt.errors import BioptError, BoundRegression
-from biopt.instances import GeneratorSpec, generate
+from biopt.instances import GeneratorSpec, generate, read_instance
 from biopt.ipsolve import (
     BranchAndBoundBackend,
     EnumerationBackend,
@@ -58,6 +58,9 @@ def check_two_sided_cover(low_sweep, high_sweep, meeting_point, reference):
     if meeting_point is not None:
         outcomes.add(meeting_point)
     return outcomes == set(reference.outcomes())
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def infeasible_problem():
@@ -235,11 +238,12 @@ class TestRunStats:
     def test_parallel_counters_sum_the_solves(
         self, name, cover, knapsack, three_outcomes, monkeypatch
     ):
-        # the workers run one after another in this process, so the
-        # backends' records reach this test; for meeting that is the legal
-        # schedule in which worker 1 finishes before worker 2 starts
+        # the workers run one after another in this process, forked job
+        # first, so the backends' records reach this test; for meeting that
+        # is the legal schedule in which worker 1 finishes before worker 2
+        # starts
         monkeypatch.setattr(
-            biopt.algorithms, "_run_parallel", lambda jobs, here=False: [job() for job in jobs]
+            biopt.algorithms, "_fork_beside", lambda forked, own: (forked(), own())
         )
         for label, problem in sweep_instances(cover, knapsack, three_outcomes).items():
             backends = (_Recording(), _Recording())
@@ -454,13 +458,14 @@ class TestSplitRange:
 
 
 def _serial(west_first):
-    """A ``_run_parallel`` that runs splitting's two slices one after the
+    """A ``_fork_beside`` that runs splitting's two slices one after the
     other in this process, where the backends' records reach the test."""
 
-    def run(jobs, here=False):  # jobs are listed east, west
+    def run(forked, own):  # the east slice is forked, the west one is own
         if west_first:
-            return [job() for job in reversed(jobs)][::-1]
-        return [job() for job in jobs]
+            west = own()
+            return forked(), west
+        return forked(), own()
 
     return run
 
@@ -483,7 +488,7 @@ class TestSplitting:
         # (10, 7) on f2, so the dominated outcome is never found.  The
         # slices may run one after another in this process, east first,
         # where the backends' records reach this test.
-        monkeypatch.setattr(biopt.algorithms, "_run_parallel", _serial(False))
+        monkeypatch.setattr(biopt.algorithms, "_fork_beside", _serial(False))
         backends = (_Recording(), _Recording())
         front, stats = splitting_boip(three_outcomes, backends=backends, t=2)
         finds = [o for b in backends for o in b.outcomes if o is not None]
@@ -502,7 +507,7 @@ class TestSplitting:
         # the west slice holds no front point but the west endpoint, so it
         # has no find to pass east; the east slice still starts under the
         # west endpoint's f2 and proves its slice empty at once
-        monkeypatch.setattr(biopt.algorithms, "_run_parallel", _serial(west_first))
+        monkeypatch.setattr(biopt.algorithms, "_fork_beside", _serial(west_first))
         east, west = _Recording(), _Recording()
         splitting_boip(three_outcomes, backends=(east, west))
         assert east.outcomes == [None]
@@ -514,12 +519,7 @@ class TestSplitting:
         # the west slice, the east slice reads the f2 of the west slice's
         # first find and closes on an infeasible solve; run before it, the
         # east slice closes by finding that point itself.
-        def in_order(jobs, here=False):  # jobs are listed east to west
-            if west_first:
-                return [job() for job in reversed(jobs)][::-1]
-            return [job() for job in jobs]
-
-        monkeypatch.setattr(biopt.algorithms, "_run_parallel", in_order)
+        monkeypatch.setattr(biopt.algorithms, "_fork_beside", _serial(west_first))
         # instances whose west slice holds front points besides the west
         # endpoint, so that the west slice has a find to pass east
         instances = {
@@ -562,14 +562,14 @@ class TestSplitting:
         }
         meeting_cells = set()
         for west_first in (True, False):
-            monkeypatch.setattr(biopt.algorithms, "_run_parallel", _serial(west_first))
+            monkeypatch.setattr(biopt.algorithms, "_fork_beside", _serial(west_first))
             for name, problem in instances.items():
                 published.clear()
                 splitting_boip(problem)
                 assert published == [2], (name, west_first)
             published.clear()
             front, _ = meeting_boip(cover)
-            first = 2 if west_first else 1  # the jobs run in reverse
+            first = 2 if west_first else 1  # own, worker 2's sweep, runs first
             assert published == [first] * len(front)
             meeting_cells.add(first)
         assert meeting_cells == {1, 2}
@@ -592,7 +592,7 @@ class TestSplitting:
 
         monkeypatch.setattr(SharedBounds, "__init__", spy_init)
         monkeypatch.setattr(SharedBounds, "read", spy_read)
-        monkeypatch.setattr(biopt.algorithms, "_run_parallel", _serial(west_first))
+        monkeypatch.setattr(biopt.algorithms, "_fork_beside", _serial(west_first))
         instances = {
             "cover": cover,
             "three": three_outcomes,
@@ -656,7 +656,7 @@ class TestSplitting:
                 with monkeypatch.context() as patch:
                     if order != "fork":
                         serial = _serial(order == "west first")
-                        patch.setattr(biopt.algorithms, "_run_parallel", serial)
+                        patch.setattr(biopt.algorithms, "_fork_beside", serial)
                     front, stats = splitting_boip(problem, t=2)
                 label = (seed, order)
                 assert front.outcomes() == outcomes, label
@@ -828,6 +828,18 @@ class TestWorkerFailure:
             splitting_boip(cover, backends=backends, t=2)
         assert multiprocessing.active_children() == []
 
+    def test_node_limit_in_the_forked_worker(self, monkeypatch):
+        # enumeration, worker 2's backend here, counts no branch-and-bound
+        # nodes, so only worker 1's forked branch and bound, which inherits
+        # the patched constant, can trip the limit.  Its first solve
+        # branches whether or not worker 2's f2 cap has arrived.
+        monkeypatch.setattr(biopt.ipsolve, "NODE_LIMIT", 1)
+        problem = read_instance(GOLDEN / "knapsack-n3-s42.boip")
+        backends = (BranchAndBoundBackend(), EnumerationBackend())
+        with pytest.raises(BioptError, match="node limit of 1 exceeded"):
+            meeting_boip(problem, backends=backends)
+        assert multiprocessing.active_children() == []
+
 
 class _SweepNapping(SolverBackend):
     """Branch and bound that sleeps before every capped solve: a sweep naps,
@@ -857,32 +869,51 @@ class _SweepRaising(SolverBackend):
         return self.inner.solve_lex(problem, order, caps)
 
 
-def _sleep(seconds):
-    time.sleep(seconds)
+def _sleep(seconds, check=None):
+    """Sleep ``seconds`` in short naps, calling ``check`` before each."""
+    end = time.perf_counter() + seconds
+    while (left := end - time.perf_counter()) > 0:
+        if check is not None:
+            check()
+        time.sleep(min(left, 0.05))
     return seconds
 
 
-def _fail_at_once():
+def _fail_at_once(check=None):
     raise RuntimeError("early failure")
 
 
 class TestFailFast:
+    """``_fork_beside`` runs its first job on a forked worker and its second
+    here, with a ``check`` that polls the worker."""
+
     def test_first_failure_ends_the_run(self):
         start = time.perf_counter()
         with pytest.raises(BioptError, match="early failure"):
-            _run_parallel([partial(_sleep, 3.0), _fail_at_once])
+            _fork_beside(_fail_at_once, partial(_sleep, 3.0))
         assert time.perf_counter() - start < 1.5  # not after the 3 s sleep
         assert multiprocessing.active_children() == []
 
+    def test_own_failure_ends_the_run(self):
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="early failure") as raised:
+            _fork_beside(partial(_sleep, 3.0), _fail_at_once)
+        assert not isinstance(raised.value, BioptError)
+        assert time.perf_counter() - start < 1.5  # the worker is terminated
+        assert multiprocessing.active_children() == []
+
     def test_results_keep_job_order(self):
-        jobs = [partial(_sleep, 0.2), partial(_sleep, 0.0)]
-        assert _run_parallel(jobs) == [0.2, 0.0]
+        assert _fork_beside(partial(_sleep, 0.2), partial(_sleep, 0.0)) == (0.2, 0.0)
         assert multiprocessing.active_children() == []
 
     def test_exit_without_a_result_fails_the_run(self):
-        with pytest.raises(BioptError, match="exited without reporting"):
-            _run_parallel([partial(os._exit, 3), partial(_sleep, 0.0)])
-        assert multiprocessing.active_children() == []
+        # seen after this process's job returns, or at one of its checks
+        for seconds in (0.0, 3.0):
+            start = time.perf_counter()
+            with pytest.raises(BioptError, match="exited without reporting"):
+                _fork_beside(partial(os._exit, 3), partial(_sleep, seconds))
+            assert time.perf_counter() - start < 1.5, seconds
+            assert multiprocessing.active_children() == []
 
 
 class TestSplittingInCaller:
@@ -920,6 +951,64 @@ class TestSplittingInCaller:
         assert backends[0].results == []  # filled in its forked worker only
         # both endpoints, a find and the infeasible closing solve
         assert len(backends[1].results) == 4
+
+
+def _unshared(forked, own):
+    """A ``_fork_beside`` that runs meeting's two sweeps one after the other
+    in this process, each on a store of its own: the legal schedule in which
+    every read of either sweep comes before the other's first publish, so
+    both sweep the whole front."""
+    return forked(store=SharedBounds()), own(store=SharedBounds())
+
+
+class TestMeetingInCaller:
+    """Meeting sweeps worker 2 in the calling process, on the second
+    backend, while worker 1 runs on a forked worker."""
+
+    def test_forked_failure_stops_the_callers_sweep(self, cover):
+        # worker 2 alone takes five capped solves of cover, 0.5 s each; the
+        # caller sees the forked failure at its check before the second
+        start = time.perf_counter()
+        with pytest.raises(BioptError, match="boom"):
+            meeting_boip(cover, backends=(_Boom(), _SweepNapping(0.5)))
+        assert time.perf_counter() - start < 0.8
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_in_the_callers_sweep_leaves_no_child(self, cover):
+        backends = (_SweepNapping(5.0), _SweepRaising(KeyboardInterrupt()))
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            meeting_boip(cover, backends=backends)
+        assert time.perf_counter() - start < 2.0
+        assert multiprocessing.active_children() == []
+
+    def test_callers_own_error_is_not_wrapped(self, cover):
+        backends = (_SweepNapping(5.0), _SweepRaising(RuntimeError("own")))
+        with pytest.raises(RuntimeError, match="own") as raised:
+            meeting_boip(cover, backends=backends)
+        assert not isinstance(raised.value, BioptError)
+        assert multiprocessing.active_children() == []
+
+    def test_second_backend_solves_here(self, cover):
+        # the records of a backend reach this test only from this process;
+        # each sweep makes at least one solve
+        backends = (_Recording(), _Recording())
+        _, stats = meeting_boip(cover, backends=backends)
+        assert backends[0].results == []  # filled in its forked worker only
+        assert 0 < len(backends[1].results) < stats.ip_solves
+        assert multiprocessing.active_children() == []
+
+    def test_worker_2_representative_is_kept(self, cover, monkeypatch):
+        monkeypatch.setattr(biopt.algorithms, "_fork_beside", _unshared)
+        backends = (_Recording(), _Recording())
+        front, _ = meeting_boip(cover, backends=backends)
+        first, second = (
+            [res.solution for res in b.results if res.is_optimal] for b in backends
+        )
+        assert tuple(s.outcome for s in reversed(first)) == front.outcomes()
+        assert tuple(s.outcome for s in second) == front.outcomes()
+        assert all(kept is found for kept, found in zip(front.solutions, second))
+        assert not any(kept is found for kept in front.solutions for found in first)
 
 
 class TestTwoSidedCover:

@@ -187,8 +187,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("alg", ["seq", "split", "meet"])
     def test_node_limit_failure(self, alg, monkeypatch, capsys):
-        # meeting trips the limit in a forked worker, which inherits the
-        # patched constant
+        # split trips the limit in this process's endpoint solves; meet in
+        # its own sweep here or in its forked worker, which inherits the
+        # patched constant, whichever branches first.
+        # tests/test_algorithms.py trips it in the forked worker alone.
         monkeypatch.setattr(biopt.ipsolve, "NODE_LIMIT", 1)
         golden = GOLDEN / "knapsack-n3-s42.boip"  # fractional LP, needs branching
         code = main(["solve", "--alg", alg, str(golden)])
