@@ -62,7 +62,7 @@ from biopt.model import (
     user_outcome,
 )
 from biopt.oracle import EnumerationBudget, brute_force_pareto
-from biopt.simplex import LpResult, SolveStatus
+from biopt.simplex import LpResult
 
 __version__ = "0.1.0"
 
@@ -101,7 +101,6 @@ __all__ = [
     "Problem",
     "Relation",
     "Sense",
-    "SolveStatus",
     "SolverBackend",
     "Solution",
     "Work",

@@ -270,10 +270,9 @@ def _sweep(
         pair = (cap, other_cap) if own == 1 else (other_cap, cap)
         res = backend.solve_lex(problem, order, pair)
         work += res.work
-        if not res.is_optimal:
+        if res.solution is None:
             infeasible += 1
             break
-        assert res.solution is not None
         feasible += 1
         found.append(res.solution)
         cap = res.solution.outcome.component(own)
@@ -395,11 +394,11 @@ def splitting_boip(
     began = time.perf_counter()
     # caps always go positionally: a backend may name or default them otherwise
     west = engines[1].solve_lex(problem, ObjectiveOrder.F1_FIRST, (None, None))
-    if not west.is_optimal:
+    if west.solution is None:
         ends = _SweepOutcome((), 0, 1, time.perf_counter() - began, west.work)
         return _finish((ends,), ())
     east = engines[1].solve_lex(problem, ObjectiveOrder.F2_FIRST, (None, None))
-    assert west.solution is not None and east.solution is not None
+    assert east.solution is not None  # the west endpoint is feasible
     ends = _SweepOutcome(
         (west.solution, east.solution),
         2,

@@ -16,8 +16,7 @@ primary backend is an exact branch and bound:
   integers (``LpResult.integral_point``), so no node builds a ``Fraction``
   point;
 * pruning with ``ceil(lp_bound) >= incumbent`` (sound because objectives
-  take integer values on integer points), re-checking the inherited parent
-  bound before paying for a node's LP;
+  take integer values on integer points) after each node's LP;
 * reduced-cost tightening (Crowder, Johnson & Padberg, 1983) at every
   node that branches: only points of value at most ``U - 1`` count, with
   ``U`` the incumbent's value or the cutoff, and on the node's LP any
@@ -82,7 +81,7 @@ after the two workers both found the same point.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from math import ceil
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -97,7 +96,7 @@ from biopt.model import (
     evaluate,
 )
 from biopt.oracle import iter_feasible
-from biopt.simplex import LpResult, SolveStatus, solve_lp
+from biopt.simplex import LpResult, solve_lp
 
 # branch-and-bound nodes per search before NodeLimitExceeded
 NODE_LIMIT = 10_000_000
@@ -119,32 +118,29 @@ class Work:
     tightened: int = 0
 
     def __add__(self, other: Work) -> Work:
-        return Work(
-            self.nodes + other.nodes,
-            self.lps + other.lps,
-            self.pivots + other.pivots,
-            self.flips + other.flips,
-            self.tightened + other.tightened,
-        )
+        return Work(*(getattr(self, k) + getattr(other, k) for k in _WORK_FIELDS))
+
+
+_WORK_FIELDS = tuple(f.name for f in fields(Work))
 
 
 @dataclass(frozen=True)
 class LexResult:
     """Outcome of a (possibly lexicographic) integer solve, with its work.
 
-    ``root`` is the optimal LP relaxation at the root of the search, if it
-    had one, for restarting the next solve's root; it takes no part in
-    comparisons.
+    The solve is optimal exactly when ``solution`` is set; an infeasible
+    one holds None there.  ``root`` is the optimal LP relaxation at the
+    root of the search, if it had one, for restarting the next solve's
+    root; it takes no part in comparisons.
     """
 
-    status: SolveStatus
     solution: Solution | None = None
     work: Work = Work()
     root: LpResult | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_optimal(self) -> bool:
-        return self.status is SolveStatus.OPTIMAL
+        return self.solution is not None
 
     # perfbench's solve_lex spans read these two, and its run checks the
     # LP spans against the sum of lp_count
@@ -239,33 +235,25 @@ def _branch_and_bound(
     costs = tuple(costs)
     rows = tuple(rows)
     root = tuple((int(lo), int(hi)) for lo, hi in bounds)
-    # stack entries: (variable bounds, integer bound inherited from the
-    # parent, the parent's LP to re-optimize from; both children share it)
-    stack: list[
-        tuple[tuple[tuple[int, int], ...], Optional[int], Optional[LpResult]]
-    ] = [(root, None, start)]
+    # stack entries: (variable bounds, the parent's LP to re-optimize from;
+    # both children share it)
+    stack: list[tuple[tuple[tuple[int, int], ...], Optional[LpResult]]] = [
+        (root, start)
+    ]
     best_value, best_x = incumbent if incumbent is not None else (cutoff, None)
-    nodes = lps = pivots = flips = tightened = 0
+    nodes = pivots = flips = tightened = 0
     while stack:
-        node_bounds, parent_bound, parent = stack.pop()
+        node_bounds, parent = stack.pop()
         nodes += 1
         if nodes > limit:
             raise NodeLimitExceeded(limit)
-        if (
-            parent_bound is not None
-            and best_value is not None
-            and parent_bound >= best_value
-        ):
-            continue
-        lps += 1
         lp = solve_lp(costs, rows, node_bounds, start=parent)
         pivots += lp.pivots
         flips += lp.flips
         if nodes == 1:
             root_lp = lp
-        if not lp.is_optimal:
+        if lp.objective is None:
             continue
-        assert lp.objective is not None
         branch = lp.most_fractional()
         if branch is None:
             point = lp.integral_point()
@@ -284,9 +272,9 @@ def _branch_and_bound(
         lo_j, hi_j = node_bounds[j]
         down = node_bounds[:j] + ((lo_j, split),) + node_bounds[j + 1:]
         up = node_bounds[:j] + ((split + 1, hi_j),) + node_bounds[j + 1:]
-        stack.append((up, lower, lp))
-        stack.append((down, lower, lp))  # popped first: floor child leads
-    work = Work(nodes, lps, pivots, flips, tightened)
+        stack.append((up, lp))
+        stack.append((down, lp))  # popped first: floor child leads
+    work = Work(nodes, nodes, pivots, flips, tightened)  # one LP per node
     if best_x is None:
         return _Minimized(None, None, root_lp, work)
     return _Minimized(best_value, best_x, root_lp, work)
@@ -413,16 +401,16 @@ def solve_lex(
         if pool.problem is not problem:
             raise ValueError("pool holds the points of another problem")
         if None not in caps and pool.rules_out(*caps):
-            return LexResult(SolveStatus.INFEASIBLE, None, Work(nodes=1))
+            return LexResult(None, Work(nodes=1))
         seed, record = pool.best(costs, cap_rows, cutoff), pool.add
     found = _branch_and_bound(costs, rows, box, cutoff, start, seed, record)
     root = found.root if found.root.is_optimal else None
     if found.assignment is None:
-        return LexResult(SolveStatus.INFEASIBLE, None, found.work, root)
+        return LexResult(None, found.work, root)
     solution = Solution(found.assignment, evaluate(problem, found.assignment))
     if pool is not None:
         pool.mark_front(solution.outcome)
-    return LexResult(SolveStatus.OPTIMAL, solution, found.work, root)
+    return LexResult(solution, found.work, root)
 
 
 class BranchAndBoundBackend(SolverBackend):
@@ -489,5 +477,4 @@ class EnumerationBackend(SolverBackend):
             if best_key is None or key < best_key:
                 best_key = key
                 best = Solution(point, outcome)
-        status = SolveStatus.INFEASIBLE if best is None else SolveStatus.OPTIMAL
-        return LexResult(status, best, Work(nodes=visited))
+        return LexResult(best, Work(nodes=visited))

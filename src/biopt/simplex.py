@@ -95,27 +95,20 @@ from biopt.errors import BioptError
 from biopt.model import LinearConstraint, Relation
 
 
-class SolveStatus(Enum):
-    """Outcome of an exact solve (LPs here, IPs in the layer above)."""
-
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-
-
 @dataclass(frozen=True)
 class LpResult:
     """Exact LP outcome: rational optimum and argmin in original coordinates.
 
-    An optimal result also carries ``restart``, an opaque record of its
-    final basis; passing the result back as ``solve_lp(..., start=result)``
-    re-optimizes from that basis.  ``pivots`` counts the basis changes of
-    this solve alone and ``flips`` the nonbasic columns it moved from one
-    bound to the other inside a simplex iteration; none of the three takes
-    part in comparisons.  ``x`` is built from the final tableau on first
-    read.
+    The LP is optimal exactly when ``objective`` is set; an infeasible
+    result holds None there.  An optimal result also carries ``restart``,
+    an opaque record of its final basis; passing the result back as
+    ``solve_lp(..., start=result)`` re-optimizes from that basis.
+    ``pivots`` counts the basis changes of this solve alone and ``flips``
+    the nonbasic columns it moved from one bound to the other inside a
+    simplex iteration; none of the three takes part in comparisons.  ``x``
+    is built from the final tableau on first read.
     """
 
-    status: SolveStatus
     objective: Fraction | None = None
     restart: _Restart | None = field(default=None, compare=False, repr=False)
     pivots: int = field(default=0, compare=False)
@@ -123,7 +116,7 @@ class LpResult:
 
     @property
     def is_optimal(self) -> bool:
-        return self.status is SolveStatus.OPTIMAL
+        return self.objective is not None
 
     @cached_property
     def x(self) -> tuple[Fraction, ...] | None:
@@ -219,10 +212,9 @@ class _VarState(Enum):
 
 
 def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
-    """Normalize a scaled row: positive denominator, gcd canceled."""
-    if den < 0:
-        nums = [-v for v in nums]
-        den = -den
+    """Cancel the gcd of a scaled row and its denominator, which must be
+    positive: ``pivot`` negates a negative pivot row first, and every other
+    denominator is a product of positive ones."""
     g = gcd(den, *nums)
     if g > 1:
         nums = [v // g for v in nums]
@@ -552,11 +544,11 @@ class _Restart(NamedTuple):
 def _optimal(restart: _Restart) -> LpResult:
     tab = restart.tableau
     objective = tab.objective(restart.bounds, restart.costs)
-    return LpResult(SolveStatus.OPTIMAL, objective, restart, tab.pivots, tab.flips)
+    return LpResult(objective, restart, tab.pivots, tab.flips)
 
 
 def _infeasible(tab: _Tableau) -> LpResult:
-    return LpResult(SolveStatus.INFEASIBLE, pivots=tab.pivots, flips=tab.flips)
+    return LpResult(pivots=tab.pivots, flips=tab.flips)
 
 
 def _reoptimize(
@@ -574,7 +566,7 @@ def _reoptimize(
         raise ValueError("start was solved for other costs or rows")
     tab = base.tableau.copy()  # the parent's basis may serve several children
     if not tab.rebound(base.bounds, bounds):
-        return LpResult(SolveStatus.INFEASIBLE)
+        return LpResult()
     n = len(bounds)
     for i, (new, old, sign) in enumerate(zip(rows, base.rows, base.signs)):
         if new.rhs != old.rhs:
@@ -596,7 +588,8 @@ def solve_lp(
     """Minimize ``costs . x`` over integer-data rows and finite variable bounds.
 
     Data must be integers; the answer is exact.  Returns the rational
-    optimum and one optimal point, or an infeasible status.
+    optimum and one optimal point, or a result with no objective when the
+    LP is infeasible.
 
     Without ``start`` the LP is solved cold by bounded dual simplex from
     the slack basis.  With an optimal ``start`` solved for the same costs,
@@ -615,7 +608,7 @@ def solve_lp(
     if any(len(con.coeffs) != n for con in rows):
         raise ValueError("constraint arity mismatch")
     if any(hi < lo for lo, hi in bounds):
-        return LpResult(SolveStatus.INFEASIBLE)
+        return LpResult()
     m = len(rows)
     upper: list[Optional[int]] = [hi - lo for lo, hi in bounds]
     upper += [0 if con.relation is Relation.EQ else None for con in rows]

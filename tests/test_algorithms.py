@@ -883,6 +883,10 @@ def _fail_at_once(check=None):
     raise RuntimeError("early failure")
 
 
+def _unpicklable(check=None):
+    return lambda: None
+
+
 class TestFailFast:
     """``_fork_beside`` runs its first job on a forked worker and its second
     here, with a ``check`` that polls the worker."""
@@ -914,6 +918,12 @@ class TestFailFast:
                 _fork_beside(partial(os._exit, 3), partial(_sleep, seconds))
             assert time.perf_counter() - start < 1.5, seconds
             assert multiprocessing.active_children() == []
+
+    def test_unpicklable_result_fails_the_run(self):
+        # the worker's send fails, and it reports the pickling error instead
+        with pytest.raises(BioptError, match="Can't pickle local object"):
+            _fork_beside(_unpicklable, partial(_sleep, 0.0))
+        assert multiprocessing.active_children() == []
 
 
 class TestSplittingInCaller:

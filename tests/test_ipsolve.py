@@ -30,7 +30,7 @@ from biopt.model import (
     build_problem,
     evaluate,
 )
-from biopt.simplex import SolveStatus, solve_lp
+from biopt.simplex import solve_lp
 from tests.conftest import random_tiny_problem
 
 scipy_opt = pytest.importorskip("scipy.optimize")
@@ -51,9 +51,9 @@ def solve_single(problem, objective_index, caps=(None, None), branch_bounds=None
     rows, box = _rows_and_box(problem, caps, branch_bounds)
     res = _branch_and_bound(problem.objective(objective_index), rows, box)
     if res.value is None:
-        return LexResult(SolveStatus.INFEASIBLE, None, res.work)
+        return LexResult(None, res.work)
     solution = Solution(res.assignment, evaluate(problem, res.assignment))
-    return LexResult(SolveStatus.OPTIMAL, solution, res.work)
+    return LexResult(solution, res.work)
 
 
 def solve_lp_relaxation(problem, objective, caps=(None, None), branch_bounds=None):
@@ -98,7 +98,7 @@ class TestSolveSingle:
             sense=(Sense.MAX, Sense.MAX),
         )
         res = solve_single(p, 1)
-        assert res.status is SolveStatus.INFEASIBLE
+        assert not res.is_optimal
         assert res.solution is None
 
     def test_extra_strict_upper(self, cover):
@@ -108,7 +108,7 @@ class TestSolveSingle:
 
     def test_infeasible_extras(self, cover):
         res = solve_single(cover, 1, caps=(0, 0))
-        assert res.status is SolveStatus.INFEASIBLE
+        assert not res.is_optimal
 
     def test_branch_bounds_shrink_the_box(self, cover):
         res = solve_single(cover, 1, branch_bounds=[(0, 3), (0, 1)])
@@ -141,7 +141,7 @@ class TestSolveLexBackends:
 
     def test_infeasible(self, cover, backend):
         res = backend.solve_lex(cover, ObjectiveOrder.F1_FIRST, (0, 0))
-        assert res.status is SolveStatus.INFEASIBLE
+        assert not res.is_optimal
         assert res.solution is None
 
     def test_second_stage_truly_optimizes(self, knapsack, backend):
@@ -198,7 +198,7 @@ class TestWeight:
         # with f2 < 1 only (1, -1) is left; its combined value W * 1 + L
         # equals the cutoff of f1 < 1, so nothing is below it
         res = solve_lex(extremes_problem(), ObjectiveOrder.F1_FIRST, (1, 1))
-        assert res.status is SolveStatus.INFEASIBLE
+        assert not res.is_optimal
 
     @pytest.mark.parametrize("order", list(ObjectiveOrder))
     @pytest.mark.parametrize("cap", [None, 0, 1, 2])
@@ -207,8 +207,8 @@ class TestWeight:
         caps = (cap, None) if order.first == 1 else (None, cap)
         a = solve_lex(p, order, caps)
         b = EnumerationBackend().solve_lex(p, order, caps)
-        assert (a.status, a.solution and a.solution.outcome) == (
-            b.status,
+        assert (a.is_optimal, a.solution and a.solution.outcome) == (
+            b.is_optimal,
             b.solution and b.solution.outcome,
         )
 
@@ -386,7 +386,7 @@ class TestIncumbentStaircase:
         assert found.solution.outcome == OutcomeVector(1, 2)
         beside = (2, 2)
         res = backend.solve_lex(cover, f1_first, beside)
-        assert res == LexResult(SolveStatus.INFEASIBLE, None, Work(nodes=1))
+        assert res == LexResult(None, Work(nodes=1))
         assert not EnumerationBackend().solve_lex(cover, f1_first, beside).is_optimal
         again = (2, 3)
         assert backend.solve_lex(cover, f1_first, again).solution.outcome == OutcomeVector(1, 2)
@@ -398,9 +398,8 @@ class TestIncumbentStaircase:
         found = backend.solve_lex(cover, f2_first, (3, None))
         assert found.solution.outcome == OutcomeVector(2, 1)
         beside = (3, 1)  # f1 <= 2, f2 <= 0
-        assert backend.solve_lex(cover, f2_first, beside) == LexResult(
-            SolveStatus.INFEASIBLE, None, Work(nodes=1)
-        )
+        res = backend.solve_lex(cover, f2_first, beside)
+        assert res == LexResult(None, Work(nodes=1))
 
     def test_pool_of_another_problem_raises(self, cover):
         pool = IncumbentStaircase(cover_on([(0, 3), (0, 3)]))
@@ -433,7 +432,7 @@ class TestIncumbentStaircase:
                     caps = (cap, None) if own == 1 else (None, cap)
                     bare = solve_lex(problem, order, caps, start=root)
                     pooled = solve_lex(problem, order, caps, start=root, pool=pool)
-                    assert pooled.status is bare.status
+                    assert pooled.is_optimal == bare.is_optimal
                     assert pooled.node_count <= bare.node_count
                     bare_total += bare.node_count
                     pooled_total += pooled.node_count
@@ -454,7 +453,7 @@ class TestBackendDuels:
             order = ObjectiveOrder.F1_FIRST if rng.random() < 0.5 else ObjectiveOrder.F2_FIRST
             a = bnb.solve_lex(p, order)
             b = enum.solve_lex(p, order)
-            assert a.status is b.status, f"trial {trial}"
+            assert a.is_optimal == b.is_optimal, f"trial {trial}"
             if a.is_optimal:
                 assert a.solution.outcome == b.solution.outcome, f"trial {trial}"
                 optimal += 1
