@@ -13,10 +13,11 @@ one objective and tightens the cap to the value just found.
   hold similar shares of the front (``_knee_cut``).  Each of the two
   workers sweeps its slice ``[lo, hi]`` east to west: minimize (f2, f1)
   under f1 < cap, starting from ``cap = hi + 1`` (``f1max`` for the east
-  slice, whose east end is already known), and stops after the first
-  solve that finds nothing at f1 >= lo.  Any point dominating a find
-  would satisfy the same cap and win the solve, so every find is a
-  global front point.  The west slice's first find ``W`` is the front
+  slice, whose east end is already known).  Only the east slice stops at
+  its ``lo``, after the first solve that finds nothing at f1 >= lo; the
+  west slice ends on its closing infeasible solve.  Any point dominating
+  a find would satisfy the same cap and win the solve, so every find is
+  a global front point.  The west slice's first find ``W`` is the front
   point of greatest f1 below the east slice's ``lo``, so every point the
   east slice has to find has f2 < ``W.f2``: the west slice passes
   ``W.f2`` east through a ``SharedBounds`` store, and the east slice
@@ -65,7 +66,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from biopt.errors import BioptError, BoundRegression
-from biopt.ipsolve import BranchAndBoundBackend, Caps, SolverBackend, Work
+from biopt.ipsolve import BranchAndBoundBackend, Caps, LexResult, SolverBackend, Work
 from biopt.model import (
     LinearConstraint,
     ObjectiveOrder,
@@ -184,8 +185,7 @@ class RunStats:
 
 @dataclass(frozen=True)
 class _SweepOutcome:
-    """One part of a run, a worker's sweep or splitting's endpoint solves:
-    found solutions plus its local accounting."""
+    """One worker's sweep: found solutions plus its local accounting."""
 
     solutions: tuple[Solution, ...]
     feasible: int
@@ -207,8 +207,7 @@ def sequential_boip(
 ) -> tuple[ParetoSet, RunStats]:
     """Enumerate the complete front with the single-worker epsilon sweep."""
     engine = backend if backend is not None else BranchAndBoundBackend()
-    sweep = _sweep(problem, engine, own=2)
-    return _finish((sweep,), (sweep.elapsed,))
+    return _finish((_sweep(problem, engine, own=2),))
 
 
 def _sweep(
@@ -302,17 +301,21 @@ def _union(*groups: Sequence[Solution]) -> ParetoSet:
 
 
 def _finish(
-    parts: Sequence[_SweepOutcome], elapsed: tuple[float, ...]
+    sweeps: Sequence[_SweepOutcome], ends: Sequence[LexResult] = ()
 ) -> tuple[ParetoSet, RunStats]:
-    """The front and stats of a run: the ``_union`` of the parts' finds,
-    their solve counts and ``Work`` summed, and the workers' ``elapsed``."""
-    front = _union(*(part.solutions for part in parts))
+    """The front and stats of a run: the ``_union`` of the finds of
+    splitting's endpoint solves ``ends`` and of the ``sweeps``, in that
+    order, their solve counts and ``Work`` summed, and the sweeps'
+    ``elapsed`` as ``worker_elapsed``."""
+    found = tuple(end.solution for end in ends if end.solution is not None)
+    front = _union(found, *(sweep.solutions for sweep in sweeps))
     stats = RunStats(
-        feasible_solves=sum(part.feasible for part in parts),
-        infeasible_solves=sum(part.infeasible for part in parts),
-        worker_elapsed=elapsed,
+        feasible_solves=len(found) + sum(sweep.feasible for sweep in sweeps),
+        infeasible_solves=len(ends) - len(found)
+        + sum(sweep.infeasible for sweep in sweeps),
+        worker_elapsed=tuple(sweep.elapsed for sweep in sweeps),
         pareto_size=len(front),
-        work=sum((part.work for part in parts), Work()),
+        work=sum((part.work for part in (*ends, *sweeps)), Work()),
     )
     return front, stats
 
@@ -391,24 +394,16 @@ def splitting_boip(
     engines = tuple(backends) if backends is not None else _default_backends()
     if len(engines) != 2:
         raise ValueError(f"splitting needs exactly two backends, got {len(engines)}")
-    began = time.perf_counter()
     # caps always go positionally: a backend may name or default them otherwise
     west = engines[1].solve_lex(problem, ObjectiveOrder.F1_FIRST, (None, None))
     if west.solution is None:
-        ends = _SweepOutcome((), 0, 1, time.perf_counter() - began, west.work)
-        return _finish((ends,), ())
+        return _finish((), (west,))
     east = engines[1].solve_lex(problem, ObjectiveOrder.F2_FIRST, (None, None))
     assert east.solution is not None  # the west endpoint is feasible
-    ends = _SweepOutcome(
-        (west.solution, east.solution),
-        2,
-        0,
-        time.perf_counter() - began,
-        west.work + east.work,
-    )
+    ends = (west, east)
     w, e = west.solution.outcome, east.solution.outcome
     if w.f1 == e.f1:
-        return _finish((ends,), ())  # one point is the whole front
+        return _finish((), ends)  # one point is the whole front
 
     cut = _knee_cut(problem, w, e)
     east_store = SharedBounds()
@@ -419,13 +414,10 @@ def splitting_boip(
         store=east_store, publish=False,
     )
     west_job = partial(
-        _sweep, problem, engines[1], 1, caps=(cut + 1, w.f2), stop=w.f1 + 1,
-        hand_off=east_store,
+        _sweep, problem, engines[1], 1, caps=(cut + 1, w.f2), hand_off=east_store
     )
     east_sweep, west_sweep = _fork_beside(east_job, west_job)
-    return _finish(
-        (ends, west_sweep, east_sweep), (west_sweep.elapsed, east_sweep.elapsed)
-    )
+    return _finish((west_sweep, east_sweep), ends)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +453,7 @@ def meeting_boip(
         partial(_sweep, problem, engines[0], 1, store=store, delays=delays),
         partial(_sweep, problem, engines[1], 2, store=store, delays=delays),
     )
-    return _finish((first, second), (first.elapsed, second.elapsed))
+    return _finish((first, second))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ CSV schema (header mandatory, one row per run)::
     family,size,seed,algorithm,threads,elapsed_ms,ip_solves,pareto_size,nodes,lps,pivots,flips,tightened,verified
 
 ``nodes`` to ``tightened`` are the fields of the run's ``RunStats.work``
-(``WORK_COLUMNS``): its branch-and-bound nodes and LP solves, the simplex
-pivots and bound flips of those LPs, and the column bounds that
+(``ipsolve.WORK_FIELDS``): its branch-and-bound nodes and LP solves, the
+simplex pivots and bound flips of those LPs, and the column bounds that
 reduced-cost tightening moved; ``brute`` writes 0 for them and for
 ``ip_solves``.  ``verified`` is ``true`` when the oracle
 cross-check ran (a mismatch never reaches the file), empty when the
@@ -35,16 +35,16 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from biopt.algorithms import RunStats, meeting_boip, sequential_boip, splitting_boip
-from biopt.errors import BioptError
+from biopt.errors import BioptError, BudgetExceeded
 from biopt.instances import FAMILIES, GeneratorSpec, generate
-from biopt.ipsolve import Work
+from biopt.ipsolve import WORK_FIELDS, Work
 from biopt.model import ParetoSet, Problem
-from biopt.oracle import DEFAULT_MAX_POINTS, brute_force_pareto
+from biopt.oracle import brute_force_pareto
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,6 @@ class BenchConfig:
     sizes: tuple[int, ...]
     reps: int = 10
     algorithms: tuple[str, ...] = tuple(ALGORITHMS)
-    time_limit_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.reps < 1:
@@ -97,8 +96,6 @@ class BenchConfig:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
-        if self.time_limit_s is not None and self.time_limit_s <= 0:
-            raise ValueError("time limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,6 @@ class BenchRecord:
     ip_solves: int
     pareto_size: int
     verified: Optional[bool] = None
-    timed_out: bool = False
     work: Work = Work()
 
     def __post_init__(self) -> None:
@@ -131,9 +127,10 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
             ALGORITHMS[config.algorithms[0]].run(problem)  # untimed warm-up
             for seed in range(1, config.reps + 1):
                 problem = generate(GeneratorSpec(family, size, seed))
-                oracle: Optional[ParetoSet] = None
-                if problem.box_size() <= DEFAULT_MAX_POINTS:
-                    oracle = brute_force_pareto(problem)
+                try:
+                    oracle: Optional[ParetoSet] = brute_force_pareto(problem)
+                except BudgetExceeded:
+                    oracle = None  # too large to cross-check
                 for algorithm in config.algorithms:
                     start = time.perf_counter()
                     front, stats = ALGORITHMS[algorithm].run(problem)
@@ -148,10 +145,6 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
                                 f"{family} size {size} seed {seed}"
                             )
                         verified = True
-                    timed_out = (
-                        config.time_limit_s is not None
-                        and elapsed_ms > config.time_limit_s * 1000.0
-                    )
                     records.append(
                         BenchRecord(
                             family=family,
@@ -163,15 +156,11 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
                             ip_solves=stats.ip_solves,
                             pareto_size=len(front),
                             verified=verified,
-                            timed_out=timed_out,
                             work=stats.work,
                         )
                     )
     return records
 
-
-# the counters of ``Work``, in its field order
-WORK_COLUMNS = tuple(field.name for field in fields(Work))
 
 CSV_COLUMNS = (
     "family",
@@ -182,7 +171,7 @@ CSV_COLUMNS = (
     "elapsed_ms",
     "ip_solves",
     "pareto_size",
-    *WORK_COLUMNS,
+    *WORK_FIELDS,
     "verified",
 )
 
@@ -203,7 +192,7 @@ def write_csv(records: Sequence[BenchRecord], destination) -> None:
                     f"{rec.elapsed_ms:.3f}",
                     rec.ip_solves,
                     rec.pareto_size,
-                    *(getattr(rec.work, name) for name in WORK_COLUMNS),
+                    *(getattr(rec.work, name) for name in WORK_FIELDS),
                     verified,
                 )
             )
@@ -221,7 +210,6 @@ class SummaryRow:
     stdev_elapsed_ms: float
     mean_ip_solves: float
     speedup: Optional[float] = None  # mean(sequential) / mean(this), if known
-    timeouts: int = 0
 
 
 def summarize(records: Sequence[BenchRecord]) -> list[SummaryRow]:
@@ -253,7 +241,6 @@ def summarize(records: Sequence[BenchRecord]) -> list[SummaryRow]:
                 stdev_elapsed_ms=statistics.pstdev(r.elapsed_ms for r in recs),
                 mean_ip_solves=statistics.fmean(r.ip_solves for r in recs),
                 speedup=speedup,
-                timeouts=sum(1 for r in recs if r.timed_out),
             )
         )
     return rows
@@ -270,7 +257,6 @@ def render_summary(rows: Sequence[SummaryRow]) -> str:
         "stdev_ms",
         "mean_solves",
         "speedup",
-        "timeouts",
     )
     body = [
         (
@@ -282,7 +268,6 @@ def render_summary(rows: Sequence[SummaryRow]) -> str:
             f"{row.stdev_elapsed_ms:.2f}",
             f"{row.mean_ip_solves:.1f}",
             "-" if row.speedup is None else f"{row.speedup:.2f}",
-            str(row.timeouts),
         )
         for row in rows
     ]

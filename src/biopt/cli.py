@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 from biopt.bench import (
     ALGORITHMS,
-    WORK_COLUMNS,
     BenchConfig,
     render_summary,
     run_bench,
@@ -34,7 +33,8 @@ from biopt.instances import (
     read_instance,
     write_instance,
 )
-from biopt.oracle import EnumerationBudget, brute_force_pareto
+from biopt.ipsolve import WORK_FIELDS
+from biopt.oracle import brute_force_pareto
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -111,7 +111,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     sys.stdout.write(format_result(problem, front))
-    counters = " ".join(f"{name}={getattr(stats.work, name)}" for name in WORK_COLUMNS)
+    counters = " ".join(f"{name}={getattr(stats.work, name)}" for name in WORK_FIELDS)
     print(
         f"algorithm={algorithm} points={len(front)} "
         f"ip_solves={stats.ip_solves} elapsed_ms={elapsed_ms:.3f} {counters}",
@@ -124,19 +124,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     problem, status = _load_instance(args.file)
     if problem is None:
         return status
-    budget = EnumerationBudget()
-    if problem.box_size() > budget.max_points:
-        return _usage_error(
-            f"instance too large for exhaustive verification: "
-            f"{problem.box_size()} lattice points exceed the budget of {budget.max_points}"
-        )
     try:
-        oracle = brute_force_pareto(problem, budget)
+        # the oracle refuses an over-budget box before any algorithm runs
+        oracle = brute_force_pareto(problem)
         fronts = {
             name: alg.run(problem)[0]
             for name, alg in ALGORITHMS.items()
             if name != "brute"  # the oracle itself
         }
+    except BudgetExceeded as bad:
+        return _usage_error(str(bad))
     except BioptError as bad:
         return _runtime_error(str(bad))
 
@@ -163,7 +160,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             sizes=tuple(args.sizes),
             reps=args.reps,
             algorithms=tuple(args.algs),
-            time_limit_s=args.time_limit,
         )
     except ValueError as bad:
         return _usage_error(str(bad))
@@ -219,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--algs", nargs="+", default=list(ALGORITHMS), choices=tuple(ALGORITHMS)
     )
-    bench.add_argument("--time-limit", type=float, help="per-run time limit in seconds")
     bench.add_argument("--out", default="bench.csv", help="CSV output path")
     bench.set_defaults(handler=cmd_bench)
 

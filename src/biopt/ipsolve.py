@@ -85,7 +85,7 @@ from dataclasses import dataclass, field, fields, replace
 from math import ceil
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from biopt.errors import BudgetExceeded, NodeLimitExceeded
+from biopt.errors import NodeLimitExceeded
 from biopt.model import (
     LinearConstraint,
     ObjectiveOrder,
@@ -95,7 +95,7 @@ from biopt.model import (
     Solution,
     evaluate,
 )
-from biopt.oracle import iter_feasible
+from biopt.oracle import DEFAULT_MAX_POINTS, EnumerationBudget, iter_feasible
 from biopt.simplex import LpResult, solve_lp
 
 # branch-and-bound nodes per search before NodeLimitExceeded
@@ -118,10 +118,12 @@ class Work:
     tightened: int = 0
 
     def __add__(self, other: Work) -> Work:
-        return Work(*(getattr(self, k) + getattr(other, k) for k in _WORK_FIELDS))
+        return Work(*(getattr(self, k) + getattr(other, k) for k in WORK_FIELDS))
 
 
-_WORK_FIELDS = tuple(f.name for f in fields(Work))
+# the counters of ``Work``, in its field order: the bench CSV's and the CLI
+# footer's columns
+WORK_FIELDS = tuple(f.name for f in fields(Work))
 
 
 @dataclass(frozen=True)
@@ -450,11 +452,11 @@ class EnumerationBackend(SolverBackend):
     that strictly improves the lexicographic key, so the representative is
     deterministic.  Its ``Work`` counts the feasible points visited as
     nodes, and no LPs.  Boxes larger than ``max_points`` are refused
-    outright.
+    outright, by the oracle's ``EnumerationBudget``.
     """
 
-    def __init__(self, max_points: int = 10_000_000) -> None:
-        self.max_points = max_points
+    def __init__(self, max_points: int = DEFAULT_MAX_POINTS) -> None:
+        self.budget = EnumerationBudget(max_points)
 
     def solve_lex(
         self,
@@ -463,9 +465,7 @@ class EnumerationBackend(SolverBackend):
         caps: Caps = (None, None),
     ) -> LexResult:
         rows = _cap_rows(problem, caps)
-        size = problem.box_size()
-        if size > self.max_points:
-            raise BudgetExceeded(size, self.max_points)
+        self.budget.check(problem.box_size())
         augmented = replace(problem, constraints=problem.constraints + rows)
         best_key: Optional[tuple[int, int]] = None
         best: Optional[Solution] = None

@@ -109,7 +109,7 @@ class Problem:
         for c in self.constraints:
             if len(c.coeffs) != self.num_vars:
                 raise ValueError(f"constraint arity {len(c.coeffs)} != num_vars {self.num_vars}")
-        bounds = tuple((int(lo), int(hi)) for lo, hi in self.var_bounds)
+        bounds = tuple((lo, hi) for lo, hi in self.var_bounds)
         if len(bounds) != self.num_vars:
             raise ValueError("var_bounds length must equal num_vars")
         for j, (lo, hi) in enumerate(bounds):

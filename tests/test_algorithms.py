@@ -540,6 +540,23 @@ class TestSplitting:
             assert west.outcomes[-1] is None, name  # under the west endpoint's f2
             assert stats.infeasible_solves == (2 if west_first else 1), name
 
+    @pytest.mark.parametrize(
+        ("west_first", "expected"),
+        [(True, Work(797, 797, 788, 220, 830)), (False, Work(973, 973, 983, 241, 1146))],
+        ids=["west-first", "east-first"],
+    )
+    def test_work_is_pinned(self, monkeypatch, west_first, expected):
+        # run serially in either order, splitting is deterministic: a change
+        # to the endpoints, the cut, the caps or the hand-off that alters any
+        # node shows up here.  Run first, the east slice has no hand-off cap
+        # and its closing solve finds the west slice's first find again.
+        monkeypatch.setattr(biopt.algorithms, "_fork_beside", _serial(west_first))
+        work = Work()
+        for seed in range(5, 7):
+            _, stats = splitting_boip(generate(GeneratorSpec("knapsack", 24, seed)))
+            work += stats.work
+        assert work == expected
+
     def test_only_meeting_publishes_f1_caps(self, cover, monkeypatch):
         # nothing reads a splitting store's f1 cell, so no slice writes it;
         # the one f2 write is the west slice's first find, handed east; the

@@ -183,6 +183,12 @@ class TestProblem:
         with pytest.raises(TypeError):
             Problem(2, ((1.5, 0), (0, 1)), (), ((0, 1), (0, 1)))
 
+    @pytest.mark.parametrize("bound", [(0.0, 2.7), ("0", "2")], ids=["float", "str"])
+    def test_rejects_noninteger_bounds(self, bound):
+        # a float or str bound is refused, not truncated or parsed to an int
+        with pytest.raises(TypeError, match="bounds must be int"):
+            Problem(1, ((1,), (-1,)), (), (bound,))
+
     def test_make_solution(self):
         p = build_problem(2, [(2, 1), (1, 3)], [], [(0, 5), (0, 5)])
         s = make_solution(p, (1, 2))

@@ -413,7 +413,8 @@ class TestWarmStart:
             ),
             st.lists(st.integers(0, 7), max_size=2),
         )
-        @settings(deadline=None, max_examples=300, database=None)
+        # derandomized, so the share of flips below is the same on every run
+        @settings(deadline=None, max_examples=300, database=None, derandomize=True)
         def check(lp, moves, picks):
             # tighten rows (an equality row either way), then cut bounds as
             # branching would: large violations that flips can close
