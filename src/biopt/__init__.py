@@ -10,7 +10,6 @@ harness, and a command line front end.
 """
 
 from biopt.algorithms import (
-    DelaySpec,
     RunStats,
     SharedBounds,
     meeting_boip,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BioptError",
-    "DelaySpec",
     "FAMILIES",
     "GeneratorSpec",
     "SplitMix64",

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import random
 import time
 import traceback
 from dataclasses import dataclass
@@ -144,27 +143,6 @@ def _offer(store: SharedBounds, index: int, value: int) -> None:
 
 
 @dataclass(frozen=True)
-class DelaySpec:
-    """Deterministic random sleeps injected before every store access.
-
-    Used to randomize the interleaving of the meeting workers when testing
-    schedule independence: each worker draws its own reproducible stream of
-    delays in [0, max_ms] milliseconds from ``seed``.
-    """
-
-    seed: int
-    max_ms: float = 50.0
-
-    def sleeper(self, worker: int) -> Callable[[], None]:
-        rng = random.Random(self.seed * 1_000_003 + worker)
-
-        def nap() -> None:
-            time.sleep(rng.uniform(0.0, self.max_ms) / 1000.0)
-
-        return nap
-
-
-@dataclass(frozen=True)
 class RunStats:
     """Work accounting for one enumeration run.
 
@@ -218,7 +196,6 @@ def _sweep(
     caps: Caps = (None, None),
     stop: Optional[int] = None,
     store: Optional[SharedBounds] = None,
-    delays: Optional[DelaySpec] = None,
     hand_off: Optional[SharedBounds] = None,
     publish: bool = True,
     check: Optional[Callable[[], None]] = None,
@@ -236,8 +213,7 @@ def _sweep(
     ``stop``: right after the first find below it, or at once if it starts
     there.  With a ``store`` it re-reads the other objective's cap before
     every solve, and uses it where it is tighter than the fixed one, and,
-    with ``publish``, publishes its own after every find, napping from
-    ``delays.sleeper(own)`` before each store access.  With a
+    with ``publish``, publishes its own after every find.  With a
     ``hand_off`` store it publishes there, right after its first find, that
     find's value of the other objective.  A value outside the stores'
     range is not published; its reader just goes without that cap.  It
@@ -245,7 +221,6 @@ def _sweep(
     """
     order = ObjectiveOrder.F1_FIRST if own == 2 else ObjectiveOrder.F2_FIRST
     other = 3 - own
-    nap = delays.sleeper(own) if delays is not None else None
     start = time.perf_counter()
     cap, fixed = caps[own - 1], caps[other - 1]
     if cap is None:
@@ -261,8 +236,6 @@ def _sweep(
             check()
         other_cap = fixed
         if store is not None:
-            if nap is not None:
-                nap()
             read = store.read(other)
             if read is not None and (other_cap is None or read < other_cap):
                 other_cap = read
@@ -276,8 +249,6 @@ def _sweep(
         found.append(res.solution)
         cap = res.solution.outcome.component(own)
         if store is not None and publish:
-            if nap is not None:
-                nap()
             _offer(store, own, cap)
         if hand_off is not None and feasible == 1:
             _offer(hand_off, other, res.solution.outcome.component(other))
@@ -428,15 +399,13 @@ def meeting_boip(
     problem: Problem,
     backends: Optional[Sequence[SolverBackend]] = None,
     executor: str = "process",
-    delays: Optional[DelaySpec] = None,
 ) -> tuple[ParetoSet, RunStats]:
     """Enumerate the front with two opposed sweeps sharing monotone bounds.
 
-    The two sweeps share one ``SharedBounds`` store made for the run, and
-    nap from ``delays``, if given, before each store access.  The union of
-    the two harvests, deduplicated by outcome, is the complete front under
-    every read/write interleaving; worker 2's representative is kept when
-    both workers find the same outcome.  No dominance filter is
+    The two sweeps share one ``SharedBounds`` store made for the run.  The
+    union of the two harvests, deduplicated by outcome, is the complete
+    front under every read/write interleaving; worker 2's representative
+    is kept when both workers find the same outcome.  No dominance filter is
     applied — the staircase validation in ParetoSet doubles as a hard check
     of that guarantee.  ``worker_elapsed`` lists worker 1, then worker 2.
 
@@ -450,8 +419,8 @@ def meeting_boip(
         raise ValueError("meeting needs exactly two backends")
     store = SharedBounds()
     first, second = _fork_beside(
-        partial(_sweep, problem, engines[0], 1, store=store, delays=delays),
-        partial(_sweep, problem, engines[1], 2, store=store, delays=delays),
+        partial(_sweep, problem, engines[0], 1, store=store),
+        partial(_sweep, problem, engines[1], 2, store=store),
     )
     return _finish((first, second))
 

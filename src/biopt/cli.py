@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from biopt.bench import (
     ALGORITHMS,
+    SOLVERS,
     BenchConfig,
     render_summary,
     run_bench,
@@ -127,11 +128,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         # the oracle refuses an over-budget box before any algorithm runs
         oracle = brute_force_pareto(problem)
-        fronts = {
-            name: alg.run(problem)[0]
-            for name, alg in ALGORITHMS.items()
-            if name != "brute"  # the oracle itself
-        }
+        fronts = {name: ALGORITHMS[name].run(problem)[0] for name in SOLVERS}
     except BudgetExceeded as bad:
         return _usage_error(str(bad))
     except BioptError as bad:
@@ -213,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", nargs="+", required=True, type=int)
     bench.add_argument("--reps", type=int, default=10)
     bench.add_argument(
-        "--algs", nargs="+", default=list(ALGORITHMS), choices=tuple(ALGORITHMS)
+        "--algs", nargs="+", default=list(SOLVERS), choices=tuple(ALGORITHMS)
     )
     bench.add_argument("--out", default="bench.csv", help="CSV output path")
     bench.set_defaults(handler=cmd_bench)

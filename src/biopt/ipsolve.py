@@ -95,7 +95,7 @@ from biopt.model import (
     Solution,
     evaluate,
 )
-from biopt.oracle import DEFAULT_MAX_POINTS, EnumerationBudget, iter_feasible
+from biopt.oracle import EnumerationBudget, iter_feasible
 from biopt.simplex import LpResult, solve_lp
 
 # branch-and-bound nodes per search before NodeLimitExceeded
@@ -451,12 +451,9 @@ class EnumerationBackend(SolverBackend):
     Scans the feasible lattice in row-major order keeping the first point
     that strictly improves the lexicographic key, so the representative is
     deterministic.  Its ``Work`` counts the feasible points visited as
-    nodes, and no LPs.  Boxes larger than ``max_points`` are refused
-    outright, by the oracle's ``EnumerationBudget``.
+    nodes, and no LPs.  Boxes over the oracle's default
+    ``EnumerationBudget`` are refused outright.
     """
-
-    def __init__(self, max_points: int = DEFAULT_MAX_POINTS) -> None:
-        self.budget = EnumerationBudget(max_points)
 
     def solve_lex(
         self,
@@ -465,7 +462,7 @@ class EnumerationBackend(SolverBackend):
         caps: Caps = (None, None),
     ) -> LexResult:
         rows = _cap_rows(problem, caps)
-        self.budget.check(problem.box_size())
+        EnumerationBudget().check(problem.box_size())
         augmented = replace(problem, constraints=problem.constraints + rows)
         best_key: Optional[tuple[int, int]] = None
         best: Optional[Solution] = None

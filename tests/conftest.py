@@ -1,10 +1,14 @@
-"""Shared fixtures: small hand-analyzed problems and a tiny-instance sampler."""
+"""Shared fixtures: small hand-analyzed problems, a tiny-instance sampler,
+and seeded delays for the meeting run's shared-bound store."""
 
 import random
+import time
+from contextlib import contextmanager
 from math import floor
 
 import pytest
 
+from biopt.algorithms import SharedBounds
 from biopt.model import LinearConstraint, Problem, Relation, Sense, build_problem
 
 # One line per release-gate criterion, filled in by tests/test_acceptance.py
@@ -114,3 +118,38 @@ def tightened(x, bounds, pick):
         v = int(x[j])
         box = (lo, v - 1) if v > lo else (v + 1, hi)
     return tuple(bounds[:j]) + (box,) + tuple(bounds[j + 1:])
+
+
+@contextmanager
+def delayed(seed: int, max_ms: float = 50.0):
+    """Nap before every ``SharedBounds`` read and publish, within the block.
+
+    Randomizes the interleaving of a meeting run's two workers, to test
+    schedule independence.  Each worker naps from its own reproducible
+    stream ``random.Random(seed * 1_000_003 + worker)`` of delays in
+    [0, max_ms] milliseconds.  Meeting worker ``w`` publishes cell ``w``
+    and reads cell ``3 - w``, so ``publish(index, ...)`` draws from worker
+    ``index``'s stream and ``read(index)`` from worker ``3 - index``'s.
+    The forked worker inherits the patched class and both fresh streams,
+    and ``meeting_boip`` joins it before it returns, so give each run a
+    block of its own.
+    """
+    streams = {worker: random.Random(seed * 1_000_003 + worker) for worker in (1, 2)}
+    read, publish = SharedBounds.read, SharedBounds.publish
+
+    def nap(worker: int) -> None:
+        time.sleep(streams[worker].uniform(0.0, max_ms) / 1000.0)
+
+    def napped_read(self, index):
+        nap(3 - index)
+        return read(self, index)
+
+    def napped_publish(self, index, value):
+        nap(index)
+        publish(self, index, value)
+
+    SharedBounds.read, SharedBounds.publish = napped_read, napped_publish
+    try:
+        yield
+    finally:
+        SharedBounds.read, SharedBounds.publish = read, publish

@@ -1,7 +1,6 @@
 """Tests for the sequential sweep, range splitting, and the meeting run."""
 
 import multiprocessing
-import pickle
 import os
 import random
 import subprocess
@@ -12,9 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_tiny_problem
+from conftest import delayed, random_tiny_problem
 from biopt.algorithms import (
-    DelaySpec,
     RunStats,
     SharedBounds,
     _fork_beside,
@@ -337,17 +335,33 @@ class TestRootRestart:
             assert (seq, split) == expected[name], name
 
 
-class TestDelaySpec:
-    def test_frozen_and_picklable(self):
-        spec = DelaySpec(seed=3, max_ms=1.0)
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec
+class TestDelayed:
+    def test_each_worker_naps_from_its_own_stream(self, monkeypatch):
+        naps = []
+        monkeypatch.setattr(time, "sleep", naps.append)
+        store = SharedBounds()
+        with delayed(seed=3, max_ms=7.0):
+            assert store.read(2) is None  # worker 1 reads worker 2's cell
+            store.publish(2, 5)  # worker 2
+            assert store.read(1) is None  # worker 2
+            store.publish(1, 4)  # worker 1
+        streams = [random.Random(3 * 1_000_003 + worker) for worker in (1, 2)]
+        expected = [
+            streams[worker - 1].uniform(0, 7.0) / 1000.0 for worker in (1, 2, 2, 1)
+        ]
+        assert naps == expected
+        assert (store.read(1), store.read(2)) == (4, 5)
+        assert naps == expected  # no nap outside the block
 
-    def test_sleeper_runs(self):
-        spec = DelaySpec(seed=3, max_ms=0.0)
-        nap = spec.sleeper(1)
-        nap()
-        nap()
+    def test_restores_the_store_also_on_error(self):
+        originals = (SharedBounds.read, SharedBounds.publish)
+        with delayed(seed=3):
+            assert (SharedBounds.read, SharedBounds.publish) != originals
+        assert (SharedBounds.read, SharedBounds.publish) == originals
+        with pytest.raises(RuntimeError):
+            with delayed(seed=3):
+                raise RuntimeError("inside the block")
+        assert (SharedBounds.read, SharedBounds.publish) == originals
 
 
 class TestSequential:
@@ -712,9 +726,8 @@ class TestMeeting:
         assert stats.infeasible_solves >= 1  # at least one closing probe
 
     def test_knapsack_with_delays(self, knapsack):
-        front, _ = meeting_boip(
-            knapsack, delays=DelaySpec(seed=11, max_ms=2.0)
-        )
+        with delayed(seed=11, max_ms=2.0):
+            front, _ = meeting_boip(knapsack)
         assert front.outcomes() == (OutcomeVector(-4, -2), OutcomeVector(-1, -4))
 
     def test_infeasible(self):

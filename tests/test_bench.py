@@ -11,6 +11,7 @@ from biopt.bench import (
     BenchConfig,
     BenchRecord,
     CSV_COLUMNS,
+    SOLVERS,
     render_summary,
     run_bench,
     summarize,
@@ -50,8 +51,8 @@ class TestBenchConfig:
     def test_defaults(self):
         config = BenchConfig(families=("knapsack",), sizes=(4,))
         assert config.reps == 10
-        assert config.algorithms == ("sequential", "splitting", "meeting", "brute")
-        assert config.algorithms == tuple(ALGORITHMS)
+        assert config.algorithms == ("sequential", "splitting", "meeting")
+        assert config.algorithms == SOLVERS
 
 
 class TestBenchRecord:

@@ -300,6 +300,19 @@ class TestBench:
         ])
         assert code == EXIT_USAGE
 
+    def test_default_algs_past_the_oracle_budget(self, tmp_path):
+        # knapsack-24 has a box of 2^24 points: the default leaves out brute
+        out = tmp_path / "b.csv"
+        code = main([
+            "bench", "--families", "knapsack", "--sizes", "24", "--reps", "1",
+            "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        with out.open(newline="", encoding="utf-8") as source:
+            rows = list(csv.reader(source))
+        assert len(rows) == 1 + 3  # header + 1 rep x 3 algorithms
+        assert [row[3] for row in rows[1:]] == ["sequential", "splitting", "meeting"]
+
 
 class TestParser:
     def test_no_command_is_usage_error(self):

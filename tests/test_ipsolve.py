@@ -303,10 +303,11 @@ class TestNodeLimit:
 
 class TestEnumerationGuard:
     def test_budget_refusal(self):
-        p = build_problem(4, [(1, 1, 1, 1), (1, 0, 0, 0)], [], [(0, 9)] * 4)
-        backend = EnumerationBackend(max_points=100)
-        with pytest.raises(BudgetExceeded):
-            backend.solve_lex(p, ObjectiveOrder.F1_FIRST)
+        # 10^8 points, past the default budget: refused before any point
+        p = build_problem(8, [(1,) * 8, (1,) + (0,) * 7], [], [(0, 9)] * 8)
+        with pytest.raises(BudgetExceeded) as refusal:
+            EnumerationBackend().solve_lex(p, ObjectiveOrder.F1_FIRST)
+        assert (refusal.value.box_size, refusal.value.budget) == (10**8, 10**7)
 
     def test_enum_counters(self, cover):
         res = EnumerationBackend().solve_lex(cover, ObjectiveOrder.F1_FIRST)
