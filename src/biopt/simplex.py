@@ -3,14 +3,20 @@ cold from the slack basis or re-optimizing from an earlier basis.
 
 The solver is the workhorse under the branch-and-bound backend, so it must be
 exact: every quantity is a rational number, never a float.  Storing a dense
-``Fraction`` tableau is an order of magnitude too slow in CPython, so each
-tableau row is kept as a list of integer numerators with one shared positive
-integer denominator, gcd-reduced after every pivot.  The last entry of a
-row is the numerator of its basic variable's current value over that same
-denominator, and ratio tests compare integer ratios by cross-multiplication,
-so no ``Fraction`` is built inside the simplex loop.  A solve makes only
-its objective a ``Fraction``: the point ``LpResult.x`` is built on first
-read, and branch and bound reads its decision from the basic rows instead.
+``Fraction`` tableau is an order of magnitude too slow in CPython, so the
+tableau is kept fraction-free (Edmonds 1967; Bareiss, *Math. Comp.* 22,
+1968): every row, the objective row included, is a list of integer
+numerators over one positive denominator shared by the whole tableau,
+``|det B|`` for the current basis ``B``.  All data, bounds and right-hand
+sides are integers, so by Cramer's rule every entry of ``B^-1`` times the
+data, and every reduced cost, is an integer once multiplied by ``|det B|``,
+and a pivot's integer divisions are exact: no gcd is ever taken.  The last
+entry of a row is the numerator of its basic variable's current value over
+that same denominator, and ratio tests compare integer ratios by
+cross-multiplication, so no ``Fraction`` is built inside the simplex loop.
+A solve makes only its objective a ``Fraction``: the point ``LpResult.x``
+is built on first read, and branch and bound reads its decision from the
+basic rows instead.
 
 Formulation notes:
 
@@ -84,11 +90,9 @@ proves it like any other infeasibility.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from biopt.errors import BioptError
@@ -134,9 +138,9 @@ class LpResult:
         """``x`` as pairs ``(v, d)``, each the value ``v / d``."""
         base = self._final()
         tab, bounds = base.tableau, base.bounds
-        at_upper = _VarState.AT_UPPER
-        out = [(hi if s is at_upper else lo, 1) for (lo, hi), s in zip(bounds, tab.state)]
-        for row, d, b in zip(tab.rows, tab.dens, tab.basis):
+        at_upper, d = _VarState.AT_UPPER, tab.den
+        out = [(hi if s == at_upper else lo, 1) for (lo, hi), s in zip(bounds, tab.state)]
+        for row, b in zip(tab.rows, tab.basis):
             if b < len(bounds):
                 out[b] = (bounds[b][0] * d + row[-1], d)
         return out
@@ -146,15 +150,19 @@ class LpResult:
         ties to the lowest index, or None when ``x`` is integral.
 
         Nonbasic columns sit at integer bounds, so only the basic rows are
-        read.  A basic value ``v / d`` is ``min(r, d - r) / d`` from an
+        read, and none is fractional when the tableau's denominator ``d`` is
+        1.  A basic value ``v / d`` is ``min(r, d - r) / d`` from an
         integer, for ``r = v mod d``.
         """
         base = self._final()
         tab, bounds = base.tableau, base.bounds
+        d = tab.den
+        if d == 1:
+            return None
         n = best_j = len(bounds)
-        best_r, best_d, best_v = 0, 1, 0
-        for row, d, b in zip(tab.rows, tab.dens, tab.basis):
-            if b >= n or d == 1:
+        best_r = best_v = 0
+        for row, b in zip(tab.rows, tab.basis):
+            if b >= n:
                 continue
             v = bounds[b][0] * d + row[-1]
             r = v % d
@@ -162,10 +170,9 @@ class LpResult:
                 continue
             if d - r < r:
                 r = d - r
-            far, near = r * best_d, best_r * d
-            if far > near or (far == near and b < best_j):
-                best_j, best_r, best_d, best_v = b, r, d, v
-        return None if best_j == n else (best_j, best_v // best_d)
+            if r > best_r or (r == best_r and b < best_j):
+                best_j, best_r, best_v = b, r, v
+        return None if best_j == n else (best_j, best_v // d)
 
     def integral_point(self) -> tuple[int, ...]:
         """``x`` as integers; raises ``ValueError`` unless it is integral."""
@@ -202,42 +209,35 @@ class LpResult:
         upper bound when it is negative.
         """
         base = self._final()
-        return base.tableau.onums[: len(base.bounds)], base.tableau.oden
+        return base.tableau.onums[: len(base.bounds)], base.tableau.den
 
 
-class _VarState(Enum):
+class _VarState:
+    """Where a column sits: basic, or nonbasic at one of its bounds.  The
+    nonbasic states are signs, so the ratio test reads a column's
+    eligibility off the sign of ``a * state``."""
+
     BASIC = 0
     AT_LOWER = 1
-    AT_UPPER = 2
-
-
-def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
-    """Cancel the gcd of a scaled row and its denominator, which must be
-    positive: ``pivot`` negates a negative pivot row first, and every other
-    denominator is a product of positive ones."""
-    g = gcd(den, *nums)
-    if g > 1:
-        nums = [v // g for v in nums]
-        den //= g
-    return nums, den
+    AT_UPPER = -1
 
 
 class _Tableau:
-    """Canonical simplex dictionary with row-scaled integer arithmetic.
+    """Canonical simplex dictionary in fraction-free integer arithmetic.
 
-    Invariant: for every row ``i`` with basic column ``b = basis[i]``,
-    ``rows[i][b] == dens[i]`` and ``rows[k][b] == 0`` for ``k != i`` (the
-    true coefficient matrix is ``rows[i] / dens[i]``).  The last entry of
-    each row is the numerator of its basic variable's current value,
-    ``rows[i][-1] / dens[i]``, with every nonbasic column at the bound its
-    ``state`` names.  Moving a nonbasic column ``j`` from 0 to its upper
-    bound ``u`` therefore subtracts ``rows[i][j] * u`` from every last
-    entry, all in integers.
+    Invariant: ``den`` is ``|det B|`` for the current basis ``B``, taken
+    over the columns of the rows as they were added, and for every row
+    ``i`` with basic column ``b = basis[i]``, ``rows[i][b] == den`` and
+    ``rows[k][b] == 0`` for ``k != i`` (the true coefficient matrix is
+    ``rows / den``).  The last entry of each row is the numerator of its
+    basic variable's current value, ``rows[i][-1] / den``, with every
+    nonbasic column at the bound its ``state`` names.  Moving a nonbasic
+    column ``j`` from 0 to its upper bound ``u`` therefore subtracts
+    ``rows[i][j] * u`` from every last entry, all in integers.
 
-    The objective row ``onums / oden`` holds the reduced costs only, one
-    per column, with no last entry: ``point`` sums the objective from the
-    basic values itself.  The objective's value would grow with every
-    pivot and block the gcd that keeps the reduced costs small.
+    The objective row ``onums / den`` holds the reduced costs only, one
+    per column, with no last entry: ``objective`` sums the objective from
+    the basic values itself, so no pivot or flip has to carry it.
 
     ``pivots`` and ``flips`` count the basis changes and bound flips made
     since the tableau was built or copied.
@@ -249,13 +249,12 @@ class _Tableau:
         self.ncols = len(upper)
         self.upper = upper
         self.rows: list[list[int]] = []
-        self.dens: list[int] = []
+        self.den = 1
         self.basis: list[int] = []
-        self.state: list[_VarState] = [
+        self.state: list[int] = [
             _VarState.AT_UPPER if c < 0 else _VarState.AT_LOWER for c in costs
         ]
         self.onums = costs
-        self.oden = 1
         self.pivots = 0
         self.flips = 0
 
@@ -265,7 +264,6 @@ class _Tableau:
         """Append a row, its last entry the basic value, with ``basic_col``
         basic in it at coefficient 1."""
         self.rows.append(row)
-        self.dens.append(1)
         self.basis.append(basic_col)
         self.state[basic_col] = _VarState.BASIC
 
@@ -274,11 +272,10 @@ class _Tableau:
         twin.ncols = self.ncols
         twin.upper = self.upper[:]
         twin.rows = [row[:] for row in self.rows]
-        twin.dens = self.dens[:]
+        twin.den = self.den
         twin.basis = self.basis[:]
         twin.state = self.state[:]
         twin.onums = self.onums[:]
-        twin.oden = self.oden
         twin.pivots = twin.flips = 0
         return twin
 
@@ -295,9 +292,15 @@ class _Tableau:
         changed goes to the bound its reduced cost makes dual feasible
         (keeping its side when that cost is zero), so the basis stays dual
         feasible under any change of bounds.  Returns False, leaving the
-        tableau half moved, when a new box is empty.
+        tableau half moved, when a new box is empty.  A column whose bound
+        pair is the very object it was is skipped unread, as a branch and
+        bound child shares every pair it did not change with its parent.
         """
-        changed = [j for j, new, old in zip(count(), bounds, old_bounds) if new != old]
+        changed = [
+            j
+            for j, new, old in zip(count(), bounds, old_bounds)
+            if new is not old and new != old
+        ]
         for j in changed:
             lo, hi = bounds[j]
             if hi < lo:
@@ -305,16 +308,16 @@ class _Tableau:
             old_lo, old_hi = old_bounds[j]
             self.upper[j] = hi - lo
             state = self.state[j]
-            if state is _VarState.BASIC:
+            if state == _VarState.BASIC:
                 i = self.basis.index(j)
-                self.rows[i][-1] += (old_lo - lo) * self.dens[i]
+                self.rows[i][-1] += (old_lo - lo) * self.den
                 continue
-            was = old_lo if state is _VarState.AT_LOWER else old_hi
+            was = old_lo if state == _VarState.AT_LOWER else old_hi
             d = self.onums[j]
             if d:
                 state = _VarState.AT_LOWER if d > 0 else _VarState.AT_UPPER
             self.state[j] = state
-            self._shift(j, (lo if state is _VarState.AT_LOWER else hi) - was)
+            self._shift(j, (lo if state == _VarState.AT_LOWER else hi) - was)
         return True
 
     # -- inspection ----------------------------------------------------
@@ -324,65 +327,59 @@ class _Tableau:
     ) -> Fraction:
         """The cost of the current point in original coordinates.
 
-        It is summed in integers alone, as one numerator over a running
-        denominator (the least common multiple of the denominators of the
-        costed basic values so far), and made a ``Fraction`` once at the
-        end.
+        It is summed in integers alone, as one numerator over the
+        tableau's denominator, and made a ``Fraction`` once at the end.
         """
-        n = len(bounds)
+        n, d = len(bounds), self.den
         basic, at_upper = _VarState.BASIC, _VarState.AT_UPPER
         num = 0
         for c, (lo, hi), s in zip(costs, bounds, self.state):
-            if c and s is not basic:
-                num += c * (hi if s is at_upper else lo)
-        den = 1
-        for row, d, b in zip(self.rows, self.dens, self.basis):
+            if c and s != basic:
+                num += c * (hi if s == at_upper else lo)
+        num *= d
+        for row, b in zip(self.rows, self.basis):
             if b < n:
                 c = costs[b]
-                if not c:
-                    continue
-                v = bounds[b][0] * d + row[-1]  # the value is v / d
-                if d == den:
-                    num += c * v
-                else:
-                    g = gcd(den, d)
-                    num = num * (d // g) + c * v * (den // g)
-                    den = den // g * d
-        return Fraction(num, den)
+                if c:
+                    num += c * (bounds[b][0] * d + row[-1])  # the value over d
+        return Fraction(num, d)
 
     # -- pivoting ------------------------------------------------------
 
     def pivot(self, r: int, c: int) -> None:
-        """Make column ``c`` basic in row ``r`` by row operations.
+        """Make column ``c`` basic in row ``r`` by one fraction-free
+        (Bareiss) row operation per row.
 
-        The last entries are combined like every other column, so afterwards
-        they hold the basic values of the new basis with every nonbasic
-        column, ``c``'s old basic variable included, at its old value.  The
-        objective row, which has no last entry, is updated on its reduced
-        costs alone.
+        With ``p`` the pivot entry, made positive, the new denominator
+        ``|det B'|`` is ``p``: the pivot row keeps its numerators, and every
+        other row ``x`` becomes ``(x * p - x[c] * prow) / den``, a division
+        the invariant makes exact.  The last entries are combined like
+        every other column, so afterwards they hold the basic values of the
+        new basis with every nonbasic column, ``c``'s old basic variable
+        included, at its old value.  The objective row, which has no last
+        entry, is updated on its reduced costs alone.
         """
-        prow = self.rows[r]
+        rows, den = self.rows, self.den
+        prow = rows[r]
         p = prow[c]
         if p == 0:
             raise BioptError("pivot on zero entry")
         if p < 0:
-            prow = [-v for v in prow]
+            prow = rows[r] = [-v for v in prow]
             p = -p
-        prow, pden = _reduced(prow, p)
-        for i in range(len(self.rows)):
-            if i == r:
-                continue
-            e = self.rows[i][c]
-            if e == 0:
-                continue
-            merged = [a * pden - e * b for a, b in zip(self.rows[i], prow)]
-            self.rows[i], self.dens[i] = _reduced(merged, self.dens[i] * pden)
+        for i, row in enumerate(rows):
+            e = row[c]
+            if e:
+                if i != r:
+                    rows[i] = [(a * p - e * b) // den for a, b in zip(row, prow)]
+            elif p != den:
+                rows[i] = [a * p // den for a in row]
         e = self.onums[c]
-        if e != 0:
-            merged = [a * pden - e * b for a, b in zip(self.onums, prow)]
-            self.onums, self.oden = _reduced(merged, self.oden * pden)
-        self.rows[r] = prow
-        self.dens[r] = pden
+        if e:
+            self.onums = [(a * p - e * b) // den for a, b in zip(self.onums, prow)]
+        elif p != den:
+            self.onums = [a * p // den for a in self.onums]
+        self.den = p
 
     def _shift(self, j: int, amount: int) -> None:
         """Account for nonbasic column ``j`` moving by ``amount``."""
@@ -392,10 +389,10 @@ class _Tableau:
                 if a:
                     row[-1] -= a * amount
 
-    def enter(self, r: int, c: int, landing: _VarState) -> None:
+    def enter(self, r: int, c: int, landing: int) -> None:
         """Pivot nonbasic ``c`` into row ``r``, its leaving column to ``landing``."""
         leaving = self.basis[r]
-        from_upper = self.state[c] is _VarState.AT_UPPER
+        from_upper = self.state[c] == _VarState.AT_UPPER
         self.pivot(r, c)
         self.pivots += 1
         self.basis[r] = c
@@ -404,8 +401,8 @@ class _Tableau:
         if from_upper:  # c leaves the upper-bound set: only row r carries it
             u = self.upper[c]
             assert u is not None
-            self.rows[r][-1] += u * self.dens[r]
-        if landing is _VarState.AT_UPPER:
+            self.rows[r][-1] += u * self.den
+        if landing == _VarState.AT_UPPER:
             u = self.upper[leaving]
             assert u is not None
             self._shift(leaving, u)
@@ -416,7 +413,7 @@ class _Tableau:
         """Move nonbasic column ``j`` to its opposite bound."""
         u = self.upper[j]
         assert u is not None
-        if self.state[j] is _VarState.AT_LOWER:
+        if self.state[j] == _VarState.AT_LOWER:
             self._shift(j, u)
             self.state[j] = _VarState.AT_UPPER
         else:
@@ -427,44 +424,29 @@ class _Tableau:
     def choose_leaving(self) -> int:
         """Dual Bland: the row of the lowest-index basic column outside its
         bounds, or -1 when the basis is primal feasible."""
-        upper, dens = self.upper, self.dens
+        upper, den = self.upper, self.den
         best_r, best_b = -1, self.ncols
         for i, (row, b) in enumerate(zip(self.rows, self.basis)):
             if b >= best_b:
                 continue
             v = row[-1]
-            if v < 0 or (upper[b] is not None and v > upper[b] * dens[i]):
+            if v < 0 or (upper[b] is not None and v > upper[b] * den):
                 best_r, best_b = i, b
         return best_r
 
-    def _least_ratio(
-        self, row: list[int], below: bool, eligible: Optional[list[int]] = None
-    ) -> tuple[int, int, int]:
-        """``(j, |d_j|, |a_rj|)`` for the eligible column of least ratio
-        (``j`` is -1 if none is), appending every eligible column, in index
-        order, to ``eligible`` when one is given."""
-        upper, onums = self.upper, self.onums
-        basic, at_lower = _VarState.BASIC, _VarState.AT_LOWER
-        best, best_d, best_a = -1, 0, 1
-        for j, (a, s) in enumerate(zip(row, self.state)):
-            if not a or s is basic:
-                continue
-            # raising an at-lower column moves the basic value by -a / den
-            if (a < 0) != (below == (s is at_lower)):
-                continue
-            if upper[j] == 0:
-                continue
-            d = onums[j]
-            if d < 0:
-                d = -d
-            if a < 0:
-                a = -a
-            # a strict < keeps the lowest index among equal ratios
-            if best < 0 or d * best_a < best_d * a:
-                best, best_d, best_a = j, d, a
-            if eligible is not None:
-                eligible.append(j)
-        return best, best_d, best_a
+    def _eligible(self, row: list[int], below: bool) -> list[int]:
+        """The columns, in index order, whose move off their bound pushes
+        the basic value of ``row`` up when ``below``, else down.
+
+        Raising an at-lower column (state 1) moves that value by ``-a /
+        den``, and lowering an at-upper one (state -1) by ``+a / den``, so
+        the sign of ``a * state`` tells; a basic column (state 0), a zero
+        entry and a fixed column are never eligible.
+        """
+        upper, cols = self.upper, zip(count(), row, self.state)
+        if below:
+            return [j for j, a, s in cols if a * s < 0 and upper[j] != 0]
+        return [j for j, a, s in cols if a * s > 0 and upper[j] != 0]
 
     def dual_ratio_test(
         self, r: int, below: bool
@@ -477,39 +459,34 @@ class _Tableau:
         ``|d_j / a_rj|``, ties to the lowest index, as the module docstring
         describes; ``flips`` lists the passed ones.  ``entering`` is None,
         and the LP infeasible, when no column is eligible or every one is
-        passed.  The least ratio's column usually enters, so the list of
-        eligible columns is built only once one is passed.
+        passed.
         """
         upper, onums = self.upper, self.onums
         row = self.rows[r]
-        j, best_d, best_a = self._least_ratio(row, below)
+        eligible = self._eligible(row, below)
         flips: list[int] = []
-        if j < 0:
-            return None, flips
-        if not best_d:
-            return j, flips
-        if below:
-            slope = -row[-1]
-        else:
-            slope = row[-1] - upper[self.basis[r]] * self.dens[r]
-        eligible: Optional[list[int]] = None
-        while True:
+        slope = None
+        while eligible:
+            j, best_d, best_a = -1, 0, 1
+            for k in eligible:
+                d, a = abs(onums[k]), abs(row[k])
+                # a strict < keeps the lowest index among equal ratios
+                if j < 0 or d * best_a < best_d * a:
+                    j, best_d, best_a = k, d, a
+            if slope is None:
+                if not best_d:
+                    return j, flips
+                if below:
+                    slope = -row[-1]
+                else:
+                    slope = row[-1] - upper[self.basis[r]] * self.den
             u = upper[j]
             if u is None or slope <= best_a * u:
                 return j, flips
             flips.append(j)
             slope -= best_a * u
-            if eligible is None:
-                eligible = []
-                self._least_ratio(row, below, eligible)
             eligible.remove(j)
-            if not eligible:
-                return None, flips
-            j = -1
-            for k in eligible:
-                d, a = abs(onums[k]), abs(row[k])
-                if j < 0 or d * best_a < best_d * a:
-                    j, best_d, best_a = k, d, a
+        return None, flips
 
     def run_dual(self) -> bool:
         """Bounded dual simplex from a dual feasible basis.
@@ -569,7 +546,7 @@ def _reoptimize(
         return LpResult()
     n = len(bounds)
     for i, (new, old, sign) in enumerate(zip(rows, base.rows, base.signs)):
-        if new.rhs != old.rhs:
+        if new is not old and new.rhs != old.rhs:
             # the row's slack column n + i is B^-1 e_i: a change in its rhs
             # moves each basic value by that column's entry times the change
             tab._shift(n + i, sign * (old.rhs - new.rhs))

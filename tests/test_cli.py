@@ -198,6 +198,21 @@ class TestSolve:
         assert "node" in capsys.readouterr().err.lower()
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize(
+        "family, size, seed", [("knapsack", 24, 5), ("knapsack", 24, 6), ("assignment", 6, 2)]
+    )
+    def test_seq_stdout_matches_golden(self, family, size, seed, tmp_path, capsys):
+        # the benchmark's instances, byte for byte; only seq (and brute) are
+        # deterministic down to the representative of each outcome, since a
+        # parallel run may keep another one at the seam between its workers
+        path = tmp_path / "instance.boip"
+        argv = ["gen", "--family", family, "--size", str(size), "--seed", str(seed)]
+        assert main([*argv, "-o", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["solve", "--alg", "seq", str(path)]) == EXIT_OK
+        golden = GOLDEN / f"{family}-n{size}-s{seed}.result"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
     def test_determinism_of_seq_and_brute_output(self, cover_file, capsys):
         outputs = []
         for alg in ("seq", "brute", "seq", "brute"):

@@ -31,7 +31,7 @@ from biopt.model import (
     pareto_filter,
 )
 from biopt.oracle import iter_feasible
-from biopt.simplex import solve_lp
+from biopt.simplex import _VarState, solve_lp
 from tests.conftest import tightened
 
 RELATIONS = (Relation.LE, Relation.GE, Relation.EQ)
@@ -569,6 +569,111 @@ class TestWarmStart:
         warm = solve_lp(costs, moved, bounds, start=parent)
         cold = solve_lp(costs, moved, bounds)
         assert (warm.is_optimal, warm.objective) == (cold.is_optimal, cold.objective)
+
+
+def _inverse(matrix):
+    """The inverse of a square integer matrix and its determinant, by
+    Gauss-Jordan elimination in ``Fraction``s."""
+    m = len(matrix)
+    work = [[Fraction(v) for v in row] + [Fraction(int(i == k)) for k in range(m)]
+            for i, row in enumerate(matrix)]
+    det = Fraction(1)
+    for c in range(m):
+        p = next(r for r in range(c, m) if work[r][c])
+        if p != c:
+            work[c], work[p] = work[p], work[c]
+            det = -det
+        pivot = work[c][c]
+        det *= pivot
+        work[c] = [v / pivot for v in work[c]]
+        for r in range(m):
+            if r != c and work[r][c]:
+                factor = work[r][c]
+                work[r] = [v - factor * w for v, w in zip(work[r], work[c])]
+    return [row[m:] for row in work], det
+
+
+def check_one_denominator(lp):
+    """Check the final tableau of an optimal ``lp`` against its basis ``B``,
+    computed anew from the LP's signed rows: one denominator ``|det B|``,
+    the basic columns a scaled identity, and every row and reduced cost
+    the exact entry of ``B^-1 [A | I | b']`` and ``c - c_B B^-1 [A | I]``
+    times that denominator, with ``b'`` the rhs shifted to where every
+    nonbasic column sits.  Returns the denominator."""
+    base = lp.restart
+    tab, bounds = base.tableau, base.bounds
+    n, m, den = len(bounds), len(base.rows), tab.den
+    for i, b in enumerate(tab.basis):
+        assert [row[b] for row in tab.rows] == [den * (k == i) for k in range(m)]
+    data = [
+        [sign * a for a in con.coeffs] + [int(k == i) for k in range(m)]
+        for i, (con, sign) in enumerate(zip(base.rows, base.signs))
+    ]
+    # a nonbasic column's value, shifted by its lower bound
+    at = [
+        hi - lo if tab.state[j] == _VarState.AT_UPPER else 0 for j, (lo, hi) in enumerate(bounds)
+    ] + [0] * m
+    for j in tab.basis:
+        at[j] = 0
+    for row, con, sign in zip(data, base.rows, base.signs):
+        shifted = sign * (con.rhs - sum(a * lo for a, (lo, _) in zip(con.coeffs, bounds)))
+        row.append(shifted - sum(a * v for a, v in zip(row, at)))
+    inverse, det = _inverse([[row[b] for b in tab.basis] for row in data])
+    assert den == abs(det)
+    for got, inv in zip(tab.rows, inverse):
+        want = [sum(f * row[j] for f, row in zip(inv, data)) for j in range(n + m + 1)]
+        assert got == [den * v for v in want]
+    costs = list(base.costs) + [0] * m
+    duals = [sum(costs[b] * inverse[i][k] for i, b in enumerate(tab.basis)) for k in range(m)]
+    reduced = [costs[j] - sum(y * row[j] for y, row in zip(duals, data)) for j in range(n + m)]
+    assert tab.onums == [den * d for d in reduced]
+    return den
+
+
+class TestOneDenominator:
+    """The fraction-free tableau keeps one denominator, ``|det B|``, and
+    divides exactly: its integers are the exact tableau scaled by it."""
+
+    def test_final_tableaus(self):
+        dens: list[int] = []
+
+        @given(
+            boxed_lps(),
+            st.lists(st.integers(0, 7), max_size=3),
+            st.lists(
+                st.tuples(st.integers(0, 2), st.integers(-12, 12)), min_size=1, max_size=2
+            ),
+        )
+        @settings(deadline=None, max_examples=200, database=None, derandomize=True)
+        def check(lp, picks, moves):
+            costs, rows, bounds = lp
+            parent = solve_lp(costs, rows, bounds)
+            assert parent.is_optimal
+            dens.append(check_one_denominator(parent))
+            # warm children with cut bounds, on the parent's very rows
+            node, node_bounds = parent, bounds
+            for pick in picks:
+                node_bounds = tightened(node.x, node_bounds, pick)
+                if node_bounds is None:
+                    break
+                node = solve_lp(costs, rows, node_bounds, start=node)
+                if not node.is_optimal:
+                    break
+                dens.append(check_one_denominator(node))
+            # a restart from the parent with right-hand sides shifted
+            moved = list(rows)
+            for pick, move in moves:
+                con = moved[pick % len(rows)]
+                moved[pick % len(rows)] = LinearConstraint(
+                    con.coeffs, con.relation, con.rhs + move
+                )
+            shifted = solve_lp(costs, moved, bounds, start=parent)
+            if shifted.is_optimal:
+                dens.append(check_one_denominator(shifted))
+
+        check()
+        # most tableaus must have pivoted away from the slack basis
+        assert sum(d > 1 for d in dens) >= 0.5 * len(dens)
 
 
 def most_fractional_reference(x):
