@@ -165,8 +165,7 @@ class RunStats:
 class _SweepOutcome:
     """One worker's sweep: found solutions plus its local accounting."""
 
-    solutions: tuple[Solution, ...]
-    feasible: int
+    solutions: tuple[Solution, ...]  # one per feasible solve
     infeasible: int
     elapsed: float
     work: Work
@@ -229,7 +228,7 @@ def _sweep(
             for c, (lo, hi) in zip(problem.objective(own), problem.var_bounds)
         )
     found: list[Solution] = []
-    feasible = infeasible = 0
+    infeasible = 0
     work = Work()
     while stop is None or cap >= stop:
         if check is not None:
@@ -245,15 +244,14 @@ def _sweep(
         if res.solution is None:
             infeasible += 1
             break
-        feasible += 1
         found.append(res.solution)
         cap = res.solution.outcome.component(own)
         if store is not None and publish:
             _offer(store, own, cap)
-        if hand_off is not None and feasible == 1:
+        if hand_off is not None and len(found) == 1:
             _offer(hand_off, other, res.solution.outcome.component(other))
     elapsed = time.perf_counter() - start
-    return _SweepOutcome(tuple(found), feasible, infeasible, elapsed, work)
+    return _SweepOutcome(tuple(found), infeasible, elapsed, work)
 
 
 def _union(*groups: Sequence[Solution]) -> ParetoSet:
@@ -281,7 +279,7 @@ def _finish(
     found = tuple(end.solution for end in ends if end.solution is not None)
     front = _union(found, *(sweep.solutions for sweep in sweeps))
     stats = RunStats(
-        feasible_solves=len(found) + sum(sweep.feasible for sweep in sweeps),
+        feasible_solves=len(found) + sum(len(sweep.solutions) for sweep in sweeps),
         infeasible_solves=len(ends) - len(found)
         + sum(sweep.infeasible for sweep in sweeps),
         worker_elapsed=tuple(sweep.elapsed for sweep in sweeps),

@@ -31,6 +31,7 @@ from biopt.instances import (
     GeneratorSpec,
     format_result,
     generate,
+    parse_decimal,
     read_instance,
     write_instance,
 )
@@ -58,7 +59,7 @@ def _parse_range(raw: str) -> tuple[int, int]:
     lo, sep, hi = raw.partition(":")
     if not sep:
         raise ValueError("expected lo:hi")
-    return int(lo, 10), int(hi, 10)
+    return parse_decimal(lo), parse_decimal(hi)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

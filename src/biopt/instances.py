@@ -100,11 +100,15 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if not isinstance(self.size, int) or self.size < 1:
+        # type(v) is int: a bool is an int too, but no count or seed
+        if type(self.size) is not int or self.size < 1:
             raise ValueError("size must be a positive integer")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        lo, hi = self.cost_range
+        pair = self.cost_range
+        if type(pair) is not tuple or list(map(type, pair)) != [int, int]:
+            raise ValueError(f"cost_range must be a pair of integers, got {pair!r}")
+        lo, hi = pair
         if lo < 1 or hi < lo:
             raise ValueError("cost_range must be non-empty with positive lower bound")
 
@@ -209,10 +213,21 @@ class _LineReader:
         return self._cursor >= len(self._lines)
 
 
+def parse_decimal(raw: str) -> int:
+    """``raw`` as an int if it is an optional sign, then ASCII digits.
+
+    Unlike ``int``, raises ``ValueError`` on ``1_000``, non-ASCII digits
+    and spaces."""
+    digits = raw[1:] if raw[:1] in ("+", "-") else raw
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {raw!r}")
+    return int(raw)
+
+
 def _int_token(tokens: list[str], column: int, line: int, what: str) -> int:
     raw = tokens[column - 1]
     try:
-        return int(raw, 10)
+        return parse_decimal(raw)
     except ValueError:
         raise ParseError(
             f"line {line}, column {column}: {what} must be a decimal integer, got {raw!r}"

@@ -58,30 +58,28 @@ leading objective never becomes an LP row: it becomes the cutoff ``W * c
 L``.  The cap on the trailing objective is realized exactly as the row
 ``f_last <= c - 1``, since all data is integer.
 
-``BranchAndBoundBackend`` keeps, per objective order, the optimal root LP
-of its last solve.  Consecutive solves of a sweep differ only in the
-right-hand side of their cap row, so the next solve's root restarts from
-it instead of solving it cold again.
-
-It also keeps an incumbent staircase: the (f1, f2)-nondominated integer
+``BranchAndBoundBackend`` remembers one problem at a time, in one
+``IncumbentStaircase``, and starts a new one whenever the problem object
+changes.  It keeps, per objective order, the optimal root LP of the last
+solve: consecutive solves of a sweep differ only in the right-hand side of
+their cap row, so the next solve's root restarts from it instead of
+solving it cold again.  And it keeps the (f1, f2)-nondominated integer
 points among every integral LP point its searches have met, pruned or
-not, for its current problem.  A point that dominates another satisfies
-every cap and cutoff the other does, at no larger combined value, so the
-dominated one is never needed.  Each solve starts from the pooled point
-with the lowest ``W * f_lead + f_last`` that satisfies its cap row,
-checked in integers (every pooled point meets the problem's own rows),
-and lies strictly below its cutoff.  An earlier
-solve of a sweep has often met the next solve's optimum already.  The
-optima of its solves are front points, and a solve whose caps on both
-objectives would leave room only for points dominating one of them is
-infeasible without a search: in a meeting run that is the closing solve
-after the two workers both found the same point.
+not.  A point that dominates another meets every strict cap the other
+does, at no larger combined value, so the dominated one is never needed.
+Each solve starts from the pooled point least in its order under both its
+caps, read off the pooled outcomes.  An earlier solve of a sweep has often
+met the next solve's optimum already.  The optima of its solves are front
+points, and a solve whose caps on both objectives would leave room only
+for points dominating one of them is infeasible without a search: in a
+meeting run that is the closing solve after the two workers both found the
+same point.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from math import ceil
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -131,14 +129,11 @@ class LexResult:
     """Outcome of a (possibly lexicographic) integer solve, with its work.
 
     The solve is optimal exactly when ``solution`` is set; an infeasible
-    one holds None there.  ``root`` is the optimal LP relaxation at the
-    root of the search, if it had one, for restarting the next solve's
-    root; it takes no part in comparisons.
+    one holds None there.
     """
 
     solution: Solution | None = None
     work: Work = Work()
-    root: LpResult | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_optimal(self) -> bool:
@@ -283,12 +278,14 @@ def _branch_and_bound(
 
 
 class IncumbentStaircase:
-    """The (f1, f2)-nondominated integer points of one problem met so far.
+    """What the solves of one problem leave for the next: per objective
+    order the optimal root LP of the last solve that had one, in ``roots``,
+    and the (f1, f2)-nondominated integer points met so far.
 
     Every point added must be an integer point of ``problem``; branch and
     bound adds each integral LP point it meets.  A dominated point is
-    never kept, and a point that dominates others replaces them, so the
-    staircase holds at most one point per f1 value.
+    never kept, and a point that dominates others replaces them, so no two
+    points share an f1 value, nor an outcome.
 
     It also keeps the outcomes marked as front points: the optima of
     lexicographic solves, which are nondominated whatever strict caps the
@@ -298,6 +295,7 @@ class IncumbentStaircase:
 
     def __init__(self, problem: Problem) -> None:
         self.problem = problem
+        self.roots: dict[ObjectiveOrder, LpResult] = {}
         self._points: list[tuple[int, int, tuple[int, ...]]] = []
         self._front: set[tuple[int, int]] = set()
 
@@ -311,27 +309,15 @@ class IncumbentStaircase:
         self._points.append((f1, f2, x))
 
     def best(
-        self,
-        costs: Sequence[int],
-        rows: Sequence[LinearConstraint],
-        cutoff: Optional[int],
-    ) -> Optional[tuple[int, tuple[int, ...]]]:
-        """The pooled ``(costs . x, x)`` of least value that satisfies every
-        row in ``rows`` and lies strictly below ``cutoff``, or None.
-
-        Pass only the rows a search adds to ``problem.constraints``, such
-        as its caps: every pooled point is an integer point of the
-        problem, inside its variable box and on its own rows already.
-        """
-        ranked = sorted(
-            (sum(c * v for c, v in zip(costs, x)), x) for _, _, x in self._points
-        )
-        for value, x in ranked:
-            if cutoff is not None and value >= cutoff:
-                break
-            if all(row.satisfied_by(x) for row in rows):
-                return value, x
-        return None
+        self, order: ObjectiveOrder, caps: Caps
+    ) -> Optional[tuple[int, int, tuple[int, ...]]]:
+        """The pooled ``(f1, f2, x)`` least in ``order`` with ``f1 < c1`` and
+        ``f2 < c2``, for ``caps = (c1, c2)`` with None for no cap, or None."""
+        c1, c2 = caps
+        i, j = order.first - 1, order.last - 1
+        under = (p for p in self._points
+                 if (c1 is None or p[0] < c1) and (c2 is None or p[1] < c2))
+        return min(under, key=lambda p: (p[i], p[j]), default=None)
 
     def mark_front(self, outcome: OutcomeVector) -> None:
         self._front.add(outcome.as_tuple())
@@ -368,22 +354,22 @@ def solve_lex(
     problem: Problem,
     order: ObjectiveOrder,
     caps: Caps = (None, None),
-    start: Optional[LpResult] = None,
     pool: Optional[IncumbentStaircase] = None,
 ) -> LexResult:
     """Lexicographic minimization by one branch and bound on
     ``W * f_lead + f_last``.
 
     The cap ``caps`` puts on the leading objective becomes the cutoff, and
-    the one on the trailing objective the one cap row.  The root LP
-    restarts from ``start`` when its costs and rows fit this solve's (see
-    ``LpResult.fits``), and runs cold otherwise.  With a ``pool`` of
-    ``problem``'s integer points the search starts from its best point
-    that fits this solve (``IncumbentStaircase.best``), and every integral
-    LP point the search meets joins the pool.  When the pool's front
-    points rule out both caps together (``IncumbentStaircase.rules_out``),
-    the solve reports infeasible at once, as a root node pruned before its
-    LP; an optimum joins the pool's front points.
+    the one on the trailing objective the one cap row: a point of the box
+    meets both exactly when it is under both caps.  Without a ``pool``, the
+    memory of ``problem``, the root LP runs cold.  With one, the root LP
+    restarts from the pool's root of ``order`` when it fits (see
+    ``LpResult.fits``), and an optimal root LP replaces it; the search
+    starts from ``IncumbentStaircase.best`` at its ``W * f_lead + f_last``,
+    and every integral LP point it meets joins the pool.  When the pool's
+    front points rule out both caps together (``rules_out``), the solve
+    reports infeasible at once, as a root node pruned before its LP; an
+    optimum joins the pool's front points.
     """
     box = problem.var_bounds
     last = problem.objective(order.last)
@@ -396,37 +382,39 @@ def solve_lex(
     cap = caps[order.first - 1]
     cutoff = None if cap is None else weight * cap + low
     rows = problem.constraints + cap_rows
-    if start is not None and not start.fits(costs, rows):
-        start = None
-    seed = record = None
+    start = seed = record = None
     if pool is not None:
         if pool.problem is not problem:
             raise ValueError("pool holds the points of another problem")
         if None not in caps and pool.rules_out(*caps):
             return LexResult(None, Work(nodes=1))
-        seed, record = pool.best(costs, cap_rows, cutoff), pool.add
+        root = pool.roots.get(order)
+        start = root if root is not None and root.fits(costs, rows) else None
+        if (best := pool.best(order, caps)) is not None:
+            seed = (weight * best[order.first - 1] + best[order.last - 1], best[2])
+        record = pool.add
     found = _branch_and_bound(costs, rows, box, cutoff, start, seed, record)
-    root = found.root if found.root.is_optimal else None
+    if pool is not None and found.root.is_optimal:
+        pool.roots[order] = found.root
     if found.assignment is None:
-        return LexResult(None, found.work, root)
+        return LexResult(None, found.work)
     solution = Solution(found.assignment, evaluate(problem, found.assignment))
     if pool is not None:
         pool.mark_front(solution.outcome)
-    return LexResult(solution, found.work, root)
+    return LexResult(solution, found.work)
 
 
 class BranchAndBoundBackend(SolverBackend):
     """Branch-and-bound lexicographic engine (the default backend).
 
-    The backend keeps the last optimal root LP of each objective order and
-    restarts the next solve of that order from it, and it keeps the
-    incumbent staircase of the problem it last solved, starting afresh
-    whenever the problem changes; so it belongs to one worker.  Each search
-    reads the node cap ``NODE_LIMIT`` when it starts.
+    The backend keeps one ``IncumbentStaircase``, the root LPs and
+    incumbents of the problem it last solved, and replaces it with an
+    empty one whenever the problem object changes, even for an equal
+    problem; so it belongs to one worker.  Each search reads the node cap
+    ``NODE_LIMIT`` when it starts.
     """
 
     def __init__(self) -> None:
-        self._roots: dict[ObjectiveOrder, LpResult] = {}
         self._pool: Optional[IncumbentStaircase] = None
 
     def solve_lex(
@@ -437,12 +425,7 @@ class BranchAndBoundBackend(SolverBackend):
     ) -> LexResult:
         if self._pool is None or self._pool.problem is not problem:
             self._pool = IncumbentStaircase(problem)
-        result = solve_lex(
-            problem, order, caps, start=self._roots.get(order), pool=self._pool
-        )
-        if result.root is not None:
-            self._roots[order] = result.root
-        return result
+        return solve_lex(problem, order, caps, pool=self._pool)
 
 
 class EnumerationBackend(SolverBackend):

@@ -308,6 +308,19 @@ class TestRootRestart:
                     _sweep(problem, BranchAndBoundBackend(), own, store=store)
                     assert len(cold_lps) == 1, (name, first, own)
 
+    def test_equal_problem_starts_cold(self, cold_lps):
+        # a backend remembers one problem object: handed an equal but
+        # distinct one, it sweeps it as a fresh backend does, from one cold
+        # root LP and an empty pool
+        spec = GeneratorSpec("knapsack", 12, 3)
+        backend = BranchAndBoundBackend()
+        sequential_boip(generate(spec), backend)
+        again = generate(spec)
+        cold_lps.clear()
+        _, stats = sequential_boip(again, backend)
+        assert len(cold_lps) == 1
+        assert stats.work == sequential_boip(again)[1].work
+
     def test_backends_share_no_root(self, cover, cold_lps):
         first, second = BranchAndBoundBackend(), BranchAndBoundBackend()
         first.solve_lex(cover, ObjectiveOrder.F1_FIRST, (None, 3))
@@ -471,14 +484,16 @@ class TestSplitRange:
         assert 6 <= sum(o.f1 <= cut for o in outcomes) <= 8
 
 
-def _serial(west_first):
-    """A ``_fork_beside`` that runs splitting's two slices one after the
-    other in this process, where the backends' records reach the test."""
+def _serial(own_first):
+    """A ``_fork_beside`` that runs its two jobs one after the other in this
+    process, where the backends' records reach the test: ``own`` first
+    when ``own_first``.  ``own`` is splitting's west slice and meeting's
+    worker 2."""
 
-    def run(forked, own):  # the east slice is forked, the west one is own
-        if west_first:
-            west = own()
-            return forked(), west
+    def run(forked, own):
+        if own_first:
+            mine = own()
+            return forked(), mine
         return forked(), own()
 
     return run
@@ -753,6 +768,22 @@ class TestMeeting:
             assert outcomes_of(front) == set(oracle.outcomes())
             assert stats.ip_solves == stats.feasible_solves + stats.infeasible_solves
 
+    @pytest.mark.parametrize(
+        ("worker_2_first", "expected"),
+        [(True, Work(803, 803, 858, 264, 714)), (False, Work(889, 889, 912, 261, 842))],
+        ids=["worker-2-first", "worker-1-first"],
+    )
+    def test_work_is_pinned(self, monkeypatch, worker_2_first, expected):
+        # run serially in either order on one store, meeting is
+        # deterministic: a change to the caps, the bound exchange or either
+        # backend's memory that alters any node shows up here
+        monkeypatch.setattr(biopt.algorithms, "_fork_beside", _serial(worker_2_first))
+        work = Work()
+        for seed in range(5, 7):
+            _, stats = meeting_boip(generate(GeneratorSpec("knapsack", 24, seed)))
+            work += stats.work
+        assert work == expected
+
     def test_one_sided_interleaving_still_covers(self, cover):
         # Worst-case staleness, sequentialized by hand: worker 1 runs to
         # completion before worker 2 reads the store even once.  Worker 2
@@ -802,7 +833,6 @@ class TestMeeting:
             (2, 1),
             (1, 2),
         ]
-        assert sweep.feasible == 3
         assert sweep.infeasible == 0  # halted with no closing probe
 
 

@@ -16,6 +16,7 @@ from biopt.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    _parse_range,
     main,
 )
 from biopt.instances import format_instance, parse_instance, read_instance
@@ -97,10 +98,21 @@ class TestGen:
              "--range", "nine"],
             ["gen", "--family", "knapsack", "--size", "3", "--seed", "1",
              "--range", "9:1"],
+            ["gen", "--family", "knapsack", "--size", "3", "--seed", "1",
+             "--range", "1_0:20"],
+            ["gen", "--family", "knapsack", "--size", "3", "--seed", "1",
+             "--range", "\u0661:9"],
         ],
     )
     def test_usage_errors(self, argv, tmp_path):
         assert main(argv + ["-o", str(tmp_path / "x.boip")]) == EXIT_USAGE
+
+    def test_range_takes_signed_ascii_decimals(self):
+        # the bounds are checked by GeneratorSpec; parsing only reads them
+        assert _parse_range("-3:+5") == (-3, 5)
+        for raw in ("1_0:20", "\u0661:9", "1: 9", "1:9:10", "0x1:9"):
+            with pytest.raises(ValueError):
+                _parse_range(raw)
 
     def test_io_failure(self, tmp_path):
         code = main(["gen", "--family", "knapsack", "--size", "3", "--seed", "1",

@@ -83,6 +83,24 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError):
             GeneratorSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "cost_range",
+        [(1.5, 3), (1, 3.0), (1, 2, 3), (5,), "1:5", [1, 5], (True, 5)],
+        ids=["float-lo", "float-hi", "triple", "single", "str", "list", "bool"],
+    )
+    def test_cost_range_must_be_a_pair_of_ints(self, cost_range):
+        # refused when the spec is built, not later inside the generator
+        with pytest.raises(ValueError, match="cost_range must be a pair of integers"):
+            GeneratorSpec("knapsack", 3, 1, cost_range)
+
+    @pytest.mark.parametrize("field", ["size", "seed"])
+    def test_bool_is_not_an_integer(self, field):
+        # True == 1 as an int, but a flag is no count and no seed
+        kwargs = dict(family="knapsack", size=3, seed=1)
+        kwargs[field] = True
+        with pytest.raises(ValueError, match=field):
+            GeneratorSpec(**kwargs)
+
     def test_family_mismatch_rejected(self):
         spec = GeneratorSpec("assignment", 2, 1)
         with pytest.raises(ValueError):
@@ -209,6 +227,18 @@ class TestInstanceFormat:
         text = format_instance(cover).replace("OBJ2 0 1", "OBJ2 0 one")
         with pytest.raises(ParseError, match=r"line 5, column 3"):
             parse_instance(text)
+
+    @pytest.mark.parametrize("spelling", ["1_0", "\u0661", "+\u0663", "0x3"])
+    def test_only_ascii_decimal_integers(self, cover, spelling):
+        # int() reads "1_0" as 10 and Arabic-Indic digits as their values;
+        # the format takes an optional sign and ASCII digits only
+        text = format_instance(cover).replace("OBJ2 0 1", f"OBJ2 0 {spelling}")
+        with pytest.raises(ParseError, match=r"line 5, column 3: .* decimal integer"):
+            parse_instance(text)
+
+    def test_signed_integers_still_parse(self, cover):
+        text = format_instance(cover).replace("OBJ2 0 1", "OBJ2 -3 +1")
+        assert parse_instance(text).user_objective(2) == (-3, 1)
 
 
 class TestResultFormat:

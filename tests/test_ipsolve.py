@@ -334,26 +334,63 @@ def cover_on(box):
 class TestIncumbentStaircase:
     def test_keeps_only_nondominated_points(self, cover):
         pool = IncumbentStaircase(cover)
-        for x in [(2, 2), (1, 3), (2, 1), (0, 3), (3, 0), (2, 1), (3, 3)]:
+        added = [(2, 2), (1, 3), (2, 1), (0, 3), (3, 0), (2, 1), (3, 3)]
+        for x in added:
             pool.add(x)
         # (2, 1) replaced (2, 2) and (0, 3) replaced (1, 3); (3, 3) was
-        # dominated on arrival.  Each dropped point would win one call here.
-        def x1_is(v):
-            return (LinearConstraint((1, 0), Relation.EQ, v),)
+        # dominated on arrival
+        assert sorted(pool._points) == [(0, 3, (0, 3)), (2, 1, (2, 1)), (3, 0, (3, 0))]
+        # a dropped point is never missed: under any strict caps, in either
+        # order, the staircase answers as the lex-least added point does
+        caps_grid = [(c1, c2) for c1 in (None, 0, 1, 2, 3, 4) for c2 in (None, 0, 1, 2, 3, 4)]
+        for order in ObjectiveOrder:
+            lead, trail = order.first - 1, order.last - 1
+            for c1, c2 in caps_grid:
+                under = [
+                    x for x in added
+                    if (c1 is None or x[0] < c1) and (c2 is None or x[1] < c2)
+                ]
+                want = min(under, key=lambda x: (x[lead], x[trail]), default=None)
+                got = pool.best(order, (c1, c2))
+                assert (got[2] if got else None) == want, (order, c1, c2)
 
-        assert pool.best((1, 0), x1_is(1), None) is None
-        assert pool.best((0, -1), x1_is(2), None) == (-1, (2, 1))
-        assert pool.best((0, -1), x1_is(3), None) == (0, (3, 0))
-        assert pool.best((1, 0), (), None) == (0, (0, 3))
-
-    def test_best_checks_rows_and_cutoff(self, cover):
+    def test_best_is_least_in_order_under_strict_caps(self, cover):
         pool = IncumbentStaircase(cover)
         for x in [(0, 3), (1, 2), (2, 1), (3, 0)]:
             pool.add(x)
-        x2_at_most_1 = LinearConstraint((0, 1), Relation.LE, 1)
-        assert pool.best((1, 0), (x2_at_most_1,), None) == (2, (2, 1))
-        assert pool.best((1, 0), (x2_at_most_1,), 3) == (2, (2, 1))
-        assert pool.best((1, 0), (x2_at_most_1,), 2) is None  # strict cutoff
+        f1_first, f2_first = ObjectiveOrder.F1_FIRST, ObjectiveOrder.F2_FIRST
+        # no caps: each order's own endpoint
+        assert pool.best(f1_first, (None, None)) == (0, 3, (0, 3))
+        assert pool.best(f2_first, (None, None)) == (3, 0, (3, 0))
+        # a strict cap on the trailing objective, in either slot
+        assert pool.best(f1_first, (None, 2)) == (2, 1, (2, 1))
+        assert pool.best(f2_first, (2, None)) == (1, 2, (1, 2))
+        # a strict cap on the leading objective, in either slot
+        assert pool.best(f1_first, (2, None)) == (0, 3, (0, 3))
+        assert pool.best(f2_first, (None, 2)) == (3, 0, (3, 0))
+        assert pool.best(f1_first, (0, None)) is None  # f1 = 0 is not < 0
+        assert pool.best(f2_first, (None, 0)) is None
+        # both caps
+        assert pool.best(f1_first, (3, 3)) == (1, 2, (1, 2))
+        assert pool.best(f2_first, (3, 3)) == (2, 1, (2, 1))
+        assert pool.best(f1_first, (3, 1)) is None
+        assert pool.best(f2_first, (1, 3)) is None
+
+    def test_best_reads_outcomes_not_assignments(self):
+        # f1 = x1 + x2 and f2 = -x1 on [0, 2]^2 with x1 + x2 >= 1: the
+        # caps and the order apply to the outcome of each point
+        problem = build_problem(
+            2, [(1, 1), (-1, 0)], [LinearConstraint((1, 1), Relation.GE, 1)],
+            [(0, 2), (0, 2)],
+        )
+        pool = IncumbentStaircase(problem)
+        for x in [(0, 1), (1, 0), (2, 0)]:
+            pool.add(x)
+        # (0, 1) is dominated by (1, 0): outcomes (1, 0) and (1, -1)
+        assert pool.best(ObjectiveOrder.F1_FIRST, (None, None)) == (1, -1, (1, 0))
+        assert pool.best(ObjectiveOrder.F2_FIRST, (None, None)) == (2, -2, (2, 0))
+        assert pool.best(ObjectiveOrder.F1_FIRST, (None, -1)) == (2, -2, (2, 0))
+        assert pool.best(ObjectiveOrder.F2_FIRST, (2, None)) == (1, -1, (1, 0))
 
     def test_seeded_point_is_returned_as_proven(self, cover):
         pool = IncumbentStaircase(cover)
@@ -417,8 +454,10 @@ class TestIncumbentStaircase:
         assert res.solution.assignment == (1, 2)
 
     def test_pooled_solve_never_takes_more_nodes(self, cover, knapsack):
-        """Replay sweeps with and without a pool; each pair of solves
-        restarts from the same root LP, so the pool is their only difference."""
+        """Replay sweeps with and without pooled points; each pair of solves
+        restarts from the same root LP, so the points are their only
+        difference: the bare side runs on a fresh staircase that holds only
+        the pooled side's root."""
         problems = [cover, knapsack] + [
             generate(GeneratorSpec(family, size, seed))
             for family, size in (("knapsack", 12), ("assignment", 4))
@@ -428,11 +467,13 @@ class TestIncumbentStaircase:
         for problem in problems:
             pool = IncumbentStaircase(problem)
             for order in ObjectiveOrder:
-                own, cap, root = order.last, None, None
+                own, cap = order.last, None
                 while True:
                     caps = (cap, None) if own == 1 else (None, cap)
-                    bare = solve_lex(problem, order, caps, start=root)
-                    pooled = solve_lex(problem, order, caps, start=root, pool=pool)
+                    bare_pool = IncumbentStaircase(problem)
+                    bare_pool.roots.update(pool.roots)
+                    bare = solve_lex(problem, order, caps, pool=bare_pool)
+                    pooled = solve_lex(problem, order, caps, pool=pool)
                     assert pooled.is_optimal == bare.is_optimal
                     assert pooled.node_count <= bare.node_count
                     bare_total += bare.node_count
@@ -440,7 +481,7 @@ class TestIncumbentStaircase:
                     if not pooled.is_optimal:
                         break
                     assert pooled.solution.outcome == bare.solution.outcome
-                    cap, root = pooled.solution.outcome.component(own), pooled.root
+                    cap = pooled.solution.outcome.component(own)
         assert pooled_total < bare_total
 
 
