@@ -86,10 +86,13 @@ class BenchConfig:
     algorithms: tuple[str, ...] = SOLVERS
 
     def __post_init__(self) -> None:
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+        # type(v) is int: a bool is an int too, but no count
+        if type(self.reps) is not int or self.reps < 1:
+            raise ValueError(f"reps must be an integer of at least 1, got {self.reps!r}")
         if not self.families or not self.sizes:
             raise ValueError("need at least one family and one size")
+        if any(type(size) is not int for size in self.sizes):
+            raise ValueError(f"sizes must be integers, got {self.sizes!r}")
         if min(self.sizes) < 1:
             raise ValueError("sizes must be at least 1")
         for family in self.families:
@@ -100,6 +103,11 @@ class BenchConfig:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
+        # a repeat would time its cells twice and merge them in the summary
+        for name in ("families", "sizes", "algorithms"):
+            given = getattr(self, name)
+            if len(set(given)) != len(given):
+                raise ValueError(f"{name} must not repeat an entry, got {given!r}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +151,7 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
                     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
                     verified: Optional[bool] = None
                     if oracle is not None:
-                        if set(front.outcomes()) != set(oracle.outcomes()):
+                        if front != oracle:
                             raise BioptError(
                                 f"{algorithm} disagrees with the oracle on "
                                 f"{family} size {size} seed {seed}"
@@ -185,21 +193,10 @@ def write_csv(records: Sequence[BenchRecord], destination) -> None:
         writer = csv.writer(sink)
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            verified = "" if rec.verified is None else str(rec.verified).lower()
-            writer.writerow(
-                (
-                    rec.family,
-                    rec.size,
-                    rec.seed,
-                    rec.algorithm,
-                    rec.threads,
-                    f"{rec.elapsed_ms:.3f}",
-                    rec.ip_solves,
-                    rec.pareto_size,
-                    *(getattr(rec.work, name) for name in WORK_FIELDS),
-                    verified,
-                )
-            )
+            cells = {**vars(rec), **vars(rec.work)}
+            cells["elapsed_ms"] = f"{rec.elapsed_ms:.3f}"
+            cells["verified"] = "" if rec.verified is None else str(rec.verified).lower()
+            writer.writerow(cells[name] for name in CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -250,35 +247,25 @@ def summarize(records: Sequence[BenchRecord]) -> list[SummaryRow]:
     return rows
 
 
+# each summary column: its heading and its cell
+SUMMARY_COLUMNS: tuple[tuple[str, Callable[[SummaryRow], str]], ...] = (
+    ("family", lambda row: row.family),
+    ("size", lambda row: str(row.size)),
+    ("algorithm", lambda row: row.algorithm),
+    ("runs", lambda row: str(row.runs)),
+    ("mean_ms", lambda row: f"{row.mean_elapsed_ms:.2f}"),
+    ("stdev_ms", lambda row: f"{row.stdev_elapsed_ms:.2f}"),
+    ("mean_solves", lambda row: f"{row.mean_ip_solves:.1f}"),
+    ("speedup", lambda row: "-" if row.speedup is None else f"{row.speedup:.2f}"),
+)
+
+
 def render_summary(rows: Sequence[SummaryRow]) -> str:
     """Aligned text table of the summary rows."""
-    header = (
-        "family",
-        "size",
-        "algorithm",
-        "runs",
-        "mean_ms",
-        "stdev_ms",
-        "mean_solves",
-        "speedup",
+    lines = [[heading for heading, _ in SUMMARY_COLUMNS]]
+    lines += [[cell(row) for _, cell in SUMMARY_COLUMNS] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip() + "\n"
+        for line in lines
     )
-    body = [
-        (
-            row.family,
-            str(row.size),
-            row.algorithm,
-            str(row.runs),
-            f"{row.mean_elapsed_ms:.2f}",
-            f"{row.stdev_elapsed_ms:.2f}",
-            f"{row.mean_ip_solves:.1f}",
-            "-" if row.speedup is None else f"{row.speedup:.2f}",
-        )
-        for row in rows
-    ]
-    widths = [
-        max(len(header[i]), *(len(line[i]) for line in body)) if body else len(header[i])
-        for i in range(len(header))
-    ]
-    def fmt(line):
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip()
-    return "\n".join([fmt(header)] + [fmt(line) for line in body]) + "\n"

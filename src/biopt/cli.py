@@ -25,7 +25,7 @@ from biopt.bench import (
     summarize,
     write_csv,
 )
-from biopt.errors import BioptError, BudgetExceeded, ParseError
+from biopt.errors import BioptError, BudgetExceeded
 from biopt.instances import (
     FAMILIES,
     GeneratorSpec,
@@ -45,14 +45,9 @@ EXIT_EMPTY_FRONT = 3
 EXIT_MISMATCH = 4
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _runtime_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_RUNTIME
+def _fail(code: int, reason: object) -> int:
+    print(f"error: {reason}", file=sys.stderr)
+    return code
 
 
 def _parse_range(raw: str) -> tuple[int, int]:
@@ -66,28 +61,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
     try:
         cost_range = _parse_range(args.range)
     except ValueError:
-        return _usage_error(f"--range must be lo:hi with integers, got {args.range!r}")
+        return _fail(EXIT_USAGE, f"--range must be lo:hi with integers, got {args.range!r}")
     try:
         spec = GeneratorSpec(args.family, args.size, args.seed, cost_range)
     except ValueError as bad:
-        return _usage_error(str(bad))
+        return _fail(EXIT_USAGE, bad)
     problem = generate(spec)
     destination = args.output or f"{spec.family}-n{spec.size}-s{spec.seed}.boip"
-    try:
-        write_instance(problem, destination)
-    except OSError as bad:
-        return _runtime_error(f"cannot write {destination}: {bad}")
+    write_instance(problem, destination)
     print(f"{destination} vars={problem.num_vars} constraints={len(problem.constraints)}")
     return EXIT_OK
-
-
-def _load_instance(path: str) -> tuple[Optional[object], int]:
-    try:
-        return read_instance(path), EXIT_OK
-    except ParseError as bad:
-        return None, _runtime_error(f"{path}: {bad}")
-    except OSError as bad:
-        return None, _runtime_error(str(bad))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -96,20 +79,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     if args.threads is not None and args.threads != alg.workers:
         if alg.workers == 1:
-            return _usage_error(f"--alg {args.alg} runs single-threaded; use --threads 1")
-        return _usage_error(f"--alg {args.alg} requires --threads {alg.workers}")
+            return _fail(EXIT_USAGE, f"--alg {args.alg} runs single-threaded; use --threads 1")
+        return _fail(EXIT_USAGE, f"--alg {args.alg} requires --threads {alg.workers}")
 
-    problem, status = _load_instance(args.file)
-    if problem is None:
-        return status
-
+    problem = read_instance(args.file)
     start = time.perf_counter()
-    try:
-        front, stats = alg.run(problem)
-    except BudgetExceeded as bad:
-        return _usage_error(str(bad))
-    except BioptError as bad:
-        return _runtime_error(str(bad))
+    front, stats = alg.run(problem)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     sys.stdout.write(format_result(problem, front))
@@ -123,17 +98,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    problem, status = _load_instance(args.file)
-    if problem is None:
-        return status
-    try:
-        # the oracle refuses an over-budget box before any algorithm runs
-        oracle = brute_force_pareto(problem)
-        fronts = {name: ALGORITHMS[name].run(problem)[0] for name in SOLVERS}
-    except BudgetExceeded as bad:
-        return _usage_error(str(bad))
-    except BioptError as bad:
-        return _runtime_error(str(bad))
+    problem = read_instance(args.file)
+    # the oracle refuses an over-budget box before any algorithm runs
+    oracle = brute_force_pareto(problem)
+    fronts = {name: ALGORITHMS[name].run(problem)[0] for name in SOLVERS}
 
     reference = set(oracle.outcomes())
     clean = True
@@ -160,17 +128,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             algorithms=tuple(args.algs),
         )
     except ValueError as bad:
-        return _usage_error(str(bad))
-    try:
-        records = run_bench(config)
-    except BudgetExceeded as bad:
-        return _usage_error(str(bad))
-    except BioptError as bad:
-        return _runtime_error(str(bad))
-    try:
-        write_csv(records, args.out)
-    except OSError as bad:
-        return _runtime_error(f"cannot write {args.out}: {bad}")
+        return _fail(EXIT_USAGE, bad)
+    records = run_bench(config)
+    write_csv(records, args.out)
     sys.stdout.write(render_summary(summarize(records)))
     print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -185,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = commands.add_parser("gen", help="generate a seeded benchmark instance")
     gen.add_argument("--family", required=True, choices=FAMILIES)
-    gen.add_argument("--size", required=True, type=int)
-    gen.add_argument("--seed", required=True, type=int)
+    gen.add_argument("--size", required=True, type=parse_decimal)
+    gen.add_argument("--seed", required=True, type=parse_decimal)
     gen.add_argument("--range", default="1:100", help="inclusive cost range lo:hi")
     gen.add_argument("-o", "--output", help="instance file path")
     gen.set_defaults(handler=cmd_gen)
@@ -196,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alg", required=True, choices=sorted(alg.flag for alg in ALGORITHMS.values())
     )
     workers = ", ".join(f"{alg.workers} for {alg.flag}" for alg in ALGORITHMS.values())
-    solve.add_argument("--threads", type=int, help=f"worker count: {workers}")
+    solve.add_argument("--threads", type=parse_decimal, help=f"worker count: {workers}")
     solve.add_argument("file")
     solve.set_defaults(handler=cmd_solve)
 
@@ -208,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser("bench", help="run the timing harness")
     bench.add_argument("--families", nargs="+", required=True, choices=FAMILIES)
-    bench.add_argument("--sizes", nargs="+", required=True, type=int)
-    bench.add_argument("--reps", type=int, default=10)
+    bench.add_argument("--sizes", nargs="+", required=True, type=parse_decimal)
+    bench.add_argument("--reps", type=parse_decimal, default=10)
     bench.add_argument(
         "--algs", nargs="+", default=list(SOLVERS), choices=tuple(ALGORITHMS)
     )
@@ -225,7 +185,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:  # argparse exits 2 on usage, 0 on --help
         return int(exit_.code or 0)
-    return args.handler(args)
+    # a BioptError or OSError comes from the input or the host: one line, no
+    # traceback; anything else, ValueError included, is a bug and keeps one
+    try:
+        return args.handler(args)
+    except BudgetExceeded as bad:
+        return _fail(EXIT_USAGE, bad)
+    except (BioptError, OSError) as bad:
+        return _fail(EXIT_RUNTIME, bad)
 
 
 if __name__ == "__main__":

@@ -329,7 +329,12 @@ def write_instance(problem: Problem, destination: PathLike) -> None:
 
 
 def read_instance(source: PathLike) -> Problem:
-    return parse_instance(Path(source).read_text(encoding="utf-8"))
+    """``parse_instance`` on a file; a ``ParseError`` names the path first."""
+    text = Path(source).read_text(encoding="utf-8")
+    try:
+        return parse_instance(text)
+    except ParseError as bad:
+        raise ParseError(f"{source}: {bad}") from None
 
 
 # ---------------------------------------------------------------------------

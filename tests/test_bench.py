@@ -18,7 +18,7 @@ from biopt.bench import (
     write_csv,
 )
 from biopt.errors import BioptError
-from biopt.model import ParetoSet
+from biopt.model import ParetoSet, Solution
 
 
 def tiny_config(**overrides):
@@ -42,6 +42,15 @@ class TestBenchConfig:
             dict(families=("matching",)),
             dict(algorithms=("simplex",)),
             dict(algorithms=()),
+            # a float reps used to fail inside run_bench, and True to run as 1
+            dict(reps=2.5),
+            dict(reps=True),
+            dict(sizes=(2.5,)),
+            dict(sizes=(True,)),
+            # a repeat used to time its cells twice and merge them in the summary
+            dict(families=("knapsack", "assignment", "knapsack")),
+            dict(sizes=(5, 6, 5)),
+            dict(algorithms=("sequential", "sequential")),
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -93,6 +102,21 @@ class TestRunBench:
             tiny_config(sizes=(24,), reps=1, algorithms=("sequential",))
         )
         assert records[0].verified is None
+
+    def test_oracle_check_compares_outcomes(self, monkeypatch):
+        # another representative of each outcome still agrees with the oracle
+        def relabelled(problem):
+            front, stats = sequential(problem)
+            return ParetoSet(
+                Solution(tuple(reversed(s.assignment)), s.outcome) for s in front
+            ), stats
+
+        sequential = ALGORITHMS["sequential"].run
+        monkeypatch.setitem(
+            ALGORITHMS, "sequential", replace(ALGORITHMS["sequential"], run=relabelled)
+        )
+        records = run_bench(tiny_config(reps=2, algorithms=("sequential",)))
+        assert all(rec.verified is True for rec in records)
 
     def test_mismatch_aborts_loudly(self, monkeypatch):
         def corrupted(problem):
@@ -204,6 +228,20 @@ class TestRenderSummary:
         assert lines[0].startswith("family")
         assert "speedup" in lines[0]
         assert any("2.00" in line for line in lines[1:])
+
+    def test_columns_align_to_the_widest_cell(self):
+        records = [
+            BenchRecord("assignment", 12, 1, "sequential", 1, 12345.0, 5, 4),
+            BenchRecord("assignment", 12, 1, "meeting", 2, 50.0, 7, 4),
+        ]
+        header, *body = render_summary(summarize(records)).splitlines()
+        assert header == (
+            "family      size  algorithm   runs  mean_ms   stdev_ms  mean_solves  speedup"
+        )
+        assert body == [
+            "assignment  12    meeting     1     50.00     0.00      7.0          246.90",
+            "assignment  12    sequential  1     12345.00  0.00      5.0          1.00",
+        ]
 
     def test_missing_speedup_renders_dash(self):
         records = [BenchRecord("knapsack", 4, 1, "meeting", 2, 50.0, 7, 4)]

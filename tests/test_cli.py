@@ -2,12 +2,16 @@
 
 import csv
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import biopt
 import biopt.ipsolve
 from biopt.bench import ALGORITHMS
 from biopt.cli import (
@@ -36,6 +40,20 @@ T1_RESULT = "0 3 : 0 3\n1 2 : 1 2\n2 1 : 2 1\n3 0 : 3 0\n"
 def cover_file(tmp_path, cover):
     path = tmp_path / "t1.boip"
     path.write_text(format_instance(cover), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def wide_file(tmp_path):
+    """30 free binaries: a box of 2^30 points, past the enumeration budget."""
+    wide = build_problem(
+        num_vars=30,
+        objectives=[(1,) * 30, (-1,) * 30],
+        constraints=[],
+        var_bounds=[(0, 1)] * 30,
+    )
+    path = tmp_path / "wide.boip"
+    path.write_text(format_instance(wide), encoding="utf-8")
     return str(path)
 
 
@@ -192,7 +210,10 @@ class TestSolve:
         bad.write_text("BOIP 2\n", encoding="utf-8")
         code = main(["solve", "--alg", "seq", str(bad)])
         assert code == EXIT_RUNTIME
-        assert "line 1" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: line 1: ")
+        assert captured.err.count(str(bad)) == 1  # read_instance names it
 
     def test_missing_file(self, tmp_path):
         assert main(["solve", "--alg", "seq", str(tmp_path / "nope.boip")]) == EXIT_RUNTIME
@@ -240,16 +261,8 @@ class TestVerify:
         assert code == EXIT_OK
         assert "all algorithms agree" in capsys.readouterr().out
 
-    def test_budget_refusal(self, tmp_path, capsys):
-        wide = build_problem(
-            num_vars=30,
-            objectives=[(1,) * 30, (-1,) * 30],
-            constraints=[],
-            var_bounds=[(0, 1)] * 30,
-        )
-        path = tmp_path / "wide.boip"
-        path.write_text(format_instance(wide), encoding="utf-8")
-        code = main(["verify", str(path)])
+    def test_budget_refusal(self, wide_file, capsys):
+        code = main(["verify", wide_file])
         assert code == EXIT_USAGE
         assert str(2**30) in capsys.readouterr().err
 
@@ -319,6 +332,16 @@ class TestBench:
         assert "sizes must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
 
+    def test_repeated_size_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code = main([
+            "bench", "--families", "knapsack", "--sizes", "8", "8", "--reps", "1",
+            "--algs", "sequential", "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert "sizes must not repeat" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_brute_over_budget_is_usage_error(self, tmp_path):
         # knapsack-30 has a box of 2^30 points, past the enumeration budget
         code = main([
@@ -339,6 +362,82 @@ class TestBench:
             rows = list(csv.reader(source))
         assert len(rows) == 1 + 3  # header + 1 rep x 3 algorithms
         assert [row[3] for row in rows[1:]] == ["sequential", "splitting", "meeting"]
+
+
+class TestIntegerFlags:
+    """Every integer flag reads the instance files' integers: an optional
+    sign, then ASCII digits (``instances.parse_decimal``)."""
+
+    @staticmethod
+    def argv(flag, value, cover_file, out):
+        commands = {
+            "gen": ["gen", "--family", "knapsack", "--size", "3", "--seed", "1",
+                    "-o", out],
+            "solve": ["solve", "--alg", "split", "--threads", "2", cover_file],
+            "bench": ["bench", "--families", "knapsack", "--sizes", "4", "--reps", "1",
+                      "--algs", "sequential", "--out", out],
+        }
+        argv = next(argv for argv in commands.values() if flag in argv)
+        argv[argv.index(flag) + 1] = value
+        return argv
+
+    @pytest.mark.parametrize("flag", ["--size", "--seed", "--threads", "--sizes", "--reps"])
+    @pytest.mark.parametrize("value", ["1_0", "\u0661"])
+    def test_other_spellings_refused(self, flag, value, cover_file, tmp_path, capsys):
+        # int() reads "1_0" as 10 and the Arabic-Indic one as 1
+        out = tmp_path / "out"
+        assert main(self.argv(flag, value, cover_file, str(out))) == EXIT_USAGE
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err and repr(value) in captured.err
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "7"), ("--sizes", "4"),
+                                             ("--threads", "2")])
+    def test_decimals_parse(self, flag, value, cover_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(self.argv(flag, value, cover_file, str(out))) == EXIT_OK
+        assert out.exists() or flag == "--threads"
+
+
+def run_module(*argv, cwd):
+    """``python -m biopt`` in a child process, with this package on its path."""
+    src = str(Path(biopt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "biopt", *argv],
+        capture_output=True, text=True, cwd=cwd, timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+class TestModuleEntryPoint:
+    def test_solved_front_exits_zero(self, cover_file, tmp_path):
+        done = run_module("solve", "--alg", "seq", cover_file, cwd=tmp_path)
+        assert done.returncode == EXIT_OK
+        assert done.stdout == T1_RESULT
+        assert done.stderr.startswith("algorithm=sequential points=4 ")
+
+    def test_empty_front_exits_three(self, infeasible_file, tmp_path):
+        done = run_module("solve", "--alg", "seq", infeasible_file, cwd=tmp_path)
+        assert done.returncode == EXIT_EMPTY_FRONT
+        assert done.stdout == ""
+        assert "points=0" in done.stderr and "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "command, code", [("missing", EXIT_RUNTIME), ("over_budget", EXIT_USAGE)]
+    )
+    def test_failure_prints_one_error_line(self, command, code, wide_file, tmp_path):
+        argv = {
+            "missing": ("solve", "--alg", "seq", str(tmp_path / "nope.boip")),
+            "over_budget": ("verify", wide_file),
+        }[command]
+        done = run_module(*argv, cwd=tmp_path)
+        assert done.returncode == code
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ")
 
 
 class TestParser:

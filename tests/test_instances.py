@@ -223,6 +223,15 @@ class TestInstanceFormat:
             parse_instance(text)
         assert needle in str(err.value)
 
+    def test_file_errors_name_the_path_and_line(self, tmp_path, cover):
+        target = tmp_path / "bad.boip"
+        target.write_text(format_instance(cover).replace("VARS 2", "VARS x"), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_instance(target)
+        message = str(err.value)
+        assert message.startswith(f"{target}: line 3, column 2: ")
+        assert message.count(str(target)) == 1
+
     def test_error_messages_carry_line_numbers(self, cover):
         text = format_instance(cover).replace("OBJ2 0 1", "OBJ2 0 one")
         with pytest.raises(ParseError, match=r"line 5, column 3"):
