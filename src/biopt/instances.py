@@ -329,8 +329,16 @@ def write_instance(problem: Problem, destination: PathLike) -> None:
 
 
 def read_instance(source: PathLike) -> Problem:
-    """``parse_instance`` on a file; a ``ParseError`` names the path first."""
-    text = Path(source).read_text(encoding="utf-8")
+    """``parse_instance`` on a file; a ``ParseError`` names the path first.
+
+    A file that is not UTF-8 raises a ``ParseError`` naming the byte offset
+    of its first undecodable byte.
+    """
+    raw = Path(source).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as bad:
+        raise ParseError(f"{source}: byte {bad.start}: not UTF-8 ({bad.reason})") from None
     try:
         return parse_instance(text)
     except ParseError as bad:

@@ -5,18 +5,44 @@ The solver is the workhorse under the branch-and-bound backend, so it must be
 exact: every quantity is a rational number, never a float.  Storing a dense
 ``Fraction`` tableau is an order of magnitude too slow in CPython, so the
 tableau is kept fraction-free (Edmonds 1967; Bareiss, *Math. Comp.* 22,
-1968): every row, the objective row included, is a list of integer
-numerators over one positive denominator shared by the whole tableau,
-``|det B|`` for the current basis ``B``.  All data, bounds and right-hand
-sides are integers, so by Cramer's rule every entry of ``B^-1`` times the
-data, and every reduced cost, is an integer once multiplied by ``|det B|``,
-and a pivot's integer divisions are exact: no gcd is ever taken.  The last
-entry of a row is the numerator of its basic variable's current value over
-that same denominator, and ratio tests compare integer ratios by
-cross-multiplication, so no ``Fraction`` is built inside the simplex loop.
-A solve makes only its objective a ``Fraction``: the point ``LpResult.x``
-is built on first read, and branch and bound reads its decision from the
-basic rows instead.
+1968): every row, the objective row included, holds integer numerators over
+one positive denominator shared by the whole tableau, ``|det B|`` for the
+current basis ``B``.  All data, bounds and right-hand sides are integers, so
+by Cramer's rule every entry of ``B^-1`` times the data, and every reduced
+cost, is an integer once multiplied by ``|det B|``, and a pivot's integer
+divisions are exact: no gcd is ever taken.  Ratio tests compare integer
+ratios by cross-multiplication, so no ``Fraction`` is built inside the
+simplex loop.  A solve makes only its objective a ``Fraction``: the point
+``LpResult.x`` is built on first read, and branch and bound reads its
+decision from the basic values instead.
+
+The coefficient part of each row is one Python ``int`` whose fixed-width
+bit fields hold the row's numerators, one field per column ("SIMD within a
+register"): a pivot's row update ``(x * p - e * prow) / den`` is then a
+handful of whole-integer operations, which CPython's big-integer routines
+run over all the fields at once, in C.  A field of width ``w`` stores its
+numerator plus ``2^(w-1)``, so every field is a nonnegative ``w``-bit
+number: reading one is a shift and a mask, and no borrow crosses from one
+field into the next.  The packed update stays exact because it is linear.
+Read as a signed integer, a row is ``sum_j a_j 2^(jw)``, and ``x * p - e *
+prow`` is ``sum_j (x_j p - e b_j) 2^(jw)`` whatever size its digits reach.
+Every digit is divisible by ``den``, so the whole integer is too, and its
+exact quotient is ``sum_j ((x_j p - e b_j) / den) 2^(jw)``: the new row,
+each field in range again.
+
+The width comes from the data.  Up to sign, every coefficient entry of the
+tableau, and ``den`` itself, is an ``m x m`` minor of the signed ``[A | I]``
+(Cramer's rule again), so by Hadamard's inequality it is below
+``isqrt(prod_i (|a_i|^2 + 1)) + 1``.  Two guard bits over that bound,
+rounded up to whole bytes and to at least 64 bits, make ``w``: a field can
+never overflow, whatever the basis.  The basic values, which grow with the
+bounds and right-hand sides, stay a plain list ``vals``, and the reduced
+costs a plain list ``onums``.
+
+The tableau also carries the objective's numerator ``z``, the cost of the
+current point over ``den``: a pivot updates it like the last entry of the
+objective row, and a column moved by ``t`` adds its reduced cost times
+``t``.  So a solve's objective is read, not summed.
 
 Formulation notes:
 
@@ -51,9 +77,10 @@ Koberstein, *The Dual Simplex Method*, 2005).  The eligible columns are
 the nonbasic ones whose move off their bound pushes the leaving row's
 basic value back toward the bound it violates.  Walking the dual step up
 from zero, the dual objective rises at a slope equal to the row's scaled
-violation: ``-row[-1]`` below the lower bound, ``row[-1] - u * den``
-above the upper bound ``u``.  The step meets the eligible columns in order
-of least ``|d_j| / |a_rj|`` (cross-multiplied, ties to the lowest index).
+violation: ``-v`` below the lower bound and ``v - u * den`` above the
+upper bound ``u``, for the row's basic value ``v / den``.  The step meets
+the eligible columns in order of least ``|d_j| / |a_rj|``
+(cross-multiplied, ties to the lowest index).
 Passing column ``j`` turns its reduced cost's sign, so ``j`` must move to
 its opposite bound, which closes ``|a_rj| * u_j`` of the violation and
 lowers the slope by as much.  While the slope exceeds that amount the
@@ -78,21 +105,25 @@ A ``start`` may also differ in the right-hand sides of its rows, as
 consecutive epsilon-constraint solves do.  Row ``i``'s slack column was
 the unit vector ``e_i`` when the tableau was built, so it is ``B^-1 e_i``
 in the current tableau, and a change of ``delta`` in the row's rhs adds
-that column times ``delta`` to the basic values: ``row[-1] += sign *
-delta * row[n + i]``, where ``sign`` is -1 for a negated ``>=`` row and
-1 otherwise.  Reduced costs do not depend on the rhs, so the basis stays
-dual feasible and the same bounded dual simplex finishes the solve.  No
-row is ever dropped, even one that depends on the others: if a shift
-contradicts such a dependence, the LP is infeasible and the dual simplex
-proves it like any other infeasibility.
+that column times ``sign * delta`` to the basic values, where ``sign`` is
+-1 for a negated ``>=`` row and 1 otherwise: the tableau shifts the slack
+column by ``-sign * delta`` as if it were a nonbasic column moving, which
+also moves the objective by the slack's reduced cost times the shift.
+Reduced costs do not depend on the rhs, so the basis stays dual feasible
+and the same bounded dual simplex finishes the solve.  No row is ever
+dropped, even one that depends on the others: if a shift contradicts such
+a dependence, the LP is infeasible and the dual simplex proves it like any
+other infeasibility.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
+from math import isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from biopt.errors import BioptError
@@ -140,9 +171,9 @@ class LpResult:
         tab, bounds = base.tableau, base.bounds
         at_upper, d = _VarState.AT_UPPER, tab.den
         out = [(hi if s == at_upper else lo, 1) for (lo, hi), s in zip(bounds, tab.state)]
-        for row, b in zip(tab.rows, tab.basis):
+        for v, b in zip(tab.vals, tab.basis):
             if b < len(bounds):
-                out[b] = (bounds[b][0] * d + row[-1], d)
+                out[b] = (bounds[b][0] * d + v, d)
         return out
 
     def most_fractional(self) -> tuple[int, int] | None:
@@ -161,10 +192,10 @@ class LpResult:
             return None
         n = best_j = len(bounds)
         best_r = best_v = 0
-        for row, b in zip(tab.rows, tab.basis):
+        for v, b in zip(tab.vals, tab.basis):
             if b >= n:
                 continue
-            v = bounds[b][0] * d + row[-1]
+            v += bounds[b][0] * d
             r = v % d
             if not r:
                 continue
@@ -222,57 +253,130 @@ class _VarState:
     AT_UPPER = -1
 
 
+class _Layout:
+    """How a tableau packs a row of ``ncols`` integer numerators into one
+    ``int``: field ``j`` is bits ``j * width`` up to ``(j + 1) * width`` and
+    holds its numerator plus ``bias``, ``2^(width - 1)``.
+
+    ``ones`` has ``bias`` in every field, so a packed row minus ``ones`` is
+    the row read as one signed integer, ``sum_j a_j 2^(j * width)``, and a
+    packed row XOR ``ones`` holds each numerator in ``width``-bit two's
+    complement, ready to be read by bytes.
+    """
+
+    __slots__ = ("ncols", "width", "bias", "mask", "ones", "_words")
+
+    def __init__(self, ncols: int, width: int) -> None:
+        """``width`` is a whole number of bytes."""
+        self.ncols = ncols
+        self.width = width
+        self.bias = 1 << (width - 1)
+        self.mask = (1 << width) - 1
+        self.ones = self.bias * (((1 << (ncols * width)) - 1) // self.mask)
+        # 64-bit fields read as native signed words when bytes are little-endian
+        self._words = width == 64 and sys.byteorder == "little"
+
+    @classmethod
+    def for_rows(cls, ncols: int, rows: Sequence[Sequence[int]]) -> _Layout:
+        """The layout whose fields hold every entry of every tableau over
+        the data rows ``rows``, each ``[a_i | e_i]`` of ``ncols`` entries.
+
+        Each such entry, and each denominator, is up to sign a minor of
+        ``rows``, which Hadamard's inequality bounds by the product of the
+        row norms.  Two guard bits over that bound, rounded up to whole
+        bytes and to at least 64 bits, give the width.
+        """
+        product = 1
+        for row in rows:
+            product *= sum(a * a for a in row)
+        bits = (isqrt(product) + 1).bit_length() + 2
+        return cls(ncols, max(64, -(-bits // 8) * 8))
+
+    def pack(self, values: Sequence[int]) -> int:
+        """One packed row of ``ncols`` numerators, each below ``bias`` in
+        magnitude (``OverflowError`` otherwise)."""
+        size = self.width // 8
+        raw = b"".join(v.to_bytes(size, "little", signed=True) for v in values)
+        return int.from_bytes(raw, "little") ^ self.ones
+
+    def field(self, packed: int, j: int) -> int:
+        """Numerator ``j`` of a packed row."""
+        return (packed >> (j * self.width) & self.mask) - self.bias
+
+    def unpack(self, packed: int) -> list[int]:
+        """Every numerator of a packed row, in column order."""
+        size = self.width // 8
+        raw = (packed ^ self.ones).to_bytes(self.ncols * size, "little")
+        if self._words:
+            return memoryview(raw).cast("q").tolist()
+        return [
+            int.from_bytes(raw[k : k + size], "little", signed=True)
+            for k in range(0, len(raw), size)
+        ]
+
+
 class _Tableau:
     """Canonical simplex dictionary in fraction-free integer arithmetic.
 
     Invariant: ``den`` is ``|det B|`` for the current basis ``B``, taken
-    over the columns of the rows as they were added, and for every row
-    ``i`` with basic column ``b = basis[i]``, ``rows[i][b] == den`` and
-    ``rows[k][b] == 0`` for ``k != i`` (the true coefficient matrix is
-    ``rows / den``).  The last entry of each row is the numerator of its
-    basic variable's current value, ``rows[i][-1] / den``, with every
+    over the columns of the rows as they were built, and for every row
+    ``i`` with basic column ``b = basis[i]``, entry ``b`` of row ``i`` is
+    ``den`` and entry ``b`` of every other row is 0 (the true coefficient
+    matrix is the rows over ``den``).  ``rows[i]`` holds row ``i``'s
+    coefficients packed as ``layout`` describes; ``row(i)`` reads them as a
+    list.  ``vals[i] / den`` is row ``i``'s basic value, with every
     nonbasic column at the bound its ``state`` names.  Moving a nonbasic
-    column ``j`` from 0 to its upper bound ``u`` therefore subtracts
-    ``rows[i][j] * u`` from every last entry, all in integers.
+    column ``j`` from 0 to its upper bound ``u`` therefore subtracts entry
+    ``j`` of row ``i`` times ``u`` from ``vals[i]``, all in integers.
 
-    The objective row ``onums / den`` holds the reduced costs only, one
-    per column, with no last entry: ``objective`` sums the objective from
-    the basic values itself, so no pivot or flip has to carry it.
+    ``onums / den`` holds the reduced costs, one per column, and ``z /
+    den`` the objective of the current point in original coordinates.  A
+    column that moves by ``t`` moves ``z`` by its reduced cost times ``t``,
+    and a pivot updates ``z`` as the objective row's last entry, so neither
+    is ever summed anew.
 
     ``pivots`` and ``flips`` count the basis changes and bound flips made
     since the tableau was built or copied.
     """
 
-    def __init__(self, upper: list[Optional[int]], costs: list[int]) -> None:
-        """A tableau with no rows yet, each column at the bound its cost
-        prefers: the upper one for a negative cost, else the lower one."""
-        self.ncols = len(upper)
+    def __init__(
+        self,
+        upper: list[Optional[int]],
+        costs: list[int],
+        rows: list[list[int]],
+        vals: list[int],
+        z: int,
+    ) -> None:
+        """The slack basis of the data rows ``rows``, column ``ncols - m +
+        i`` basic in row ``i``, with basic values ``vals`` and the cost
+        ``z`` of its point (the denominator is 1): each structural column
+        at the bound its cost prefers, the upper one for a negative cost,
+        else the lower one."""
+        m = len(rows)
+        self.layout = layout = _Layout.for_rows(len(upper), rows)
         self.upper = upper
-        self.rows: list[list[int]] = []
+        self.rows = [layout.pack(row) for row in rows]
+        self.vals = vals
         self.den = 1
-        self.basis: list[int] = []
+        self.z = z
+        self.basis = list(range(len(upper) - m, len(upper)))
         self.state: list[int] = [
             _VarState.AT_UPPER if c < 0 else _VarState.AT_LOWER for c in costs
         ]
+        for b in self.basis:
+            self.state[b] = _VarState.BASIC
         self.onums = costs
         self.pivots = 0
         self.flips = 0
 
-    # -- construction -------------------------------------------------
-
-    def add_row(self, row: list[int], basic_col: int) -> None:
-        """Append a row, its last entry the basic value, with ``basic_col``
-        basic in it at coefficient 1."""
-        self.rows.append(row)
-        self.basis.append(basic_col)
-        self.state[basic_col] = _VarState.BASIC
-
     def copy(self) -> _Tableau:
         twin = _Tableau.__new__(_Tableau)
-        twin.ncols = self.ncols
+        twin.layout = self.layout
         twin.upper = self.upper[:]
-        twin.rows = [row[:] for row in self.rows]
+        twin.rows = self.rows[:]
+        twin.vals = self.vals[:]
         twin.den = self.den
+        twin.z = self.z
         twin.basis = self.basis[:]
         twin.state = self.state[:]
         twin.onums = self.onums[:]
@@ -287,9 +391,9 @@ class _Tableau:
         """Move the structural columns from ``old_bounds`` to ``bounds``.
 
         Columns are re-shifted to the new lower bounds.  A basic column's
-        value stays where it is, so only its row's last entry changes and
-        it may end up outside its new bounds.  A nonbasic column whose box
-        changed goes to the bound its reduced cost makes dual feasible
+        value stays where it is, so only its basic value's numerator changes
+        and it may end up outside its new bounds.  A nonbasic column whose
+        box changed goes to the bound its reduced cost makes dual feasible
         (keeping its side when that cost is zero), so the basis stays dual
         feasible under any change of bounds.  Returns False, leaving the
         tableau half moved, when a new box is empty.  A column whose bound
@@ -310,7 +414,7 @@ class _Tableau:
             state = self.state[j]
             if state == _VarState.BASIC:
                 i = self.basis.index(j)
-                self.rows[i][-1] += (old_lo - lo) * self.den
+                self.vals[i] += (old_lo - lo) * self.den
                 continue
             was = old_lo if state == _VarState.AT_LOWER else old_hi
             d = self.onums[j]
@@ -322,78 +426,73 @@ class _Tableau:
 
     # -- inspection ----------------------------------------------------
 
-    def objective(
-        self, bounds: Sequence[tuple[int, int]], costs: Sequence[int]
-    ) -> Fraction:
-        """The cost of the current point in original coordinates.
-
-        It is summed in integers alone, as one numerator over the
-        tableau's denominator, and made a ``Fraction`` once at the end.
-        """
-        n, d = len(bounds), self.den
-        basic, at_upper = _VarState.BASIC, _VarState.AT_UPPER
-        num = 0
-        for c, (lo, hi), s in zip(costs, bounds, self.state):
-            if c and s != basic:
-                num += c * (hi if s == at_upper else lo)
-        num *= d
-        for row, b in zip(self.rows, self.basis):
-            if b < n:
-                c = costs[b]
-                if c:
-                    num += c * (bounds[b][0] * d + row[-1])  # the value over d
-        return Fraction(num, d)
+    def row(self, i: int) -> list[int]:
+        """Row ``i``'s coefficient numerators, one per column."""
+        return self.layout.unpack(self.rows[i])
 
     # -- pivoting ------------------------------------------------------
 
-    def pivot(self, r: int, c: int) -> None:
-        """Make column ``c`` basic in row ``r`` by one fraction-free
-        (Bareiss) row operation per row.
+    def pivot(self, r: int, c: int, prow: list[int]) -> None:
+        """Make column ``c`` basic in row ``r``, which ``prow`` holds
+        unpacked, by one fraction-free (Bareiss) row operation per row.
 
         With ``p`` the pivot entry, made positive, the new denominator
         ``|det B'|`` is ``p``: the pivot row keeps its numerators, and every
         other row ``x`` becomes ``(x * p - x[c] * prow) / den``, a division
-        the invariant makes exact.  The last entries are combined like
-        every other column, so afterwards they hold the basic values of the
+        the invariant makes exact.  On a packed row that is one update of
+        the whole integer, with the pivot row read as a signed integer and
+        ``(den - p) * ones`` added so that every field keeps its bias
+        through the division.  The basic values and ``z`` are combined the
+        same way, so afterwards they hold the basic values and cost of the
         new basis with every nonbasic column, ``c``'s old basic variable
-        included, at its old value.  The objective row, which has no last
-        entry, is updated on its reduced costs alone.
+        included, at its old value.
         """
-        rows, den = self.rows, self.den
-        prow = rows[r]
-        p = prow[c]
+        lay, rows, vals, den = self.layout, self.rows, self.vals, self.den
+        at, mask, bias, ones = c * lay.width, lay.mask, lay.bias, lay.ones
+        p, v = prow[c], vals[r]
         if p == 0:
             raise BioptError("pivot on zero entry")
         if p < 0:
-            prow = rows[r] = [-v for v in prow]
+            rows[r] = 2 * ones - rows[r]
+            v = vals[r] = -v
             p = -p
+        signed = rows[r] - ones
+        lift = (den - p) * ones
         for i, row in enumerate(rows):
-            e = row[c]
+            e = (row >> at & mask) - bias  # layout.field(row, c), inlined
             if e:
                 if i != r:
-                    rows[i] = [(a * p - e * b) // den for a, b in zip(row, prow)]
+                    rows[i] = (row * p + lift - e * signed) // den
+                    vals[i] = (vals[i] * p - e * v) // den
             elif p != den:
-                rows[i] = [a * p // den for a in row]
+                rows[i] = (row * p + lift) // den
+                vals[i] = vals[i] * p // den
         e = self.onums[c]
         if e:
-            self.onums = [(a * p - e * b) // den for a, b in zip(self.onums, prow)]
+            f = e if prow[c] > 0 else -e  # prow is row r before any negation
+            self.onums = [(a * p - f * b) // den for a, b in zip(self.onums, prow)]
+            self.z = (self.z * p + e * v) // den
         elif p != den:
             self.onums = [a * p // den for a in self.onums]
+            self.z = self.z * p // den
         self.den = p
 
     def _shift(self, j: int, amount: int) -> None:
         """Account for nonbasic column ``j`` moving by ``amount``."""
         if amount:
-            for row in self.rows:
-                a = row[j]
+            field, vals = self.layout.field, self.vals
+            for i, row in enumerate(self.rows):
+                a = field(row, j)
                 if a:
-                    row[-1] -= a * amount
+                    vals[i] -= a * amount
+            self.z += self.onums[j] * amount
 
-    def enter(self, r: int, c: int, landing: int) -> None:
-        """Pivot nonbasic ``c`` into row ``r``, its leaving column to ``landing``."""
+    def enter(self, r: int, c: int, prow: list[int], landing: int) -> None:
+        """Pivot nonbasic ``c`` into row ``r``, unpacked in ``prow``, its
+        leaving column to ``landing``."""
         leaving = self.basis[r]
         from_upper = self.state[c] == _VarState.AT_UPPER
-        self.pivot(r, c)
+        self.pivot(r, c, prow)
         self.pivots += 1
         self.basis[r] = c
         self.state[c] = _VarState.BASIC
@@ -401,7 +500,7 @@ class _Tableau:
         if from_upper:  # c leaves the upper-bound set: only row r carries it
             u = self.upper[c]
             assert u is not None
-            self.rows[r][-1] += u * self.den
+            self.vals[r] += u * self.den
         if landing == _VarState.AT_UPPER:
             u = self.upper[leaving]
             assert u is not None
@@ -425,11 +524,10 @@ class _Tableau:
         """Dual Bland: the row of the lowest-index basic column outside its
         bounds, or -1 when the basis is primal feasible."""
         upper, den = self.upper, self.den
-        best_r, best_b = -1, self.ncols
-        for i, (row, b) in enumerate(zip(self.rows, self.basis)):
+        best_r, best_b = -1, self.layout.ncols
+        for i, (v, b) in enumerate(zip(self.vals, self.basis)):
             if b >= best_b:
                 continue
-            v = row[-1]
             if v < 0 or (upper[b] is not None and v > upper[b] * den):
                 best_r, best_b = i, b
         return best_r
@@ -449,9 +547,10 @@ class _Tableau:
         return [j for j, a, s in cols if a * s > 0 and upper[j] != 0]
 
     def dual_ratio_test(
-        self, r: int, below: bool
+        self, r: int, row: list[int], below: bool
     ) -> tuple[Optional[int], list[int]]:
-        """Long-step ratio test for leaving row ``r``: ``(entering, flips)``.
+        """Long-step ratio test for leaving row ``r``, unpacked in ``row``:
+        ``(entering, flips)``.
 
         Eligible columns can move off their bound in the direction that
         pushes row ``r``'s basic value back toward the violated bound (up
@@ -462,7 +561,6 @@ class _Tableau:
         passed.
         """
         upper, onums = self.upper, self.onums
-        row = self.rows[r]
         eligible = self._eligible(row, below)
         flips: list[int] = []
         slope = None
@@ -477,9 +575,9 @@ class _Tableau:
                 if not best_d:
                     return j, flips
                 if below:
-                    slope = -row[-1]
+                    slope = -self.vals[r]
                 else:
-                    slope = row[-1] - upper[self.basis[r]] * self.den
+                    slope = self.vals[r] - upper[self.basis[r]] * self.den
             u = upper[j]
             if u is None or slope <= best_a * u:
                 return j, flips
@@ -499,13 +597,14 @@ class _Tableau:
             r = self.choose_leaving()
             if r < 0:
                 return True
-            below = self.rows[r][-1] < 0
-            j, flips = self.dual_ratio_test(r, below)
+            row = self.row(r)  # flips leave it as it is
+            below = self.vals[r] < 0
+            j, flips = self.dual_ratio_test(r, row, below)
             if j is None:
                 return False
             for k in flips:
                 self.flip(k)
-            self.enter(r, j, _VarState.AT_LOWER if below else _VarState.AT_UPPER)
+            self.enter(r, j, row, _VarState.AT_LOWER if below else _VarState.AT_UPPER)
 
 
 class _Restart(NamedTuple):
@@ -520,8 +619,7 @@ class _Restart(NamedTuple):
 
 def _optimal(restart: _Restart) -> LpResult:
     tab = restart.tableau
-    objective = tab.objective(restart.bounds, restart.costs)
-    return LpResult(objective, restart, tab.pivots, tab.flips)
+    return LpResult(Fraction(tab.z, tab.den), restart, tab.pivots, tab.flips)
 
 
 def _infeasible(tab: _Tableau) -> LpResult:
@@ -589,15 +687,17 @@ def solve_lp(
     m = len(rows)
     upper: list[Optional[int]] = [hi - lo for lo, hi in bounds]
     upper += [0 if con.relation is Relation.EQ else None for con in rows]
-    tab = _Tableau(upper, [int(c) for c in costs] + [0] * m)
     # the structural columns' starting values, in original coordinates
     start_x = [hi if c < 0 else lo for c, (lo, hi) in zip(costs, bounds)]
     signs = tuple(-1 if con.relation is Relation.GE else 1 for con in rows)
+    data, vals = [], []
     for i, (con, sign) in enumerate(zip(rows, signs)):
         row = [sign * c for c in con.coeffs] + [0] * m
         row[n + i] = 1
-        row.append(sign * (con.rhs - sum(c * v for c, v in zip(con.coeffs, start_x))))
-        tab.add_row(row, n + i)
+        data.append(row)
+        vals.append(sign * (con.rhs - sum(c * v for c, v in zip(con.coeffs, start_x))))
+    z = sum(c * v for c, v in zip(costs, start_x))
+    tab = _Tableau(upper, [int(c) for c in costs] + [0] * m, data, vals, z)
     if not tab.run_dual():
         return _infeasible(tab)
     return _optimal(_Restart(tab, bounds, costs, rows, signs))

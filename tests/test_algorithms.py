@@ -442,6 +442,28 @@ class TestSequential:
             work += stats.work
         assert work == expected
 
+    @pytest.mark.parametrize(
+        "seed, front, expected",
+        [
+            (
+                1,
+                ((177, 458), (184, 437), (186, 361), (195, 345), (222, 254),
+                 (276, 239), (304, 214), (358, 199), (421, 193)),
+                Work(168, 168, 623, 175, 516),
+            ),
+            (
+                2,
+                ((149, 274), (163, 192), (226, 184), (244, 149), (282, 144), (295, 124)),
+                Work(189, 189, 546, 107, 664),
+            ),
+        ],
+    )
+    def test_assignment_8_is_pinned(self, seed, front, expected):
+        # 17 equality rows: the widest tableaus of any pinned run
+        found, stats = sequential_boip(generate(GeneratorSpec("assignment", 8, seed)))
+        assert tuple(o.as_tuple() for o in found.outcomes()) == front
+        assert stats.work == expected
+
 
 class TestSplitRange:
     def test_cover_two_workers(self, cover):

@@ -425,11 +425,15 @@ class TestModuleEntryPoint:
         assert "points=0" in done.stderr and "Traceback" not in done.stderr
 
     @pytest.mark.parametrize(
-        "command, code", [("missing", EXIT_RUNTIME), ("over_budget", EXIT_USAGE)]
+        "command, code",
+        [("missing", EXIT_RUNTIME), ("not_utf8", EXIT_RUNTIME), ("over_budget", EXIT_USAGE)],
     )
     def test_failure_prints_one_error_line(self, command, code, wide_file, tmp_path):
+        not_utf8 = tmp_path / "latin.boip"
+        not_utf8.write_bytes(b"BOIP 1\n\xff\n")
         argv = {
             "missing": ("solve", "--alg", "seq", str(tmp_path / "nope.boip")),
+            "not_utf8": ("solve", "--alg", "seq", str(not_utf8)),
             "over_budget": ("verify", wide_file),
         }[command]
         done = run_module(*argv, cwd=tmp_path)

@@ -232,6 +232,13 @@ class TestInstanceFormat:
         assert message.startswith(f"{target}: line 3, column 2: ")
         assert message.count(str(target)) == 1
 
+    def test_non_utf8_file_names_the_path_and_byte(self, tmp_path):
+        target = tmp_path / "bad.boip"
+        target.write_bytes(b"BOIP 1\n\xff\n")
+        with pytest.raises(ParseError) as err:
+            read_instance(target)
+        assert str(err.value).startswith(f"{target}: byte 7: not UTF-8")
+
     def test_error_messages_carry_line_numbers(self, cover):
         text = format_instance(cover).replace("OBJ2 0 1", "OBJ2 0 one")
         with pytest.raises(ParseError, match=r"line 5, column 3"):

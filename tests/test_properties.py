@@ -31,7 +31,7 @@ from biopt.model import (
     pareto_filter,
 )
 from biopt.oracle import iter_feasible
-from biopt.simplex import _VarState, solve_lp
+from biopt.simplex import _Layout, _VarState, solve_lp
 from tests.conftest import tightened
 
 RELATIONS = (Relation.LE, Relation.GE, Relation.EQ)
@@ -603,8 +603,9 @@ def check_one_denominator(lp):
     base = lp.restart
     tab, bounds = base.tableau, base.bounds
     n, m, den = len(bounds), len(base.rows), tab.den
+    rows = [tab.row(i) + [v] for i, v in enumerate(tab.vals)]
     for i, b in enumerate(tab.basis):
-        assert [row[b] for row in tab.rows] == [den * (k == i) for k in range(m)]
+        assert [row[b] for row in rows] == [den * (k == i) for k in range(m)]
     data = [
         [sign * a for a in con.coeffs] + [int(k == i) for k in range(m)]
         for i, (con, sign) in enumerate(zip(base.rows, base.signs))
@@ -620,7 +621,7 @@ def check_one_denominator(lp):
         row.append(shifted - sum(a * v for a, v in zip(row, at)))
     inverse, det = _inverse([[row[b] for b in tab.basis] for row in data])
     assert den == abs(det)
-    for got, inv in zip(tab.rows, inverse):
+    for got, inv in zip(rows, inverse):
         want = [sum(f * row[j] for f, row in zip(inv, data)) for j in range(n + m + 1)]
         assert got == [den * v for v in want]
     costs = list(base.costs) + [0] * m
@@ -674,6 +675,155 @@ class TestOneDenominator:
         check()
         # most tableaus must have pivoted away from the slack basis
         assert sum(d > 1 for d in dens) >= 0.5 * len(dens)
+
+
+@st.composite
+def wide_lps(draw):
+    """An LP like ``boxed_lps`` with four rows whose coefficients are all
+    10^5 to 10^6 in magnitude, so that Hadamard's bound on the tableau's
+    entries passes 2^70 and its fields are wider than 64 bits."""
+    n = draw(st.integers(4, 6))
+    bounds, point = [], []
+    for _ in range(n):
+        lo = draw(st.integers(-3, 2))
+        bounds.append((lo, lo + draw(st.integers(1, 5))))
+        point.append(draw(st.integers(*bounds[-1])))
+    entries = st.builds(
+        lambda a, negative: -a if negative else a, st.integers(10**5, 10**6), st.booleans()
+    )
+    rows = []
+    for _ in range(4):
+        coeffs = tuple(draw(entries) for _ in range(n))
+        relation = draw(st.sampled_from(RELATIONS))
+        rhs = sum(c * v for c, v in zip(coeffs, point))
+        if relation is not Relation.EQ:
+            slack = draw(st.integers(0, 3 * 10**6))
+            rhs += slack if relation is Relation.LE else -slack
+        rows.append(LinearConstraint(coeffs, relation, rhs))
+    costs = tuple(draw(st.integers(-7, 7)) for _ in range(n))
+    return costs, tuple(rows), tuple(bounds)
+
+
+class TestPackedRows:
+    """A tableau row is one integer of fixed-width fields; its width comes
+    from Hadamard's bound on the data, so no field ever overflows."""
+
+    @pytest.mark.parametrize("width", [64, 72, 136])
+    def test_pack_field_unpack_round_trip(self, width):
+        edge = 2 ** (width - 2) - 1
+        values = [0, 1, -1, edge, -edge, 0, -1, edge]
+        layout = _Layout(len(values), width)
+        packed = layout.pack(values)
+        assert packed >= 0 and packed.bit_length() <= len(values) * width
+        assert [layout.field(packed, j) for j in range(len(values))] == values
+        assert layout.unpack(packed) == values
+        # a packed row minus ones is the row read as one signed integer
+        assert packed - layout.ones == sum(v << (j * width) for j, v in enumerate(values))
+
+    def test_width_follows_the_data(self):
+        assert _Layout.for_rows(3, [[2, 3, 1]]).width == 64
+        # |(10^6, 10^6, 1)|^2 is about 2^41, so three such rows bound the
+        # minors by about 2^61.5 and four by 2^82: 64 and 88 bits
+        row = [10**6, 10**6, 1]
+        assert _Layout.for_rows(3, [row] * 3).width == 64
+        assert _Layout.for_rows(3, [row] * 4).width == 88
+
+    def test_wide_fields_keep_one_denominator(self):
+        dens: list[int] = []
+
+        @given(
+            wide_lps(),
+            st.lists(st.integers(0, 7), min_size=1, max_size=3),
+            st.lists(
+                st.tuples(st.integers(0, 3), st.integers(-(10**6), 10**6)),
+                min_size=1,
+                max_size=2,
+            ),
+        )
+        @settings(deadline=None, max_examples=60, database=None, derandomize=True)
+        def check(lp, picks, moves):
+            costs, rows, bounds = lp
+            parent = solve_lp(costs, rows, bounds)
+            assert parent.is_optimal
+            assert parent.restart.tableau.layout.width > 64
+            dens.append(check_one_denominator(parent))
+            node, node_bounds = parent, bounds
+            for pick in picks:
+                node_bounds = tightened(node.x, node_bounds, pick)
+                if node_bounds is None:
+                    break
+                node = solve_lp(costs, rows, node_bounds, start=node)
+                if not node.is_optimal:
+                    break
+                dens.append(check_one_denominator(node))
+            moved = list(rows)
+            for pick, move in moves:
+                con = moved[pick % len(rows)]
+                moved[pick % len(rows)] = LinearConstraint(
+                    con.coeffs, con.relation, con.rhs + move
+                )
+            shifted = solve_lp(costs, moved, bounds, start=parent)
+            if shifted.is_optimal:
+                dens.append(check_one_denominator(shifted))
+
+        check()
+        # entries past 64 bits must have been reached, not just allowed
+        assert max(dens).bit_length() > 64
+
+
+class TestCarriedObjective:
+    """The tableau carries its objective through every pivot, flip, bound
+    change and rhs shift; it must equal the cost of the point it reports."""
+
+    def test_objective_is_the_cost_of_x(self):
+        flipped: list[bool] = []
+
+        @given(
+            boxed_lps(),
+            st.lists(st.integers(0, 7), max_size=3),
+            st.lists(
+                st.tuples(st.integers(0, 2), st.integers(1, 30), st.booleans()),
+                min_size=1,
+                max_size=3,
+            ),
+        )
+        @settings(deadline=None, max_examples=300, database=None, derandomize=True)
+        def check(lp, picks, moves):
+            costs, rows, bounds = lp
+
+            def cost_of_x(result):
+                assert result.objective == sum(c * v for c, v in zip(costs, result.x))
+
+            parent = solve_lp(costs, rows, bounds)
+            cost_of_x(parent)
+            # warm children with cut bounds, on the parent's very rows
+            node, node_bounds = parent, bounds
+            for pick in picks:
+                node_bounds = tightened(node.x, node_bounds, pick)
+                if node_bounds is None:
+                    break
+                node = solve_lp(costs, rows, node_bounds, start=node)
+                if not node.is_optimal:
+                    break
+                cost_of_x(node)
+            # a restart with rows tightened far enough that flips close them
+            moved = list(rows)
+            for pick, size, down in moves:
+                con = moved[pick % len(rows)]
+                if con.relation is Relation.LE or (con.relation is Relation.EQ and down):
+                    size = -size
+                moved[pick % len(rows)] = LinearConstraint(
+                    con.coeffs, con.relation, con.rhs + size
+                )
+            shifted = solve_lp(costs, moved, bounds, start=parent)
+            flipped.append(shifted.flips > 0)
+            if shifted.is_optimal:
+                cost_of_x(shifted)
+
+        check()
+        # as in TestWarmStart.test_long_steps_equal_cold, the tightened rows
+        # make flips common; a share this low would leave them untested
+        assert sum(flipped) >= 0.08 * len(flipped)
 
 
 def most_fractional_reference(x):
