@@ -8,32 +8,28 @@ one objective and tightens the cap to the value just found.
   under f2 < l2, tighten l2 to the f2 just found, repeat until infeasible.
   Exactly one subproblem per front point plus the terminating infeasible
   solve.
-* ``splitting_boip`` — the f1 range [f1min, f1max] (obtained from the two
-  endpoint lexicographic solves) is cut into a west and an east slice that
-  hold similar shares of the front (``_knee_cut``).  Each of the two
-  workers sweeps its slice ``[lo, hi]`` east to west: minimize (f2, f1)
-  under f1 < cap, starting from ``cap = hi + 1`` (``f1max`` for the east
-  slice, whose east end is already known).  Only the east slice stops at
-  its ``lo``, after the first solve that finds nothing at f1 >= lo; the
-  west slice ends on its closing infeasible solve.  Any point dominating
-  a find would satisfy the same cap and win the solve, so every find is
-  a global front point.  The west slice's first find ``W`` is the front
-  point of greatest f1 below the east slice's ``lo``, so every point the
-  east slice has to find has f2 < ``W.f2``: the west slice passes
-  ``W.f2`` east through a ``SharedBounds`` store, and the east slice
-  reads it before each solve as a cap on f2.  Its closing solve then
-  proves the rest of its slice empty instead of finding ``W`` again;
-  read too late, the cap costs only that repeated find.  Both slices
-  also carry the fixed cap f2 < the west endpoint's f2, which every other
-  front point meets.  The merge deduplicates by outcome and applies no
-  dominance filter.
 * ``meeting_boip`` — two workers sweep from opposite ends, each bounding
   its own trailing objective, and additionally pruning with the *other*
   worker's latest published bound (read fresh before every solve,
   published right after every find).  The workers stop where the sweeps
-  meet.  Bounds only ever tighten, so stale reads cost duplicated work
-  near the meeting point but never correctness: the union of the two
-  prefixes is the complete front under every interleaving.
+  meet.  Every find is a strict-cap lexicographic optimum, so a point
+  dominating it would satisfy the same caps and win the solve: every find
+  is a global front point.  Bounds only ever tighten, and a cap read from
+  the store excludes only points the other worker has already found, so
+  stale reads cost duplicated work near the meeting point but never
+  correctness: the union of the two prefixes is the complete front under
+  every interleaving.
+* ``splitting_boip`` — meeting with a fixed seam.  The f1 range
+  [f1min, f1max], from the two endpoint lexicographic solves, is cut into
+  a west and an east slice that hold similar shares of the front
+  (``_knee_cut``).  The east slice is meeting's worker 1 started west of
+  the east endpoint, and stops right after its first find at or west of
+  the cut: that find is ``W``, the front point of greatest f1 at or below
+  the cut.  The west slice is meeting's worker 2 under the fixed cap
+  f1 <= cut.  Both also carry the fixed cap f2 < the west endpoint's f2,
+  which every other front point meets, and both exchange caps through the
+  store by meeting's rule, so meeting's argument covers them; a late read
+  costs at most one repeated find of ``W``.
 
 Every algorithm ends in ``_finish``: its front is the union of its parts'
 finds (the sweeps, plus splitting's two endpoint solves), deduplicated by
@@ -41,14 +37,14 @@ outcome without any dominance filtering — a dominated point would crash
 the staircase validation and is treated as a solver bug — and its
 ``RunStats`` sums their solve counts and ``Work``.
 
-Each parallel run forks one worker process, the only way CPython runs
-two sweeps in parallel, and runs the other sweep in the calling process:
-meeting's worker 2, and splitting's west slice, whose backend has just
-solved the endpoints here.  ``_fork_beside`` runs the pair; each job is a
-``_sweep`` with its arguments bound.  A ``SharedBounds`` store, one per
-parallel run, is the only mutable state the two share.  It lives in
-shared memory, and each cell is owned by one writer and enforces monotone
-non-increase.
+Each parallel run forks worker 1 in one worker process, the only way
+CPython runs two sweeps in parallel, and runs worker 2 in the calling
+process; splitting's worker 2, the west slice, runs on the backend that
+has just solved the endpoints here.  ``_fork_beside`` runs the pair; each
+job is a ``_sweep`` with its arguments bound.  A ``SharedBounds`` store,
+one per parallel run, is the only mutable state the two share.  It lives
+in shared memory, and each cell is owned by one writer and enforces
+monotone non-increase.
 
 ``biopt.bench.ALGORITHMS`` is the one table of these three algorithms and
 the brute-force oracle: name, command-line spelling, worker count and run.
@@ -195,8 +191,6 @@ def _sweep(
     caps: Caps = (None, None),
     stop: Optional[int] = None,
     store: Optional[SharedBounds] = None,
-    hand_off: Optional[SharedBounds] = None,
-    publish: bool = True,
     check: Optional[Callable[[], None]] = None,
 ) -> _SweepOutcome:
     """The core recursion: lex-minimize under a tightening strict cap on f_own.
@@ -211,12 +205,10 @@ def _sweep(
     The sweep ends on an infeasible solve, or once the own cap is below
     ``stop``: right after the first find below it, or at once if it starts
     there.  With a ``store`` it re-reads the other objective's cap before
-    every solve, and uses it where it is tighter than the fixed one, and,
-    with ``publish``, publishes its own after every find.  With a
-    ``hand_off`` store it publishes there, right after its first find, that
-    find's value of the other objective.  A value outside the stores'
-    range is not published; its reader just goes without that cap.  It
-    calls ``check``, if given, before each solve.
+    every solve, and uses it where it is tighter than the fixed one, and
+    publishes its own after every find.  A value outside the store's range
+    is not published; its reader just goes without that cap.  It calls
+    ``check``, if given, before each solve.
     """
     order = ObjectiveOrder.F1_FIRST if own == 2 else ObjectiveOrder.F2_FIRST
     other = 3 - own
@@ -246,10 +238,8 @@ def _sweep(
             break
         found.append(res.solution)
         cap = res.solution.outcome.component(own)
-        if store is not None and publish:
+        if store is not None:
             _offer(store, own, cap)
-        if hand_off is not None and len(found) == 1:
-            _offer(hand_off, other, res.solution.outcome.component(other))
     elapsed = time.perf_counter() - start
     return _SweepOutcome(tuple(found), infeasible, elapsed, work)
 
@@ -332,21 +322,28 @@ def splitting_boip(
     The range [f1min, f1max] comes from the two lexicographic endpoint
     solves, run here on the second backend: f1min from the (f1, f2)
     optimum, f1max from the (f2, f1) optimum.  ``_knee_cut`` cuts it into
-    a west slice [f1min, cut] and an east slice [cut + 1, f1max].  Each
-    slice is swept east to west under a strict f1 cap, so every find is a
-    global front point; the union with the two endpoint solutions needs no
-    dominance filter.  Both slices start under the fixed cap f2 < the west
-    endpoint's f2, which every other front point undercuts.  Through the
-    run's one ``SharedBounds`` store the west slice publishes the f2 of
-    its first find to the east slice, which caps f2 below it from its next
-    solve on, so the east slice's closing solve is infeasible instead of
-    finding that point again.  That f2 is the only cap the slices share:
-    neither publishes its own f1 caps, which nothing reads.  A cap that
-    arrives late costs a repeated find, never a point, so the IP solves of
-    a run do not depend on the schedule.  The endpoint solves count in the
-    run's solves and work, but not in ``worker_elapsed``, which lists the
-    west slice, then the east slice, and is empty when no slice runs: for
-    an infeasible problem, or a front of one point.
+    a west slice [f1min, cut] and an east slice [cut + 1, f1max].  The
+    slices are meeting's two sweeps with a fixed seam: the east slice,
+    worker 1, sweeps (f2, f1) west from the east endpoint and stops right
+    after its first find at or below the cut; the west slice, worker 2,
+    sweeps (f1, f2) east from the west endpoint under the fixed cap
+    f1 <= cut.  Both start under the fixed cap f2 < the west endpoint's
+    f2, which every other front point undercuts, and share the run's one
+    ``SharedBounds`` store as meeting's workers do.  Every find is a
+    global front point, so the union with the two endpoint solutions
+    needs no dominance filter; the caller's representative is kept when
+    both slices find the same outcome.
+
+    The only point both slices can find is ``W``, the front point of
+    greatest f1 at or below the cut.  The west slice ends on an infeasible
+    solve; the east slice right after finding ``W``, or on an infeasible
+    solve when the west slice's cap keeps it off ``W``.  So a run takes
+    ``|front| + 1`` IP solves when the east slice finds ``W`` and its
+    published ``W.f1`` keeps the west slice off it, and ``|front| + 2``
+    otherwise.  The endpoint solves count in the run's solves and work,
+    but not in ``worker_elapsed``, which lists the east slice, then the
+    west slice, and is empty when no slice runs: for an infeasible
+    problem, or a front of one point.
 
     The east slice runs on the first backend in a forked worker.  The
     second, warm from the endpoint solves, sweeps the west slice here and
@@ -375,18 +372,15 @@ def splitting_boip(
         return _finish((), ends)  # one point is the whole front
 
     cut = _knee_cut(problem, w, e)
-    east_store = SharedBounds()
-    # the east endpoint is known, so the east slice starts west of it;
+    store = SharedBounds()
+    # the endpoints are known, so each slice starts inside them;
     # every other front point has f2 < w.f2
-    east_job = partial(
-        _sweep, problem, engines[0], 1, caps=(e.f1, w.f2), stop=cut + 1,
-        store=east_store, publish=False,
+    sweeps = _fork_beside(
+        partial(_sweep, problem, engines[0], 1, caps=(e.f1, w.f2), stop=cut + 1,
+                store=store),
+        partial(_sweep, problem, engines[1], 2, caps=(cut + 1, w.f2), store=store),
     )
-    west_job = partial(
-        _sweep, problem, engines[1], 1, caps=(cut + 1, w.f2), hand_off=east_store
-    )
-    east_sweep, west_sweep = _fork_beside(east_job, west_job)
-    return _finish((west_sweep, east_sweep), ends)
+    return _finish(sweeps, ends)
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +410,11 @@ def meeting_boip(
     if len(engines) != 2:
         raise ValueError("meeting needs exactly two backends")
     store = SharedBounds()
-    first, second = _fork_beside(
+    sweeps = _fork_beside(
         partial(_sweep, problem, engines[0], 1, store=store),
         partial(_sweep, problem, engines[1], 2, store=store),
     )
-    return _finish((first, second))
+    return _finish(sweeps)
 
 
 # ---------------------------------------------------------------------------

@@ -180,16 +180,14 @@ def _tighten(
     in ``lp``'s LP, from its reduced costs, and the number of bounds that
     moved.
 
-    ``limit`` must be at least ``lp``'s objective ``z``.  A column at its
-    lower bound ``lo`` with reduced cost ``d > 0`` keeps ``x_j <= lo +
-    floor((limit - z) / d)``; one at its upper bound ``hi`` with ``d < 0``
-    keeps ``x_j >= hi - floor((limit - z) / -d)``.
+    ``limit`` must be at least ``lp``'s objective.  With the objective
+    ``z / den`` and each reduced cost ``d / den`` over one denominator, a
+    column at its lower bound ``lo`` with ``d > 0`` keeps ``x_j <= lo +
+    floor(gap / d)``, for ``gap = limit * den - z``; one at its upper bound
+    ``hi`` with ``d < 0`` keeps ``x_j >= hi - floor(gap / -d)``.
     """
-    nums, den = lp.reduced_costs()
-    z = lp.objective
-    assert z is not None
-    q = z.denominator
-    gap = (limit * q - z.numerator) * den  # (limit - z) * den * q
+    nums, z, den = lp.reduced_costs()
+    gap = limit * den - z
     out = list(box)
     moved = 0
     for j, d in enumerate(nums):
@@ -197,12 +195,12 @@ def _tighten(
             continue
         lo, hi = out[j]
         if d > 0:
-            cap = lo + gap // (q * d)
+            cap = lo + gap // d
             if cap < hi:
                 out[j] = (lo, cap)
                 moved += 1
         else:
-            low = hi - gap // (-q * d)
+            low = hi - gap // -d
             if low > lo:
                 out[j] = (low, hi)
                 moved += 1

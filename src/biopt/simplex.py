@@ -231,16 +231,18 @@ class LpResult:
             for new, old in zip(rows, base.rows)
         )
 
-    def reduced_costs(self) -> tuple[list[int], int]:
-        """The structural columns' reduced costs at this optimum, as integer
-        numerators over one positive denominator.
+    def reduced_costs(self) -> tuple[list[int], int, int]:
+        """The structural columns' reduced costs at this optimum and its
+        objective, as integer numerators over one positive denominator:
+        ``(nums, z, den)``.
 
         A basic column's is 0.  A column whose box is not a single point
         sits at its lower bound when its reduced cost is positive and at its
         upper bound when it is negative.
         """
         base = self._final()
-        return base.tableau.onums[: len(base.bounds)], base.tableau.den
+        tab = base.tableau
+        return tab.onums[: len(base.bounds)], tab.z, tab.den
 
 
 class _VarState:

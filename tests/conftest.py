@@ -1,5 +1,5 @@
 """Shared fixtures: small hand-analyzed problems, a tiny-instance sampler,
-and seeded delays for the meeting run's shared-bound store."""
+and seeded delays for the parallel runs' shared-bound store."""
 
 import random
 import time
@@ -124,15 +124,16 @@ def tightened(x, bounds, pick):
 def delayed(seed: int, max_ms: float = 50.0):
     """Nap before every ``SharedBounds`` read and publish, within the block.
 
-    Randomizes the interleaving of a meeting run's two workers, to test
+    Randomizes the interleaving of a parallel run's two workers, to test
     schedule independence.  Each worker naps from its own reproducible
     stream ``random.Random(seed * 1_000_003 + worker)`` of delays in
-    [0, max_ms] milliseconds.  Meeting worker ``w`` publishes cell ``w``
-    and reads cell ``3 - w``, so ``publish(index, ...)`` draws from worker
-    ``index``'s stream and ``read(index)`` from worker ``3 - index``'s.
-    The forked worker inherits the patched class and both fresh streams,
-    and ``meeting_boip`` joins it before it returns, so give each run a
-    block of its own.
+    [0, max_ms] milliseconds.  In meeting and in splitting, whose east
+    slice is worker 1 and west slice worker 2, worker ``w`` publishes cell
+    ``w`` and reads cell ``3 - w``, so ``publish(index, ...)`` draws from
+    worker ``index``'s stream and ``read(index)`` from worker
+    ``3 - index``'s.  The forked worker inherits the patched class and both
+    fresh streams, and the run joins it before it returns, so give each
+    run a block of its own.
     """
     streams = {worker: random.Random(seed * 1_000_003 + worker) for worker in (1, 2)}
     read, publish = SharedBounds.read, SharedBounds.publish
