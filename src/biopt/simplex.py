@@ -32,17 +32,20 @@ each field in range again.
 
 The width comes from the data.  Up to sign, every coefficient entry of the
 tableau, and ``den`` itself, is an ``m x m`` minor of the signed ``[A | I]``
-(Cramer's rule again), so by Hadamard's inequality it is below
-``isqrt(prod_i (|a_i|^2 + 1)) + 1``.  Two guard bits over that bound,
-rounded up to whole bytes and to at least 64 bits, make ``w``: a field can
-never overflow, whatever the basis.  The basic values, which grow with the
-bounds and right-hand sides, stay a plain list ``vals``, and the reduced
-costs a plain list ``onums``.
+(Cramer's rule again), and every reduced cost times ``den`` an ``(m+1) x
+(m+1)`` minor of ``[c; A | I]``, so by Hadamard's inequality each is below
+``isqrt(prod_i max(1, |a_i|^2)) + 1`` over the ``m + 1`` rows.  Two guard
+bits over that bound, rounded up to whole bytes and to at least 64 bits,
+make ``w``: a field can never overflow, whatever the basis.  The values of
+the rows, which grow with the bounds and right-hand sides, stay a plain
+list ``vals``.
 
-The tableau also carries the objective's numerator ``z``, the cost of the
-current point over ``den``: a pivot updates it like the last entry of the
-objective row, and a column moved by ``t`` adds its reduced cost times
-``t``.  So a solve's objective is read, not summed.
+The objective row is the tableau's last row, row ``m``, packed like every
+other: its fields hold the reduced costs times ``den``, and its value
+``vals[m]`` is ``-z``, the negated numerator of the current point's cost,
+as in the right-hand side of the classic tableau's row 0.  With that sign,
+a pivot and a column move update it by the very formulas of the
+constraint rows, so a solve's objective is read, not summed.
 
 Formulation notes:
 
@@ -234,7 +237,8 @@ class LpResult:
     def reduced_costs(self) -> tuple[list[int], int, int]:
         """The structural columns' reduced costs at this optimum and its
         objective, as integer numerators over one positive denominator:
-        ``(nums, z, den)``.
+        ``(nums, z, den)``, read off the tableau's objective row and its
+        value ``-z``.
 
         A basic column's is 0.  A column whose box is not a single point
         sits at its lower bound when its reduced cost is positive and at its
@@ -242,7 +246,7 @@ class LpResult:
         """
         base = self._final()
         tab = base.tableau
-        return tab.onums[: len(base.bounds)], tab.z, tab.den
+        return tab.row(-1)[: len(base.bounds)], -tab.vals[-1], tab.den
 
 
 class _VarState:
@@ -281,16 +285,21 @@ class _Layout:
     @classmethod
     def for_rows(cls, ncols: int, rows: Sequence[Sequence[int]]) -> _Layout:
         """The layout whose fields hold every entry of every tableau over
-        the data rows ``rows``, each ``[a_i | e_i]`` of ``ncols`` entries.
+        ``rows``, each of ``ncols`` entries: the data rows ``[a_i | e_i]``,
+        then the cost row ``[c | 0]``.
 
-        Each such entry, and each denominator, is up to sign a minor of
-        ``rows``, which Hadamard's inequality bounds by the product of the
-        row norms.  Two guard bits over that bound, rounded up to whole
-        bytes and to at least 64 bits, give the width.
+        Each such entry, each reduced cost times the denominator, and each
+        denominator, is up to sign a minor of ``rows``, which Hadamard's
+        inequality bounds by the product of the norms of the rows it meets.
+        Every factor is taken as at least 1, so the product over all rows
+        bounds the minors of every subset of them: a zero cost row must not
+        make it 0.  (A data row is at least 1 anyway, from its slack's 1.)
+        Two guard bits over that bound, rounded up to whole bytes and to at
+        least 64 bits, give the width.
         """
         product = 1
         for row in rows:
-            product *= sum(a * a for a in row)
+            product *= max(1, sum(a * a for a in row))
         bits = (isqrt(product) + 1).bit_length() + 2
         return cls(ncols, max(64, -(-bits // 8) * 8))
 
@@ -331,43 +340,37 @@ class _Tableau:
     column ``j`` from 0 to its upper bound ``u`` therefore subtracts entry
     ``j`` of row ``i`` times ``u`` from ``vals[i]``, all in integers.
 
-    ``onums / den`` holds the reduced costs, one per column, and ``z /
-    den`` the objective of the current point in original coordinates.  A
-    column that moves by ``t`` moves ``z`` by its reduced cost times ``t``,
-    and a pivot updates ``z`` as the objective row's last entry, so neither
-    is ever summed anew.
+    The last row, ``m = len(basis)``, is the objective row: ``row(m)``,
+    or ``row(-1)``, holds the reduced costs times ``den``, one per column,
+    and ``vals[m]`` is ``-z`` for the objective ``z / den`` of the current
+    point in original coordinates.  Pivots and column moves treat it as any
+    other row, so it is never summed anew.  The loops over basic rows zip
+    with ``basis``, which has ``m`` entries, so they never see row ``m``.
 
     ``pivots`` and ``flips`` count the basis changes and bound flips made
     since the tableau was built or copied.
     """
 
     def __init__(
-        self,
-        upper: list[Optional[int]],
-        costs: list[int],
-        rows: list[list[int]],
-        vals: list[int],
-        z: int,
+        self, upper: list[Optional[int]], rows: list[list[int]], vals: list[int]
     ) -> None:
-        """The slack basis of the data rows ``rows``, column ``ncols - m +
-        i`` basic in row ``i``, with basic values ``vals`` and the cost
-        ``z`` of its point (the denominator is 1): each structural column
-        at the bound its cost prefers, the upper one for a negative cost,
-        else the lower one."""
-        m = len(rows)
+        """The slack basis of the data rows, then the cost row, in
+        ``rows``, column ``ncols - m + i`` basic in row ``i``, with row
+        values ``vals`` (the denominator is 1): each structural column at
+        the bound its cost prefers, the upper one for a negative cost, else
+        the lower one."""
+        m = len(rows) - 1
         self.layout = layout = _Layout.for_rows(len(upper), rows)
         self.upper = upper
         self.rows = [layout.pack(row) for row in rows]
         self.vals = vals
         self.den = 1
-        self.z = z
         self.basis = list(range(len(upper) - m, len(upper)))
         self.state: list[int] = [
-            _VarState.AT_UPPER if c < 0 else _VarState.AT_LOWER for c in costs
+            _VarState.AT_UPPER if c < 0 else _VarState.AT_LOWER for c in rows[-1]
         ]
         for b in self.basis:
             self.state[b] = _VarState.BASIC
-        self.onums = costs
         self.pivots = 0
         self.flips = 0
 
@@ -378,10 +381,8 @@ class _Tableau:
         twin.rows = self.rows[:]
         twin.vals = self.vals[:]
         twin.den = self.den
-        twin.z = self.z
         twin.basis = self.basis[:]
         twin.state = self.state[:]
-        twin.onums = self.onums[:]
         twin.pivots = twin.flips = 0
         return twin
 
@@ -419,7 +420,7 @@ class _Tableau:
                 self.vals[i] += (old_lo - lo) * self.den
                 continue
             was = old_lo if state == _VarState.AT_LOWER else old_hi
-            d = self.onums[j]
+            d = self.layout.field(self.rows[-1], j)
             if d:
                 state = _VarState.AT_LOWER if d > 0 else _VarState.AT_UPPER
             self.state[j] = state
@@ -444,10 +445,10 @@ class _Tableau:
         the invariant makes exact.  On a packed row that is one update of
         the whole integer, with the pivot row read as a signed integer and
         ``(den - p) * ones`` added so that every field keeps its bias
-        through the division.  The basic values and ``z`` are combined the
-        same way, so afterwards they hold the basic values and cost of the
-        new basis with every nonbasic column, ``c``'s old basic variable
-        included, at its old value.
+        through the division.  The row values, the objective row's ``-z``
+        included, are combined the same way, so afterwards they hold the
+        basic values and cost of the new basis with every nonbasic column,
+        ``c``'s old basic variable included, at its old value.
         """
         lay, rows, vals, den = self.layout, self.rows, self.vals, self.den
         at, mask, bias, ones = c * lay.width, lay.mask, lay.bias, lay.ones
@@ -469,14 +470,6 @@ class _Tableau:
             elif p != den:
                 rows[i] = (row * p + lift) // den
                 vals[i] = vals[i] * p // den
-        e = self.onums[c]
-        if e:
-            f = e if prow[c] > 0 else -e  # prow is row r before any negation
-            self.onums = [(a * p - f * b) // den for a, b in zip(self.onums, prow)]
-            self.z = (self.z * p + e * v) // den
-        elif p != den:
-            self.onums = [a * p // den for a in self.onums]
-            self.z = self.z * p // den
         self.den = p
 
     def _shift(self, j: int, amount: int) -> None:
@@ -487,7 +480,6 @@ class _Tableau:
                 a = field(row, j)
                 if a:
                     vals[i] -= a * amount
-            self.z += self.onums[j] * amount
 
     def enter(self, r: int, c: int, prow: list[int], landing: int) -> None:
         """Pivot nonbasic ``c`` into row ``r``, unpacked in ``prow``, its
@@ -562,14 +554,14 @@ class _Tableau:
         and the LP infeasible, when no column is eligible or every one is
         passed.
         """
-        upper, onums = self.upper, self.onums
+        upper, reduced = self.upper, self.row(-1)
         eligible = self._eligible(row, below)
         flips: list[int] = []
         slope = None
         while eligible:
             j, best_d, best_a = -1, 0, 1
             for k in eligible:
-                d, a = abs(onums[k]), abs(row[k])
+                d, a = abs(reduced[k]), abs(row[k])
                 # a strict < keeps the lowest index among equal ratios
                 if j < 0 or d * best_a < best_d * a:
                     j, best_d, best_a = k, d, a
@@ -621,7 +613,7 @@ class _Restart(NamedTuple):
 
 def _optimal(restart: _Restart) -> LpResult:
     tab = restart.tableau
-    return LpResult(Fraction(tab.z, tab.den), restart, tab.pivots, tab.flips)
+    return LpResult(Fraction(-tab.vals[-1], tab.den), restart, tab.pivots, tab.flips)
 
 
 def _infeasible(tab: _Tableau) -> LpResult:
@@ -698,8 +690,9 @@ def solve_lp(
         row[n + i] = 1
         data.append(row)
         vals.append(sign * (con.rhs - sum(c * v for c, v in zip(con.coeffs, start_x))))
-    z = sum(c * v for c, v in zip(costs, start_x))
-    tab = _Tableau(upper, [int(c) for c in costs] + [0] * m, data, vals, z)
+    data.append([int(c) for c in costs] + [0] * m)
+    vals.append(-sum(c * v for c, v in zip(costs, start_x)))
+    tab = _Tableau(upper, data, vals)
     if not tab.run_dual():
         return _infeasible(tab)
     return _optimal(_Restart(tab, bounds, costs, rows, signs))

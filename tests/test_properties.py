@@ -603,7 +603,7 @@ def check_one_denominator(lp):
     base = lp.restart
     tab, bounds = base.tableau, base.bounds
     n, m, den = len(bounds), len(base.rows), tab.den
-    rows = [tab.row(i) + [v] for i, v in enumerate(tab.vals)]
+    rows = [tab.row(i) + [v] for i, v in enumerate(tab.vals[:m])]
     for i, b in enumerate(tab.basis):
         assert [row[b] for row in rows] == [den * (k == i) for k in range(m)]
     data = [
@@ -627,8 +627,35 @@ def check_one_denominator(lp):
     costs = list(base.costs) + [0] * m
     duals = [sum(costs[b] * inverse[i][k] for i, b in enumerate(tab.basis)) for k in range(m)]
     reduced = [costs[j] - sum(y * row[j] for y, row in zip(duals, data)) for j in range(n + m)]
-    assert tab.onums == [den * d for d in reduced]
+    assert tab.row(m) == [den * d for d in reduced]
     return den
+
+
+def optimal_solves(lp, picks, moves):
+    """The optimal solves of ``lp``: cold, then warm children on its very
+    rows with bounds cut as ``picks`` say, then a restart from the cold
+    solve with right-hand sides shifted as ``moves`` say."""
+    costs, rows, bounds = lp
+    parent = solve_lp(costs, rows, bounds)
+    assert parent.is_optimal
+    out = [parent]
+    node, node_bounds = parent, bounds
+    for pick in picks:
+        node_bounds = tightened(node.x, node_bounds, pick)
+        if node_bounds is None:
+            break
+        node = solve_lp(costs, rows, node_bounds, start=node)
+        if not node.is_optimal:
+            break
+        out.append(node)
+    moved = list(rows)
+    for pick, move in moves:
+        con = moved[pick % len(rows)]
+        moved[pick % len(rows)] = LinearConstraint(con.coeffs, con.relation, con.rhs + move)
+    shifted = solve_lp(costs, moved, bounds, start=parent)
+    if shifted.is_optimal:
+        out.append(shifted)
+    return out
 
 
 class TestOneDenominator:
@@ -647,61 +674,45 @@ class TestOneDenominator:
         )
         @settings(deadline=None, max_examples=200, database=None, derandomize=True)
         def check(lp, picks, moves):
-            costs, rows, bounds = lp
-            parent = solve_lp(costs, rows, bounds)
-            assert parent.is_optimal
-            dens.append(check_one_denominator(parent))
-            # warm children with cut bounds, on the parent's very rows
-            node, node_bounds = parent, bounds
-            for pick in picks:
-                node_bounds = tightened(node.x, node_bounds, pick)
-                if node_bounds is None:
-                    break
-                node = solve_lp(costs, rows, node_bounds, start=node)
-                if not node.is_optimal:
-                    break
-                dens.append(check_one_denominator(node))
-            # a restart from the parent with right-hand sides shifted
-            moved = list(rows)
-            for pick, move in moves:
-                con = moved[pick % len(rows)]
-                moved[pick % len(rows)] = LinearConstraint(
-                    con.coeffs, con.relation, con.rhs + move
-                )
-            shifted = solve_lp(costs, moved, bounds, start=parent)
-            if shifted.is_optimal:
-                dens.append(check_one_denominator(shifted))
+            dens.extend(map(check_one_denominator, optimal_solves(lp, picks, moves)))
 
         check()
         # most tableaus must have pivoted away from the slack basis
         assert sum(d > 1 for d in dens) >= 0.5 * len(dens)
 
 
+def signed(low, high):
+    """Integers ``low`` to ``high`` in magnitude, of either sign."""
+    return st.builds(
+        lambda a, negative: -a if negative else a, st.integers(low, high), st.booleans()
+    )
+
+
 @st.composite
-def wide_lps(draw):
-    """An LP like ``boxed_lps`` with four rows whose coefficients are all
-    10^5 to 10^6 in magnitude, so that Hadamard's bound on the tableau's
-    entries passes 2^70 and its fields are wider than 64 bits."""
+def wide_lps(
+    draw, nrows=4, entries=signed(10**5, 10**6), slack=3 * 10**6, costs=st.integers(-7, 7)
+):
+    """An LP like ``boxed_lps`` with ``nrows`` rows of coefficients drawn
+    from ``entries`` and costs from ``costs``.  By default its four rows'
+    coefficients are all 10^5 to 10^6 in magnitude, so that Hadamard's
+    bound on the tableau's entries passes 2^70 and its fields are wider
+    than 64 bits."""
     n = draw(st.integers(4, 6))
     bounds, point = [], []
     for _ in range(n):
         lo = draw(st.integers(-3, 2))
         bounds.append((lo, lo + draw(st.integers(1, 5))))
         point.append(draw(st.integers(*bounds[-1])))
-    entries = st.builds(
-        lambda a, negative: -a if negative else a, st.integers(10**5, 10**6), st.booleans()
-    )
     rows = []
-    for _ in range(4):
+    for _ in range(nrows):
         coeffs = tuple(draw(entries) for _ in range(n))
         relation = draw(st.sampled_from(RELATIONS))
         rhs = sum(c * v for c, v in zip(coeffs, point))
         if relation is not Relation.EQ:
-            slack = draw(st.integers(0, 3 * 10**6))
-            rhs += slack if relation is Relation.LE else -slack
+            gap = draw(st.integers(0, slack))
+            rhs += gap if relation is Relation.LE else -gap
         rows.append(LinearConstraint(coeffs, relation, rhs))
-    costs = tuple(draw(st.integers(-7, 7)) for _ in range(n))
-    return costs, tuple(rows), tuple(bounds)
+    return tuple(draw(costs) for _ in range(n)), tuple(rows), tuple(bounds)
 
 
 class TestPackedRows:
@@ -727,6 +738,9 @@ class TestPackedRows:
         row = [10**6, 10**6, 1]
         assert _Layout.for_rows(3, [row] * 3).width == 64
         assert _Layout.for_rows(3, [row] * 4).width == 88
+        # an all-zero cost row counts as 1, not 0: a product taken over
+        # the bare norms would read 0 and fall back to 64 bits
+        assert _Layout.for_rows(3, [row] * 4 + [[0, 0, 0]]).width == 88
 
     def test_wide_fields_keep_one_denominator(self):
         dens: list[int] = []
@@ -742,33 +756,44 @@ class TestPackedRows:
         )
         @settings(deadline=None, max_examples=60, database=None, derandomize=True)
         def check(lp, picks, moves):
-            costs, rows, bounds = lp
-            parent = solve_lp(costs, rows, bounds)
-            assert parent.is_optimal
-            assert parent.restart.tableau.layout.width > 64
-            dens.append(check_one_denominator(parent))
-            node, node_bounds = parent, bounds
-            for pick in picks:
-                node_bounds = tightened(node.x, node_bounds, pick)
-                if node_bounds is None:
-                    break
-                node = solve_lp(costs, rows, node_bounds, start=node)
-                if not node.is_optimal:
-                    break
-                dens.append(check_one_denominator(node))
-            moved = list(rows)
-            for pick, move in moves:
-                con = moved[pick % len(rows)]
-                moved[pick % len(rows)] = LinearConstraint(
-                    con.coeffs, con.relation, con.rhs + move
-                )
-            shifted = solve_lp(costs, moved, bounds, start=parent)
-            if shifted.is_optimal:
-                dens.append(check_one_denominator(shifted))
+            solves = optimal_solves(lp, picks, moves)
+            assert solves[0].restart.tableau.layout.width > 64
+            dens.extend(map(check_one_denominator, solves))
 
         check()
         # entries past 64 bits must have been reached, not just allowed
         assert max(dens).bit_length() > 64
+
+    def test_wide_costs_keep_one_denominator(self):
+        """Small rows and costs of 10^15 to 10^16: the data rows alone fit
+        64-bit fields, the reduced costs times the denominator do not, so
+        only the cost row in Hadamard's bound keeps them exact."""
+        sizes: list[int] = []
+
+        @given(
+            wide_lps(3, signed(10, 60), 200, signed(10**15, 10**16)),
+            st.lists(st.integers(0, 7), min_size=1, max_size=3),
+            st.lists(
+                st.tuples(st.integers(0, 2), st.integers(-300, 300)), min_size=1, max_size=2
+            ),
+        )
+        @settings(deadline=None, max_examples=60, database=None, derandomize=True)
+        def check(lp, picks, moves):
+            costs, rows, bounds = lp
+            data = [
+                list(con.coeffs) + [int(k == i) for k in range(len(rows))]
+                for i, con in enumerate(rows)
+            ]
+            assert _Layout.for_rows(len(data[0]), data).width == 64
+            solves = optimal_solves(lp, picks, moves)
+            assert solves[0].restart.tableau.layout.width > 64
+            for result in solves:
+                check_one_denominator(result)
+                sizes.append(max(abs(d) for d in result.restart.tableau.row(-1)).bit_length())
+
+        check()
+        # reduced costs past a 64-bit field's range must have been reached
+        assert max(sizes) >= 64
 
 
 class TestCarriedObjective:
